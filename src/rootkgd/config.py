@@ -8,7 +8,6 @@ the input paths fully determines a run.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
@@ -44,8 +43,6 @@ class DiagnosisConfig:
     constant_s0: float = 1.0
     candidate_filter: tuple[str, ...] = ("variable", "stream", "device")
     top_k: int = 10
-    #: None means "one worker per available processor".
-    jobs: int | None = None
 
     def __post_init__(self):
         if self.fault_start < 0:
@@ -54,8 +51,6 @@ class DiagnosisConfig:
             raise ConfigError(f"window must be >= 1, got {self.window}")
         if self.top_k < 1:
             raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
-        if self.jobs is not None and self.jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
         if self.rbc_statistic not in STATISTICS:
             raise ConfigError(f"rbc_statistic must be one of {STATISTICS}")
         if self.normalization_order not in NORMALIZATION_ORDERS:
@@ -78,11 +73,6 @@ class DiagnosisConfig:
                     f"column_bindings entries must map column names to entity ids "
                     f"or null, got {col!r}: {target!r}"
                 )
-
-    def effective_jobs(self) -> int:
-        if self.jobs is not None:
-            return self.jobs
-        return os.cpu_count() or 1
 
     def rfpa_params(self) -> RfpaParams:
         return RfpaParams(

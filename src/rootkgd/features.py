@@ -236,34 +236,43 @@ def t2(model: PcaModel, sample: np.ndarray) -> float:
     return float(z @ model.d_matrix @ z)
 
 
-def _rbc(z: np.ndarray, matrix: np.ndarray, columns: tuple[str, ...]) -> np.ndarray:
+def _raw_contributions(model: PcaModel, Z: np.ndarray, statistic: str) -> np.ndarray:
+    """Raw reconstruction contributions of each standardized row of ``Z``.
+
+    The score of variable i is the statistic's drop when the row is
+    optimally corrected along coordinate axis i. Variables whose
+    reconstruction denominator is near zero score 0, with a warning.
+    """
+    matrix = model.proj_res if statistic == "spe" else model.d_matrix
     diag = np.diag(matrix)
     usable = diag > RESIDUAL_DIAG_FLOOR
     if not usable.all():
-        flagged = [columns[i] for i in np.flatnonzero(~usable)]
+        flagged = [model.columns[i] for i in np.flatnonzero(~usable)]
         logger.warning(
             "variables with near-zero reconstruction denominator scored as 0: %s", flagged
         )
-    proj = matrix @ z
-    scores = np.zeros_like(z)
-    scores[usable] = proj[usable] ** 2 / diag[usable]
-    return scores
+    raw = np.zeros_like(Z)
+    proj = Z @ matrix
+    raw[:, usable] = proj[:, usable] ** 2 / diag[usable]
+    return raw
+
+
+def _rbc(model: PcaModel, sample: np.ndarray, statistic: str) -> ContributionVector:
+    z = model.standardize(sample)
+    return ContributionVector(_raw_contributions(model, z[None, :], statistic)[0], model.columns)
 
 
 def rbc_spe(model: PcaModel, sample: np.ndarray) -> ContributionVector:
     """Per-variable reconstruction contribution to the SPE statistic.
 
-    Score of variable i equals the SPE drop achieved by optimally correcting
-    the sample along coordinate axis i (raw, not normalized).
+    Raw, not normalized: see ``_raw_contributions`` for the definition.
     """
-    z = model.standardize(sample)
-    return ContributionVector(_rbc(z, model.proj_res, model.columns), model.columns)
+    return _rbc(model, sample, "spe")
 
 
 def rbc_t2(model: PcaModel, sample: np.ndarray) -> ContributionVector:
     """Per-variable reconstruction contribution to the Hotelling statistic."""
-    z = model.standardize(sample)
-    return ContributionVector(_rbc(z, model.d_matrix, model.columns), model.columns)
+    return _rbc(model, sample, "t2")
 
 
 def contribution_rate(
@@ -286,14 +295,7 @@ def contribution_rate(
     if fault_window.n_samples < 1:
         raise ValueError("fault window is empty")
 
-    Z = model.standardize_matrix(fault_window)
-    matrix = model.proj_res if statistic == "spe" else model.d_matrix
-    diag = np.diag(matrix)
-    usable = diag > RESIDUAL_DIAG_FLOOR
-    raw = np.zeros_like(Z)
-    proj = Z @ matrix
-    raw[:, usable] = proj[:, usable] ** 2 / diag[usable]
-
+    raw = _raw_contributions(model, model.standardize_matrix(fault_window), statistic)
     row_sums = raw.sum(axis=1)
     live = row_sums > 0
     if not live.any():

@@ -154,7 +154,6 @@ def run_diagnose(config: DiagnosisConfig) -> RootCauseRanking:
         contributions,
         kinds=config.candidate_kinds(),
         constant_s0=config.constant_s0,
-        jobs=config.effective_jobs(),
         metadata=metadata,
     )
 

@@ -80,9 +80,6 @@ class PropagationResult:
     pops: int
     max_priority: int
 
-    def aligned(self, roster: tuple[str, ...]) -> np.ndarray:
-        return aligned_sequence(self, roster)
-
 
 def attenuation(params: RfpaParams, distance: float) -> float:
     """Edge attenuation factor; exactly 1 at distance 0, in (0, 1) otherwise."""
@@ -103,21 +100,24 @@ def _run(
     factor = {r.name: attenuation(params, r.distance) for r in graph.relations}
     threshold = params.delta_s_min_ratio * s_0
 
+    # quantity and received are read on every edge, so they stay dense and
+    # are reset by a C-level dict.fromkeys; initiated and pushed are read
+    # once per pop or push, so they hold only the nodes the ripple reaches.
     if params.init_mode is InitMode.BASELINE:
-        quantity = {e.id: s_0 for e in graph.entities}
-        received = {e.id: 1 for e in graph.entities}
+        quantity = dict.fromkeys(graph.by_id, s_0)
+        received = dict.fromkeys(graph.by_id, 1)
     else:
-        quantity = {e.id: 0.0 for e in graph.entities}
-        received = {e.id: 0 for e in graph.entities}
+        quantity = dict.fromkeys(graph.by_id, 0.0)
+        received = dict.fromkeys(graph.by_id, 0)
         quantity[source] = s_0
         received[source] = 1  # the seed assignment counts as one receipt
-    initiated = {e.id: 0 for e in graph.entities}
+    initiated: dict[str, int] = {}
     # A node's pops beyond the (p_max+1)-th are no-ops: the initiation cap is
     # already exceeded, so they emit nothing and change no quantity. Capping
     # queue insertions there leaves results identical and bounds total pops
     # by (p_max + 1) * |entities|.
-    pushed = {e.id: 0 for e in graph.entities}
-    pushed[source] = 1
+    pushed = {source: 1}
+    p_max = params.p_max
 
     heap: list[tuple[int, int, str]] = [(0, 0, source)]
     seq = 1
@@ -132,8 +132,9 @@ def _run(
         if trace_sink is not None:
             trace_sink.append(TraceEvent(seq=event, priority=priority, head=head))
             event += 1
-        initiated[head] += 1
-        if initiated[head] > params.p_max:
+        rounds = initiated.get(head, 0) + 1
+        initiated[head] = rounds
+        if rounds > p_max:
             continue
         for rel, tail in graph.out_index[head]:
             delta = quantity[head] / received[head] * factor[rel.name]
@@ -141,8 +142,9 @@ def _run(
                 continue
             quantity[tail] += delta
             received[tail] += 1
-            if pushed[tail] <= params.p_max:
-                pushed[tail] += 1
+            queued = pushed.get(tail, 0)
+            if queued <= p_max:
+                pushed[tail] = queued + 1
                 heapq.heappush(heap, (priority + rel.priority_offset, seq, tail))
                 seq += 1
             if trace_sink is not None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from .features import ContributionVector
 from .kgraph import EntityKind, KnowledgeGraph
-from .rfpa import RfpaParams, propagate
+from .rfpa import RfpaParams, aligned_sequence, propagate
 
 #: Entity kinds scored by default; substances are excluded unless asked for.
 DEFAULT_CANDIDATE_KINDS = (EntityKind.VARIABLE, EntityKind.STREAM, EntityKind.DEVICE)
@@ -39,9 +39,6 @@ class RootCauseRanking:
 
     entries: tuple[RankEntry, ...]
     metadata: dict[str, Any]
-
-    def top(self, n: int) -> tuple[RankEntry, ...]:
-        return self.entries[:n]
 
     def variables(self) -> tuple[RankEntry, ...]:
         return tuple(e for e in self.entries if e.kind == EntityKind.VARIABLE.value)
@@ -65,14 +62,12 @@ def root_score(
     contributions: ContributionVector,
     candidate: str,
     constant_s0: float = 1.0,
-    exclude_self: bool = False,
 ) -> float:
     """Score one candidate as the root of the observed fault pattern.
 
     The seed is the candidate's own contribution when it is a measured
     variable with positive contribution; otherwise the constant fallback
-    (the score is invariant to that constant). ``exclude_self`` drops the
-    candidate's own roster entry from the comparison, for study only.
+    (the score is invariant to that constant).
     """
     if not contributions.roster:
         raise ValueError("contribution roster is empty")
@@ -86,19 +81,7 @@ def root_score(
     s_0 = own if own > 0 else constant_s0
 
     result = propagate(graph, params, candidate, s_0)
-    profile = result.aligned(contributions.roster)
-    observed = contributions.scores
-    if exclude_self and candidate in contributions.roster:
-        keep = np.array([r != candidate for r in contributions.roster])
-        profile = profile[keep]
-        observed = observed[keep]
-    return cosine(profile, observed)
-
-
-def _score_task(
-    args: tuple[KnowledgeGraph, RfpaParams, ContributionVector, str, float, bool],
-) -> float:
-    return root_score(*args)
+    return cosine(aligned_sequence(result, contributions.roster), contributions.scores)
 
 
 def rank_all(
@@ -108,16 +91,13 @@ def rank_all(
     candidates: Iterable[str] | None = None,
     kinds: Sequence[EntityKind] = DEFAULT_CANDIDATE_KINDS,
     constant_s0: float = 1.0,
-    exclude_self: bool = False,
-    jobs: int = 1,
     metadata: dict[str, Any] | None = None,
 ) -> RootCauseRanking:
     """Score every candidate entity and rank them.
 
     Candidates default to all entities of the requested kinds (variables,
-    streams, and devices unless overridden). Scoring runs are independent, so
-    ``jobs`` > 1 evaluates them in a process pool; the final deterministic
-    sort makes the output identical either way.
+    streams, and devices unless overridden). Candidates are scored one after
+    another in this process, and the final sort makes the order deterministic.
     """
     if candidates is None:
         ids = [e.id for e in graph.entities_of_kind(*kinds)]
@@ -125,19 +105,19 @@ def rank_all(
         ids = list(candidates)
         for eid in ids:
             graph.entity(eid)
+        repeated = sorted(eid for eid, n in Counter(ids).items() if n > 1)
+        if repeated:
+            raise ValueError(f"duplicate candidate ids: {repeated}")
     if not ids:
         raise ValueError("no candidate entities to score")
 
-    tasks = [(graph, params, contributions, eid, constant_s0, exclude_self) for eid in ids]
-    if jobs > 1 and len(ids) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            scores = list(pool.map(_score_task, tasks, chunksize=max(1, len(ids) // jobs)))
-    else:
-        scores = [_score_task(t) for t in tasks]
-
     entries = [
-        RankEntry(id=eid, kind=graph.entity(eid).kind.value, score=score)
-        for eid, score in zip(ids, scores)
+        RankEntry(
+            id=eid,
+            kind=graph.entity(eid).kind.value,
+            score=root_score(graph, params, contributions, eid, constant_s0),
+        )
+        for eid in ids
     ]
     entries.sort(key=lambda e: (-e.score, e.id))
     return RootCauseRanking(entries=tuple(entries), metadata=dict(metadata or {}))

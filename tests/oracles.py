@@ -116,3 +116,45 @@ def random_graph_payload(rng: np.random.Generator, max_nodes: int = 200, max_edg
         seen.add(key)
         triples.append([f"n{h}", f"r{r}", f"n{t}"])
     return {"entities": entities, "relations": relations, "triples": triples}
+
+
+def dense_propagate(graph, params, source: str, s_0: float):
+    """Plain transcription of the propagation walk with every state table
+    dense over all entities; returns (quantities, pops, max_priority)."""
+    import heapq
+
+    factor = {r.name: math.exp(-params.sigma_r * r.distance) for r in graph.relations}
+    threshold = params.delta_s_min_ratio * s_0
+    if params.init_mode.value == "baseline":
+        quantity = {e.id: s_0 for e in graph.entities}
+        received = {e.id: 1 for e in graph.entities}
+    else:
+        quantity = {e.id: 0.0 for e in graph.entities}
+        received = {e.id: 0 for e in graph.entities}
+        quantity[source] = s_0
+        received[source] = 1
+    initiated = {e.id: 0 for e in graph.entities}
+    pushed = {e.id: 0 for e in graph.entities}
+    pushed[source] = 1
+    heap = [(0, 0, source)]
+    seq = 1
+    pops = 0
+    max_priority = 0
+    while heap:
+        priority, _, head = heapq.heappop(heap)
+        pops += 1
+        max_priority = max(max_priority, priority)
+        initiated[head] += 1
+        if initiated[head] > params.p_max:
+            continue
+        for rel, tail in graph.out_index[head]:
+            delta = quantity[head] / received[head] * factor[rel.name]
+            if delta < threshold:
+                continue
+            quantity[tail] += delta
+            received[tail] += 1
+            if pushed[tail] <= params.p_max:
+                pushed[tail] += 1
+                heapq.heappush(heap, (priority + rel.priority_offset, seq, tail))
+                seq += 1
+    return quantity, pops, max_priority

@@ -186,7 +186,9 @@ class TestDiagnoseCommand:
         r1 = runner.invoke(main, diagnose_args(plant_dir, model_path))
         r2 = runner.invoke(main, diagnose_args(plant_dir, model_path, "--jobs", "2"))
         assert r2.exit_code == 0
-        assert r1.output == r2.output
+        assert r1.stdout == r2.stdout
+        assert "--jobs is deprecated" not in r1.stderr
+        assert "warning: --jobs is deprecated and ignored" in r2.stderr
 
     def test_flag_overrides_config_overrides_default(self, plant_dir, model_path,
                                                      tmp_path, runner):
@@ -225,6 +227,13 @@ class TestDiagnoseCommand:
         result = runner.invoke(main, ["diagnose", "--config", str(config_path)])
         assert result.exit_code == 2
         assert "unknown config keys" in result.stderr
+
+    def test_jobs_config_key_is_unknown(self, tmp_path, runner):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"jobs": 2}))
+        result = runner.invoke(main, ["diagnose", "--config", str(config_path)])
+        assert result.exit_code == 2
+        assert "unknown config keys: ['jobs']" in result.stderr
 
 
 class TestTraceCommand:

@@ -297,6 +297,21 @@ class TestRbc:
         assert scores[1] == 0.0
         assert any("near-zero" in rec.message for rec in caplog.records)
 
+    def test_window_rate_is_mean_of_one_row_scores(self, caplog):
+        # The windowed path and the one-row path share one implementation, so
+        # they agree, and a near-zero denominator is flagged on both.
+        rng = np.random.default_rng(25)
+        v1 = rng.normal(size=300)
+        v2 = rng.normal(size=300)
+        model = fit_pca(DataMatrix(np.column_stack([v1, v2, v1]), ("a", "b", "c")), 0.9)
+        rows = np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 2.0]])
+        with caplog.at_level(logging.WARNING, logger="rootkgd.features"):
+            rate = contribution_rate(model, DataMatrix(rows, model.columns), order="post_average")
+        assert any("near-zero" in rec.message for rec in caplog.records)
+        mean = np.mean([rbc_spe(model, row).scores for row in rows], axis=0)
+        assert rate.scores[1] == 0.0
+        np.testing.assert_allclose(rate.scores, mean / mean.sum(), rtol=1e-12)
+
 
 class TestContributionRate:
     def test_one_row_one_hot(self):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import random_graph_payload
+from oracles import dense_propagate, random_graph_payload
 from rootkgd.kgraph import GraphError, graph_from_dict
 from rootkgd.rfpa import (
     InitMode,
@@ -203,6 +203,28 @@ class TestInvariants:
         _, events_a = trace(graph, params, source, 1.0)
         _, events_b = trace(graph, params, source, 1.0)
         assert format_trace_tsv(events_a) == format_trace_tsv(events_b)
+
+    @pytest.mark.parametrize("mode", list(InitMode))
+    def test_matches_dense_transcription(self, mode):
+        rng = np.random.default_rng(47)
+        self_loops = 0
+        for _ in range(12):
+            payload = random_graph_payload(rng, max_nodes=80, max_edges=320)
+            self_loops += sum(h == t for h, _, t in payload["triples"])
+            graph = graph_from_dict(payload)
+            params = RfpaParams(
+                sigma_r=float(rng.uniform(0.05, 1.0)),
+                p_max=int(rng.integers(1, 5)),
+                delta_s_min_ratio=float(10.0 ** rng.uniform(-6, -2)),
+                init_mode=mode,
+            )
+            for source in rng.choice([e.id for e in graph.entities], size=4):
+                s_0 = float(rng.uniform(0.1, 10.0))
+                result = propagate(graph, params, str(source), s_0)
+                quantities, pops, max_priority = dense_propagate(graph, params, str(source), s_0)
+                assert list(result.quantities.items()) == list(quantities.items())
+                assert (result.pops, result.max_priority) == (pops, max_priority)
+        assert self_loops > 0
 
     def test_attenuation_range(self):
         params = RfpaParams(sigma_r=0.5)
