@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -70,26 +71,64 @@ class DataMatrix:
 
 @dataclass(frozen=True)
 class PcaModel:
-    """Fitted PCA decomposition with cached projection matrices.
+    """Fitted PCA decomposition: the principal subspace and every eigenvalue.
 
-    ``proj_pc`` and ``proj_res`` project onto the principal and residual
-    subspaces and always sum to the identity; ``d_matrix`` is the
+    Only what the fit produces is stored: the training mean/std, the
+    orthonormal principal loadings ``P`` (n x n_pc) and the eigenvalues on
+    either side of ``n_pc``. The projectors are derived on construction:
+    ``proj_pc = P Pᵀ`` and ``proj_res = I - P Pᵀ`` project onto the principal
+    and residual subspaces; ``d_matrix = P diag(1/eig_principal) Pᵀ`` is the
     inverse-eigenvalue-weighted principal projector used by the Hotelling
-    statistic.
+    statistic. Inconsistent shapes, non-positive std or principal
+    eigenvalues, and non-finite entries raise ``ValueError``.
     """
 
     columns: tuple[str, ...]
     mean: np.ndarray
     std: np.ndarray
     loadings_principal: np.ndarray
-    loadings_residual: np.ndarray
     eig_principal: np.ndarray
     eig_residual: np.ndarray
     n_pc: int
     r_pc: float
-    proj_pc: np.ndarray
-    proj_res: np.ndarray
-    d_matrix: np.ndarray
+    proj_pc: np.ndarray = field(init=False)
+    proj_res: np.ndarray = field(init=False)
+    d_matrix: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "columns", tuple(self.columns))
+        for name in ("mean", "std", "eig_principal", "eig_residual"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        # A contiguous copy, so projectors derived after a save/load round
+        # trip are bit-identical to the ones derived at fit time.
+        P = np.array(self.loadings_principal, dtype=float, order="C")
+        object.__setattr__(self, "loadings_principal", P)
+
+        n, k = len(self.columns), self.n_pc
+        if not 1 <= k <= n:
+            raise ValueError(f"n_pc must be in [1, {n}], got {k}")
+        shapes = {
+            "mean": (n,),
+            "std": (n,),
+            "loadings_principal": (n, k),
+            "eig_principal": (k,),
+            "eig_residual": (n - k,),
+        }
+        for name, shape in shapes.items():
+            values = getattr(self, name)
+            if values.shape != shape:
+                raise ValueError(f"{name} has shape {values.shape}, expected {shape}")
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} contains non-finite entries")
+        if (self.std <= 0).any():
+            raise ValueError("std must be positive")
+        if (self.eig_principal <= 0).any():
+            raise ValueError("eig_principal must be positive")
+
+        proj_pc = P @ P.T
+        object.__setattr__(self, "proj_pc", proj_pc)
+        object.__setattr__(self, "proj_res", np.eye(n) - proj_pc)
+        object.__setattr__(self, "d_matrix", P @ np.diag(1.0 / self.eig_principal) @ P.T)
 
     @property
     def n_variables(self) -> int:
@@ -129,11 +168,12 @@ class ContributionVector:
         if (scores < 0).any():
             raise ValueError("contribution scores must be nonnegative")
 
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {r: i for i, r in enumerate(self.roster)}
+
     def get(self, name: str) -> float:
-        try:
-            return float(self.scores[self.roster.index(name)])
-        except ValueError:
-            raise KeyError(name) from None
+        return float(self.scores[self._index[name]])
 
     def normalized(self) -> "ContributionVector":
         total = self.scores.sum()
@@ -147,11 +187,10 @@ class ContributionVector:
 
     def restrict(self, names: Sequence[str]) -> "ContributionVector":
         """Project onto a sub-roster and renormalize to sum 1."""
-        index = {r: i for i, r in enumerate(self.roster)}
-        missing = [n for n in names if n not in index]
+        missing = [n for n in names if n not in self._index]
         if missing:
             raise ValueError(f"names not present in roster: {missing}")
-        sub = self.scores[[index[n] for n in names]]
+        sub = self.scores[[self._index[n] for n in names]]
         return ContributionVector(sub, tuple(names)).normalized()
 
 
@@ -200,27 +239,15 @@ def fit_pca(normal_data: DataMatrix, r_pc: float) -> PcaModel:
             "collinear columns"
         )
 
-    # Contiguous copies so projections recomputed after a save/load round
-    # trip are bit-identical to the ones computed here.
-    P = np.ascontiguousarray(evecs[:, :k])
-    P_res = np.ascontiguousarray(evecs[:, k:])
-    proj_pc = P @ P.T
-    proj_res = P_res @ P_res.T
-    d_matrix = P @ np.diag(1.0 / evals[:k]) @ P.T
-
     return PcaModel(
         columns=normal_data.columns,
         mean=mean,
         std=std,
-        loadings_principal=P,
-        loadings_residual=P_res,
+        loadings_principal=evecs[:, :k],
         eig_principal=evals[:k].copy(),
         eig_residual=evals[k:].copy(),
         n_pc=k,
         r_pc=float(r_pc),
-        proj_pc=proj_pc,
-        proj_res=proj_res,
-        d_matrix=d_matrix,
     )
 
 
@@ -323,11 +350,6 @@ def save_model(model: PcaModel, path: str | Path) -> None:
             "cols": model.n_pc,
             "data": model.loadings_principal.reshape(-1).tolist(),
         },
-        "loadings_residual": {
-            "rows": n,
-            "cols": n - model.n_pc,
-            "data": model.loadings_residual.reshape(-1).tolist(),
-        },
         "n_pc": model.n_pc,
         "r_pc": model.r_pc,
     }
@@ -335,34 +357,28 @@ def save_model(model: PcaModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> PcaModel:
-    """Load a model saved by save_model; projection matrices are recomputed."""
+    """Load a model saved by save_model; the projectors are derived again.
+
+    Files written by earlier versions, which also stored the residual
+    loadings, load the same way: those are never read. Any missing,
+    malformed or inconsistent entry raises ``ValueError`` naming the file.
+    """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: invalid model file: {exc}") from exc
     try:
-        columns = tuple(payload["columns"])
-        n = len(columns)
         lp = payload["loadings_principal"]
-        lr = payload["loadings_residual"]
         P = np.asarray(lp["data"], dtype=float).reshape(lp["rows"], lp["cols"])
-        P_res = np.asarray(lr["data"], dtype=float).reshape(lr["rows"], lr["cols"])
-        model = PcaModel(
-            columns=columns,
-            mean=np.asarray(payload["mean"], dtype=float),
-            std=np.asarray(payload["std"], dtype=float),
+        return PcaModel(
+            columns=payload["columns"],
+            mean=payload["mean"],
+            std=payload["std"],
             loadings_principal=P,
-            loadings_residual=P_res,
-            eig_principal=np.asarray(payload["eig_principal"], dtype=float),
-            eig_residual=np.asarray(payload["eig_residual"], dtype=float),
+            eig_principal=payload["eig_principal"],
+            eig_residual=payload["eig_residual"],
             n_pc=int(payload["n_pc"]),
             r_pc=float(payload["r_pc"]),
-            proj_pc=P @ P.T,
-            proj_res=P_res @ P_res.T,
-            d_matrix=P @ np.diag(1.0 / np.asarray(payload["eig_principal"], dtype=float)) @ P.T,
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed model file ({exc})") from exc
-    if model.mean.shape != (n,) or model.std.shape != (n,):
-        raise ValueError(f"{path}: model dimensions are inconsistent")
-    return model

@@ -2,7 +2,7 @@
 
 The graph is loaded from a JSON file, validated once, and then treated as
 immutable. Downstream modules only ever read it (adjacency queries), so a
-single instance can be shared freely across threads or worker processes.
+single instance can be shared freely across threads.
 """
 
 from __future__ import annotations

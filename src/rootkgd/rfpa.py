@@ -184,10 +184,12 @@ def trace(
 
 def aligned_sequence(result: PropagationResult, roster: tuple[str, ...]) -> np.ndarray:
     """Quantities projected onto a roster of entity ids, in roster order."""
-    missing = [r for r in roster if r not in result.quantities]
-    if missing:
-        raise ValueError(f"roster ids missing from propagation result: {missing}")
-    return np.array([result.quantities[r] for r in roster], dtype=float)
+    quantities = result.quantities
+    try:
+        return np.fromiter(map(quantities.__getitem__, roster), dtype=float, count=len(roster))
+    except KeyError:
+        missing = [r for r in roster if r not in quantities]
+        raise ValueError(f"roster ids missing from propagation result: {missing}") from None
 
 
 def format_trace_tsv(events: tuple[TraceEvent, ...]) -> str:

@@ -49,6 +49,13 @@ def jacobi_eigh(matrix: np.ndarray, sweeps: int = 100, tol: float = 1e-14):
     return evals[order], V[:, order]
 
 
+def residual_projector(matrix: np.ndarray, n_pc: int) -> np.ndarray:
+    """E_res E_resᵀ over the Jacobi eigenvectors after the first ``n_pc``."""
+    _, evecs = jacobi_eigh(matrix)
+    residual = evecs[:, n_pc:]
+    return residual @ residual.T
+
+
 def golden_section_min(fn, lo: float, hi: float, iterations: int = 200):
     """Minimize a unimodal function on [lo, hi]; returns (argmin, min)."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0

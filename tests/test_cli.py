@@ -168,6 +168,18 @@ class TestDiagnoseCommand:
         assert result.exit_code == 1
         assert "window exceeds dataset" in result.stderr
 
+    def test_inconsistent_model_is_named_error(self, plant_dir, model_path, tmp_path, runner):
+        payload = json.loads(model_path.read_text())
+        payload["eig_principal"][0] = 0.0
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(payload))
+        result = runner.invoke(main, diagnose_args(plant_dir, bad))
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # handled: no traceback
+        assert result.stdout == ""
+        assert f"error: {bad}: malformed model file" in result.stderr
+        assert "eig_principal must be positive" in result.stderr
+
     def test_fit_on_the_fly_without_model_file(self, plant_dir, tmp_path, runner):
         config = {
             "graph_path": str(plant_dir["dir"] / "graph.json"),
