@@ -8,6 +8,7 @@ the input paths fully determines a run.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
@@ -19,6 +20,11 @@ from .rfpa import InitMode, RfpaParams
 
 class ConfigError(Exception):
     """The configuration is malformed or inconsistent."""
+
+
+_PATH_FIELDS = ("graph_path", "model_path", "normal_data_path", "fault_data_path")
+_INT_FIELDS = ("p_max", "fault_start", "window", "top_k")
+_REAL_FIELDS = ("r_pc", "sigma_r", "delta_s_min_ratio", "constant_s0")
 
 
 @dataclass(frozen=True)
@@ -45,6 +51,28 @@ class DiagnosisConfig:
     top_k: int = 10
 
     def __post_init__(self):
+        for name in _PATH_FIELDS:
+            value = getattr(self, name)
+            if not (value is None or isinstance(value, str)):
+                raise ConfigError(f"{name} must be a string or null, got {value!r}")
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        if not isinstance(self.column_bindings, dict):
+            raise ConfigError(
+                f"column_bindings must be an object, got {self.column_bindings!r}"
+            )
+        if not (isinstance(self.candidate_filter, (list, tuple))
+                and all(isinstance(k, str) for k in self.candidate_filter)):
+            raise ConfigError(
+                f"candidate_filter must be a list of kind names, got {self.candidate_filter!r}"
+            )
         if self.fault_start < 0:
             raise ConfigError(f"fault_start must be >= 0, got {self.fault_start}")
         if self.window < 1:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
@@ -73,14 +73,11 @@ class DataMatrix:
 class PcaModel:
     """Fitted PCA decomposition: the principal subspace and every eigenvalue.
 
-    Only what the fit produces is stored: the training mean/std, the
-    orthonormal principal loadings ``P`` (n x n_pc) and the eigenvalues on
-    either side of ``n_pc``. The projectors are derived on construction:
-    ``proj_pc = P Pᵀ`` and ``proj_res = I - P Pᵀ`` project onto the principal
-    and residual subspaces; ``d_matrix = P diag(1/eig_principal) Pᵀ`` is the
-    inverse-eigenvalue-weighted principal projector used by the Hotelling
-    statistic. Inconsistent shapes, non-positive std or principal
-    eigenvalues, and non-finite entries raise ``ValueError``.
+    The model is what the fit produces and nothing more: the training
+    mean/std, the orthonormal principal loadings ``P`` (n x n_pc) and the
+    eigenvalues on either side of ``n_pc``. The statistics and their
+    contributions are computed from ``P``. Inconsistent shapes, non-positive
+    std or principal eigenvalues, and non-finite entries raise ``ValueError``.
     """
 
     columns: tuple[str, ...]
@@ -91,16 +88,13 @@ class PcaModel:
     eig_residual: np.ndarray
     n_pc: int
     r_pc: float
-    proj_pc: np.ndarray = field(init=False)
-    proj_res: np.ndarray = field(init=False)
-    d_matrix: np.ndarray = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "columns", tuple(self.columns))
         for name in ("mean", "std", "eig_principal", "eig_residual"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        # A contiguous copy, so projectors derived after a save/load round
-        # trip are bit-identical to the ones derived at fit time.
+        # A contiguous copy, so contributions computed after a save/load
+        # round trip are bit-identical to the ones computed at fit time.
         P = np.array(self.loadings_principal, dtype=float, order="C")
         object.__setattr__(self, "loadings_principal", P)
 
@@ -124,11 +118,6 @@ class PcaModel:
             raise ValueError("std must be positive")
         if (self.eig_principal <= 0).any():
             raise ValueError("eig_principal must be positive")
-
-        proj_pc = P @ P.T
-        object.__setattr__(self, "proj_pc", proj_pc)
-        object.__setattr__(self, "proj_res", np.eye(n) - proj_pc)
-        object.__setattr__(self, "d_matrix", P @ np.diag(1.0 / self.eig_principal) @ P.T)
 
     @property
     def n_variables(self) -> int:
@@ -251,16 +240,27 @@ def fit_pca(normal_data: DataMatrix, r_pc: float) -> PcaModel:
     )
 
 
+def _map_rows(model: PcaModel, Z: np.ndarray, statistic: str) -> tuple[np.ndarray, np.ndarray]:
+    """``Z @ M`` and ``diag(M)`` for the statistic's matrix M, in O(n * n_pc)
+    per row: M = I - P Pᵀ for SPE and M = P diag(1/eig_principal) Pᵀ for T².
+    """
+    P = model.loadings_principal
+    if statistic == "spe":
+        return Z - (Z @ P) @ P.T, 1.0 - (P * P).sum(axis=1)
+    W = P / model.eig_principal
+    return (Z @ W) @ P.T, (P * W).sum(axis=1)
+
+
 def spe(model: PcaModel, sample: np.ndarray) -> float:
     """Squared prediction error of one sample: residual-space energy."""
     z = model.standardize(sample)
-    return float(z @ model.proj_res @ z)
+    return float(z @ _map_rows(model, z[None, :], "spe")[0][0])
 
 
 def t2(model: PcaModel, sample: np.ndarray) -> float:
     """Hotelling statistic of one sample: eigenvalue-weighted principal energy."""
     z = model.standardize(sample)
-    return float(z @ model.d_matrix @ z)
+    return float(z @ _map_rows(model, z[None, :], "t2")[0][0])
 
 
 def _raw_contributions(model: PcaModel, Z: np.ndarray, statistic: str) -> np.ndarray:
@@ -270,8 +270,7 @@ def _raw_contributions(model: PcaModel, Z: np.ndarray, statistic: str) -> np.nda
     optimally corrected along coordinate axis i. Variables whose
     reconstruction denominator is near zero score 0, with a warning.
     """
-    matrix = model.proj_res if statistic == "spe" else model.d_matrix
-    diag = np.diag(matrix)
+    mapped, diag = _map_rows(model, Z, statistic)
     usable = diag > RESIDUAL_DIAG_FLOOR
     if not usable.all():
         flagged = [model.columns[i] for i in np.flatnonzero(~usable)]
@@ -279,8 +278,7 @@ def _raw_contributions(model: PcaModel, Z: np.ndarray, statistic: str) -> np.nda
             "variables with near-zero reconstruction denominator scored as 0: %s", flagged
         )
     raw = np.zeros_like(Z)
-    proj = Z @ matrix
-    raw[:, usable] = proj[:, usable] ** 2 / diag[usable]
+    raw[:, usable] = mapped[:, usable] ** 2 / diag[usable]
     return raw
 
 
@@ -357,7 +355,7 @@ def save_model(model: PcaModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> PcaModel:
-    """Load a model saved by save_model; the projectors are derived again.
+    """Load a model saved by save_model.
 
     Files written by earlier versions, which also stored the residual
     loadings, load the same way: those are never read. Any missing,

@@ -8,6 +8,7 @@ single instance can be shared freely across threads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -272,7 +273,8 @@ def validate(graph: KnowledgeGraph) -> ValidationReport:
     """Check graph invariants; returns a report instead of raising.
 
     Errors: no entities, duplicate ids/names/triples, dangling references,
-    negative relation parameters, column bindings on physical entities.
+    negative relation parameters or non-finite distances, column bindings on
+    physical entities.
     Warnings: unbound variables, entities that occur in no triple, relation
     types that are never used.
     """
@@ -301,7 +303,9 @@ def validate(graph: KnowledgeGraph) -> ValidationReport:
         if r.name in seen_rels:
             report.errors.append(f"duplicate relation name: {r.name!r}")
         seen_rels.add(r.name)
-        if r.distance < 0:
+        if not math.isfinite(r.distance):
+            report.errors.append(f"relation {r.name!r} has non-finite distance {r.distance}")
+        elif r.distance < 0:
             report.errors.append(f"relation {r.name!r} has negative distance {r.distance}")
         if r.priority_offset < 0:
             report.errors.append(

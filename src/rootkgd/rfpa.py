@@ -46,8 +46,8 @@ class RfpaParams:
     init_mode: InitMode = InitMode.SEED_ONLY
 
     def __post_init__(self):
-        if self.sigma_r <= 0:
-            raise ValueError(f"sigma_r must be positive, got {self.sigma_r}")
+        if not (math.isfinite(self.sigma_r) and self.sigma_r > 0):
+            raise ValueError(f"sigma_r must be positive and finite, got {self.sigma_r}")
         if self.p_max < 1:
             raise ValueError(f"p_max must be at least 1, got {self.p_max}")
         if not 0 < self.delta_s_min_ratio < 1:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import random_model
-from oracles import random_graph_payload
+from oracles import dense_projectors, random_graph_payload
 from rootkgd.config import DiagnosisConfig
 from rootkgd.features import ContributionVector, contribution_rate, fit_pca, rbc_spe
 from rootkgd.kgraph import EntityKind, graph_from_dict, out_edges
@@ -48,7 +48,7 @@ def test_criterion_1_rbc_defining_property():
         raw = model.mean + model.std * rng.normal(size=n) * 3
         scores = rbc_spe(model, raw).scores
         oracle, base = rbc_spe_oracle(model, raw)
-        diag = np.diag(model.proj_res)
+        diag = np.diag(dense_projectors(model).proj_res)
         for i in np.flatnonzero(diag >= 1e-6):
             scale = max(scores[i], oracle[i], base)
             rel = abs(scores[i] - oracle[i]) / scale if scale > 0 else 0.0
@@ -73,7 +73,8 @@ def test_criterion_2_pca_identities():
         n = int(rng.integers(3, 14))
         model = random_model(rng, n=n, m=250)
         eye = np.eye(n)
-        C, C_res, P = model.proj_pc, model.proj_res, model.loadings_principal
+        C, C_res, _ = dense_projectors(model)
+        P = model.loadings_principal
         worst = max(
             worst,
             np.abs(C + C_res - eye).max(),

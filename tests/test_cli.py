@@ -248,6 +248,35 @@ class TestDiagnoseCommand:
         assert "unknown config keys: ['jobs']" in result.stderr
 
 
+#: Config files whose values have the wrong type, the command they are given
+#: to, and the message each must produce.
+BAD_CONFIGS = {
+    "sigma_r_string": ("diagnose", '{"sigma_r": "abc"}', "sigma_r must be a finite number"),
+    "sigma_r_nan": ("diagnose", '{"sigma_r": NaN}', "sigma_r must be a finite number"),
+    "ratio_null": ("diagnose", '{"delta_s_min_ratio": null}', "delta_s_min_ratio must be"),
+    "s0_string": ("diagnose", '{"constant_s0": "a"}', "constant_s0 must be a finite number"),
+    "bindings_list": ("diagnose", '{"column_bindings": []}', "column_bindings must be an"),
+    "top_k_overflow": ("diagnose", '{"top_k": 1e400}', "top_k must be an integer"),
+    "window_bool": ("diagnose", '{"window": true}', "window must be an integer"),
+    "fault_start_float": ("diagnose", '{"fault_start": 1.5}', "fault_start must be an integer"),
+    "graph_path_number": ("diagnose", '{"graph_path": 5}', "graph_path must be a string"),
+    "kinds_number": ("diagnose", '{"candidate_filter": 5}', "candidate_filter must be a list"),
+    "fit_r_pc_string": ("fit", '{"r_pc": "x"}', "r_pc must be a finite number"),
+}
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("case", list(BAD_CONFIGS))
+    def test_wrong_type_is_usage_error(self, tmp_path, runner, case):
+        command, text, message = BAD_CONFIGS[case]
+        config_path = tmp_path / "config.json"
+        config_path.write_text(text)
+        result = runner.invoke(main, [command, "--config", str(config_path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # handled: no traceback
+        assert result.stderr.startswith(f"error: {message}")
+
+
 class TestTraceCommand:
     def test_chain_edge_event(self, runner):
         result = runner.invoke(main, ["trace", "A", "--graph", str(FIXTURES / "chain.kg.json")])
@@ -338,6 +367,22 @@ class TestValidateCommand:
     def test_no_graph_given(self, runner):
         result = runner.invoke(main, ["validate-kg"])
         assert result.exit_code == 2
+
+    def test_non_finite_distance_fails(self, plant_dir, model_path, tmp_path, runner):
+        payload = json.loads((plant_dir["dir"] / "graph.json").read_text())
+        payload["relations"][0]["d"] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(payload))
+        name = payload["relations"][0]["name"]
+        result = runner.invoke(main, ["validate-kg", str(path)])
+        assert result.exit_code == 1
+        assert f"error: relation {name!r} has non-finite distance nan" in result.output
+        args = diagnose_args(plant_dir, model_path)
+        args[args.index("--graph") + 1] = str(path)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert "non-finite distance" in result.stderr
 
 
 class TestUsage:

@@ -9,7 +9,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES, random_model
-from oracles import golden_section_min, jacobi_eigh, residual_projector
+from oracles import (
+    dense_contribution_rate,
+    dense_contributions,
+    dense_projectors,
+    golden_section_min,
+    jacobi_eigh,
+    residual_projector,
+)
 from rootkgd.features import (
     ContributionVector,
     DataMatrix,
@@ -74,11 +81,12 @@ def rbc_spe_oracle(model: PcaModel, sample: np.ndarray):
     The minimum is found by golden-section search, independent of the
     closed-form the implementation uses.
     """
+    C_res = dense_projectors(model).proj_res
     z = model.standardize(sample)
-    base = float(z @ model.proj_res @ z)
+    base = float(z @ C_res @ z)
     scores = []
     for i in range(len(z)):
-        c_ii = float(model.proj_res[i, i])
+        c_ii = float(C_res[i, i])
         if c_ii <= 1e-12:
             scores.append(0.0)
             continue
@@ -86,7 +94,7 @@ def rbc_spe_oracle(model: PcaModel, sample: np.ndarray):
         def residual_energy(f, i=i):
             w = z.copy()
             w[i] -= f
-            return float(w @ model.proj_res @ w)
+            return float(w @ C_res @ w)
 
         bound = 2.0 * float(np.linalg.norm(z)) / c_ii + 1.0
         _, minimum = golden_section_min(residual_energy, -bound, bound)
@@ -100,7 +108,8 @@ class TestFitPca:
         data = DataMatrix(rng.normal(size=(5000, 2)), ("a", "b"))
         model = fit_pca(data, 0.5)
         assert model.n_pc == 1
-        identity = model.proj_pc + model.proj_res
+        dense = dense_projectors(model)
+        identity = dense.proj_pc + dense.proj_res
         assert np.abs(identity - np.eye(2)).max() <= 1e-8
 
     def test_loadings_match_jacobi_oracle(self):
@@ -121,14 +130,14 @@ class TestFitPca:
                 diff_flip = np.abs(column + evecs[:, j]).max()
                 assert min(diff_same, diff_flip) <= 1e-7
             oracle = residual_projector(cov, model.n_pc)
-            assert np.abs(model.proj_res - oracle).max() <= 1e-10
+            assert np.abs(dense_projectors(model).proj_res - oracle).max() <= 1e-10
 
     @pytest.mark.parametrize("seed", range(6))
     def test_projection_identities(self, seed):
         rng = np.random.default_rng(seed)
         model = random_model(rng, n=int(rng.integers(3, 12)))
         n = model.n_variables
-        C, C_res = model.proj_pc, model.proj_res
+        C, C_res, _ = dense_projectors(model)
         assert np.abs(C + C_res - np.eye(n)).max() <= 1e-8
         assert np.abs(C @ C - C).max() <= 1e-8
         assert np.abs(C_res @ C_res - C_res).max() <= 1e-8
@@ -169,7 +178,7 @@ class TestFitPca:
         model = random_model(rng, n=4, r_pc=1.0)
         assert model.n_pc == 4
         assert model.eig_residual.shape == (0,)
-        assert np.abs(model.proj_res).max() <= 1e-12
+        assert np.abs(dense_projectors(model).proj_res).max() <= 1e-12
 
     def test_fit_deterministic_bytes(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -257,7 +266,7 @@ class TestRbc:
             raw = model.mean + model.std * rng.normal(size=model.n_variables) * 4
             scores = rbc_spe(model, raw).scores
             oracle, base = rbc_spe_oracle(model, raw)
-            diag = np.diag(model.proj_res)
+            diag = np.diag(dense_projectors(model).proj_res)
             for i in np.flatnonzero(diag >= 1e-6):
                 tol = 1e-8 * max(scores[i], oracle[i], base)
                 assert abs(scores[i] - oracle[i]) <= tol
@@ -268,15 +277,16 @@ class TestRbc:
             model = random_model(rng, n=int(rng.integers(4, 10)))
             raw = model.mean + model.std * rng.normal(size=model.n_variables) * 4
             z = model.standardize(raw)
-            base = float(z @ model.d_matrix @ z)
+            D = dense_projectors(model).d_matrix
+            base = float(z @ D @ z)
             scores = rbc_t2(model, raw).scores
-            diag = np.diag(model.d_matrix)
+            diag = np.diag(D)
             for i in np.flatnonzero(diag >= 1e-6):
 
                 def hotelling(f, i=i):
                     w = z.copy()
                     w[i] -= f
-                    return float(w @ model.d_matrix @ w)
+                    return float(w @ D @ w)
 
                 bound = 2.0 * float(np.linalg.norm(z)) / diag[i] + 1.0
                 _, minimum = golden_section_min(hotelling, -bound, bound)
@@ -290,7 +300,7 @@ class TestRbc:
         for _ in range(trials):
             n = int(rng.integers(4, 12))
             model = random_model(rng, n=n)
-            eligible = np.flatnonzero(np.diag(model.proj_res) >= 0.05)
+            eligible = np.flatnonzero(np.diag(dense_projectors(model).proj_res) >= 0.05)
             # With a one-dimensional residual space proj_res = r rᵀ, so every
             # variable scores exactly (r·z)² and argmax is decided by rounding.
             if eligible.size == 0 or n - model.n_pc == 1:
@@ -309,7 +319,7 @@ class TestRbc:
         v2 = rng.normal(size=300)
         data = DataMatrix(np.column_stack([v1, v2, v1]), ("a", "b", "c"))
         model = fit_pca(data, 0.9)
-        assert model.proj_res[1, 1] <= 1e-12
+        assert dense_projectors(model).proj_res[1, 1] <= 1e-12
         with caplog.at_level(logging.WARNING, logger="rootkgd.features"):
             scores = rbc_spe(model, np.array([1.0, 2.0, 3.0])).scores
         assert scores[1] == 0.0
@@ -329,6 +339,48 @@ class TestRbc:
         mean = np.mean([rbc_spe(model, row).scores for row in rows], axis=0)
         assert rate.scores[1] == 0.0
         np.testing.assert_allclose(rate.scores, mean / mean.sum(), rtol=1e-12)
+
+
+def random_subspace_model(rng: np.random.Generator, n: int, n_res: int) -> PcaModel:
+    """Model with random orthonormal loadings and ``n_res`` residual dimensions."""
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    eigs = np.sort(rng.uniform(0.05, 5.0, size=n))[::-1]
+    return make_model(Q[:, : n - n_res], eigs[: n - n_res], eigs[n - n_res :])
+
+
+class TestDenseReference:
+    """Every statistic, computed through the principal loadings, agrees with
+    the same statistic through the dense n x n matrices of the model."""
+
+    @pytest.mark.parametrize("n_res", [0, 1, 2, 5])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_dense_matrices(self, seed, n_res):
+        rng = np.random.default_rng(seed)
+        model = random_subspace_model(rng, n=int(rng.integers(n_res + 2, 14)), n_res=n_res)
+        dense = dense_projectors(model)
+        rows = model.mean + model.std * rng.normal(size=(25, model.n_variables)) * 3
+        worst = 0.0
+        for row in rows:
+            z = model.standardize(row)
+            # A statistic and every one of its contributions lie in [0, bound].
+            for statistic, fn, rbc, matrix, bound in (
+                ("spe", spe, rbc_spe, dense.proj_res, z @ z),
+                ("t2", t2, rbc_t2, dense.d_matrix, z @ z / model.eig_principal.min()),
+            ):
+                worst = max(worst, abs(fn(model, row) - z @ matrix @ z) / bound)
+                reference = dense_contributions(model, z[None, :], statistic)[0]
+                worst = max(worst, np.abs(rbc(model, row).scores - reference).max() / bound)
+        for statistic in ("spe", "t2"):
+            for order in ("per_sample", "post_average"):
+                reference = dense_contribution_rate(model, rows, statistic, order)
+                window = DataMatrix(rows, model.columns)
+                if reference is None:
+                    with pytest.raises(ValueError, match="zero contribution"):
+                        contribution_rate(model, window, statistic, order)
+                    continue
+                rate = contribution_rate(model, window, statistic, order)
+                worst = max(worst, np.abs(rate.scores - reference).max())
+        assert worst <= 1e-12
 
 
 class TestContributionRate:
@@ -407,7 +459,8 @@ class TestProperties:
         rng = np.random.default_rng(seed)
         model = random_model(rng, n=int(rng.integers(3, 9)), m=120)
         z = rng.normal(size=model.n_variables) * scale
-        recombined = model.proj_pc @ z + model.proj_res @ z
+        C, C_res, _ = dense_projectors(model)
+        recombined = C @ z + C_res @ z
         assert np.abs(recombined - z).max() <= 1e-10 * max(1.0, np.abs(z).max())
 
     @settings(max_examples=25, deadline=None)
@@ -438,7 +491,8 @@ class TestModelPersistence:
         sample = model.mean + model.std * rng.normal(size=6)
         assert spe(again, sample) == spe(model, sample)
         assert t2(again, sample) == t2(model, sample)
-        assert np.array_equal(rbc_spe(again, sample).scores, rbc_spe(model, sample).scores)
+        for rbc in (rbc_spe, rbc_t2):
+            assert np.array_equal(rbc(again, sample).scores, rbc(model, sample).scores)
 
     @pytest.mark.parametrize("case", list(CORRUPTIONS))
     def test_inconsistent_model_rejected(self, tmp_path, case):
@@ -454,19 +508,19 @@ class TestModelPersistence:
 
     def test_file_with_residual_loadings_loads(self, tmp_path):
         # Written by an earlier version, which also stored the residual
-        # loadings. That block is ignored: the projectors derived from it
-        # equal those of the same model saved today, bit for bit.
+        # loadings. That block is ignored: the model loaded from it equals
+        # the same model saved today, bit for bit.
         old_path = FIXTURES / "model_residual_loadings.json"
         old = load_model(old_path)
         new_path = tmp_path / "model.json"
         save_model(old, new_path)
         assert "loadings_residual" not in json.loads(new_path.read_text())
         new = load_model(new_path)
-        for name in ("proj_pc", "proj_res", "d_matrix"):
+        for name in ("loadings_principal", "eig_principal", "eig_residual", "mean", "std"):
             assert np.array_equal(getattr(old, name), getattr(new, name))
         block = json.loads(old_path.read_text())["loadings_residual"]
         P_res = np.array(block["data"]).reshape(block["rows"], block["cols"])
-        assert np.abs(old.proj_res - P_res @ P_res.T).max() <= 1e-12
+        assert np.abs(dense_projectors(old).proj_res - P_res @ P_res.T).max() <= 1e-12
 
     def test_malformed_model_file(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -97,6 +97,13 @@ class TestLoadGraph:
         with pytest.raises(GraphValidationError, match="negative distance"):
             graph_from_dict(payload)
 
+    @pytest.mark.parametrize("distance", [float("nan"), float("inf")])
+    def test_non_finite_distance(self, distance):
+        payload = minimal_payload()
+        payload["relations"][0]["d"] = distance
+        with pytest.raises(GraphValidationError, match="non-finite distance"):
+            graph_from_dict(payload)
+
     def test_unknown_kind_is_parse_error(self):
         payload = minimal_payload()
         payload["entities"][0]["kind"] = "pump"

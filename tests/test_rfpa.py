@@ -152,8 +152,9 @@ class TestPropagate:
                 propagate(chain_graph, DEFAULTS, "A", s_0)
 
     def test_param_validation(self):
-        with pytest.raises(ValueError, match="sigma_r"):
-            RfpaParams(sigma_r=0.0)
+        for sigma_r in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="sigma_r must be positive and finite"):
+                RfpaParams(sigma_r=sigma_r)
         with pytest.raises(ValueError, match="p_max"):
             RfpaParams(p_max=0)
         with pytest.raises(ValueError, match="delta_s_min_ratio"):
