@@ -106,16 +106,10 @@ def fit(config_path, graph_path, data_path, model_path, r_pc):
 @click.option("--window", type=int, default=None, help="Fault window length (default 100).")
 @click.option("--top-k", type=int, default=None, help="Entries per ranking column (default 10).")
 @click.option("--json", "json_path", type=click.Path(), help="Also write the JSON report here.")
-@click.option("--jobs", type=int, default=None, hidden=True)  # deprecated no-op
 @handle_errors
 def diagnose(config_path, graph_path, model_path, data_path, fault_start, window, top_k,
-             json_path, jobs):
+             json_path):
     """Rank root-cause candidates for a fault episode."""
-    if jobs is not None:
-        click.echo(
-            "warning: --jobs is deprecated and ignored; scoring runs in one process",
-            err=True,
-        )
     config = _effective_config(
         config_path,
         graph_path=graph_path,

@@ -24,7 +24,7 @@ class ConfigError(Exception):
 
 _PATH_FIELDS = ("graph_path", "model_path", "normal_data_path", "fault_data_path")
 _INT_FIELDS = ("p_max", "fault_start", "window", "top_k")
-_REAL_FIELDS = ("r_pc", "sigma_r", "delta_s_min_ratio", "constant_s0")
+_REAL_FIELDS = ("r_pc", "sigma_r", "delta_s_min_ratio")
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,6 @@ class DiagnosisConfig:
     window: int = 100
     rbc_statistic: str = "spe"
     normalization_order: str = "per_sample"
-    constant_s0: float = 1.0
     candidate_filter: tuple[str, ...] = ("variable", "stream", "device")
     top_k: int = 10
 
@@ -123,7 +122,6 @@ class DiagnosisConfig:
             "init_mode": self.init_mode,
             "rbc_statistic": self.rbc_statistic,
             "normalization_order": self.normalization_order,
-            "constant_s0": self.constant_s0,
         }
 
 

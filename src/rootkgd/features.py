@@ -161,9 +161,6 @@ class ContributionVector:
     def _index(self) -> dict[str, int]:
         return {r: i for i, r in enumerate(self.roster)}
 
-    def get(self, name: str) -> float:
-        return float(self.scores[self._index[name]])
-
     def normalized(self) -> "ContributionVector":
         total = self.scores.sum()
         if total <= 0:

@@ -91,21 +91,37 @@ class ValidationReport:
 
 @dataclass(frozen=True, eq=True)
 class KnowledgeGraph:
-    """Entities, relation types and triples, plus a read-only out-adjacency index.
+    """Entities, relation types and triples, plus read-only lookup indexes.
 
-    ``out_index`` groups the triple list by head entity; edges are kept in a
-    deterministic order (ascending relation distance, then tail id, then
-    relation name) so that propagation results never depend on file order.
+    ``by_id``, ``by_relation`` and ``out_index`` are built on construction,
+    so a graph built directly works like a loaded one. ``out_index`` groups
+    the triple list by head entity; edges are kept in a deterministic order
+    (ascending relation distance, then tail id, then relation name) so that
+    propagation results never depend on file order.
     """
 
     entities: tuple[Entity, ...]
     relations: tuple[RelationType, ...]
     triples: tuple[Triple, ...]
-    by_id: dict[str, Entity] = field(compare=False, repr=False, default_factory=dict)
-    by_relation: dict[str, RelationType] = field(compare=False, repr=False, default_factory=dict)
+    by_id: dict[str, Entity] = field(init=False, compare=False, repr=False)
+    by_relation: dict[str, RelationType] = field(init=False, compare=False, repr=False)
     out_index: dict[str, tuple[tuple[RelationType, str], ...]] = field(
-        compare=False, repr=False, default_factory=dict
+        init=False, compare=False, repr=False
     )
+
+    def __post_init__(self):
+        for name in ("entities", "relations", "triples"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        # First declaration wins; duplicates are reported by validate().
+        by_id: dict[str, Entity] = {}
+        for e in self.entities:
+            by_id.setdefault(e.id, e)
+        by_relation: dict[str, RelationType] = {}
+        for r in self.relations:
+            by_relation.setdefault(r.name, r)
+        object.__setattr__(self, "by_id", by_id)
+        object.__setattr__(self, "by_relation", by_relation)
+        object.__setattr__(self, "out_index", _build_out_index(by_id, by_relation, self.triples))
 
     def entity(self, entity_id: str) -> Entity:
         try:
@@ -141,30 +157,6 @@ def _build_out_index(
         eid: tuple(sorted(edges, key=lambda e: (e[0].distance, e[1], e[0].name)))
         for eid, edges in grouped.items()
     }
-
-
-def _graph_from_parts(
-    entities: Iterable[Entity],
-    relations: Iterable[RelationType],
-    triples: Iterable[Triple],
-) -> KnowledgeGraph:
-    ents = tuple(entities)
-    rels = tuple(relations)
-    trips = tuple(triples)
-    by_id: dict[str, Entity] = {}
-    for e in ents:
-        by_id.setdefault(e.id, e)
-    by_relation: dict[str, RelationType] = {}
-    for r in rels:
-        by_relation.setdefault(r.name, r)
-    return KnowledgeGraph(
-        entities=ents,
-        relations=rels,
-        triples=trips,
-        by_id=by_id,
-        by_relation=by_relation,
-        out_index=_build_out_index(by_id, by_relation, trips),
-    )
 
 
 def _parse_entity(raw: Any, pos: int) -> Entity:
@@ -231,7 +223,7 @@ def graph_from_dict(payload: Any) -> KnowledgeGraph:
     relations = [_parse_relation(raw, i) for i, raw in enumerate(payload["relations"])]
     triples = [_parse_triple(raw, i) for i, raw in enumerate(payload["triples"])]
 
-    graph = _graph_from_parts(entities, relations, triples)
+    graph = KnowledgeGraph(entities, relations, triples)
     report = validate(graph)
     if not report.ok:
         raise GraphValidationError(report)

@@ -153,7 +153,6 @@ def run_diagnose(config: DiagnosisConfig) -> RootCauseRanking:
         config.rfpa_params(),
         contributions,
         kinds=config.candidate_kinds(),
-        constant_s0=config.constant_s0,
         metadata=metadata,
     )
 

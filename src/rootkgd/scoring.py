@@ -3,9 +3,9 @@
 Every candidate entity is treated as a hypothetical root: a propagation run
 is seeded there, its resulting quantities are read off at the measured
 variables, and the candidate is scored by cosine similarity between that
-profile and the observed contribution-rate vector. Cosine makes the score
-independent of the seed magnitude, so physical entities (which have no
-contribution of their own) can be seeded with an arbitrary constant.
+profile and the observed contribution-rate vector. A propagation run scales
+linearly with its seed and cosine ignores scale, so any positive seed gives
+the same score; every candidate is seeded with one unit.
 """
 
 from __future__ import annotations
@@ -61,26 +61,15 @@ def root_score(
     params: RfpaParams,
     contributions: ContributionVector,
     candidate: str,
-    constant_s0: float = 1.0,
 ) -> float:
     """Score one candidate as the root of the observed fault pattern.
 
-    The seed is the candidate's own contribution when it is a measured
-    variable with positive contribution; otherwise the constant fallback
-    (the score is invariant to that constant).
+    The candidate is seeded with one unit: the propagated profile scales
+    linearly with the seed, so any positive seed gives the same cosine.
     """
     if not contributions.roster:
         raise ValueError("contribution roster is empty")
-    if constant_s0 <= 0:
-        raise ValueError(f"constant_s0 must be positive, got {constant_s0}")
-
-    try:
-        own = contributions.get(candidate)
-    except KeyError:
-        own = 0.0
-    s_0 = own if own > 0 else constant_s0
-
-    result = propagate(graph, params, candidate, s_0)
+    result = propagate(graph, params, candidate, 1.0)
     return cosine(aligned_sequence(result, contributions.roster), contributions.scores)
 
 
@@ -90,7 +79,6 @@ def rank_all(
     contributions: ContributionVector,
     candidates: Iterable[str] | None = None,
     kinds: Sequence[EntityKind] = DEFAULT_CANDIDATE_KINDS,
-    constant_s0: float = 1.0,
     metadata: dict[str, Any] | None = None,
 ) -> RootCauseRanking:
     """Score every candidate entity and rank them.
@@ -115,7 +103,7 @@ def rank_all(
         RankEntry(
             id=eid,
             kind=graph.entity(eid).kind.value,
-            score=root_score(graph, params, contributions, eid, constant_s0),
+            score=root_score(graph, params, contributions, eid),
         )
         for eid in ids
     ]

@@ -70,8 +70,8 @@ class FaultInjection:
     def __post_init__(self):
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"kind must be one of {FAULT_KINDS}, got {self.kind!r}")
-        if self.magnitude <= 0:
-            raise ValueError(f"magnitude must be positive, got {self.magnitude}")
+        if not 0 < self.magnitude < np.inf:
+            raise ValueError(f"magnitude must be positive and finite, got {self.magnitude}")
         if self.start < 0 or self.duration < 1:
             raise ValueError("injection window must have start >= 0 and duration >= 1")
 

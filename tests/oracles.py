@@ -13,6 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from rootkgd.features import RESIDUAL_DIAG_FLOOR
+from rootkgd.rfpa import aligned_sequence, propagate
 
 
 def jacobi_eigh(matrix: np.ndarray, sweeps: int = 100, tol: float = 1e-14):
@@ -137,6 +138,15 @@ def cosine_ref(a, b) -> float:
     if na == 0.0 or nb == 0.0:
         return 0.0
     return dot / math.sqrt(na) / math.sqrt(nb)
+
+
+def paper_seed_score(graph, params, contributions, candidate: str, constant_s0: float) -> float:
+    """A candidate's score with the paper's seed: its own contribution when
+    that is positive, else ``constant_s0``."""
+    own = dict(zip(contributions.roster, contributions.scores)).get(candidate, 0.0)
+    s_0 = own if own > 0 else constant_s0
+    profile = aligned_sequence(propagate(graph, params, candidate, s_0), contributions.roster)
+    return cosine_ref(profile, contributions.scores)
 
 
 def random_graph_payload(rng: np.random.Generator, max_nodes: int = 200, max_edges: int = 800):

@@ -194,13 +194,10 @@ class TestDiagnoseCommand:
         assert result.exit_code == 0, result.output
         assert result.output.splitlines()[1].split()[1] == plant_dir["manifest"]["root"]
 
-    def test_jobs_flag_does_not_change_output(self, plant_dir, model_path, runner):
-        r1 = runner.invoke(main, diagnose_args(plant_dir, model_path))
-        r2 = runner.invoke(main, diagnose_args(plant_dir, model_path, "--jobs", "2"))
-        assert r2.exit_code == 0
-        assert r1.stdout == r2.stdout
-        assert "--jobs is deprecated" not in r1.stderr
-        assert "warning: --jobs is deprecated and ignored" in r2.stderr
+    def test_jobs_flag_is_rejected(self, plant_dir, model_path, runner):
+        result = runner.invoke(main, diagnose_args(plant_dir, model_path, "--jobs", "2"))
+        assert result.exit_code == 2
+        assert "No such option" in result.stderr and "--jobs" in result.stderr
 
     def test_flag_overrides_config_overrides_default(self, plant_dir, model_path,
                                                      tmp_path, runner):
@@ -242,10 +239,11 @@ class TestDiagnoseCommand:
 
     def test_jobs_config_key_is_unknown(self, tmp_path, runner):
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({"jobs": 2}))
-        result = runner.invoke(main, ["diagnose", "--config", str(config_path)])
-        assert result.exit_code == 2
-        assert "unknown config keys: ['jobs']" in result.stderr
+        for key in ("jobs", "constant_s0"):
+            config_path.write_text(json.dumps({key: 2}))
+            result = runner.invoke(main, ["diagnose", "--config", str(config_path)])
+            assert result.exit_code == 2
+            assert f"unknown config keys: ['{key}']" in result.stderr
 
 
 #: Config files whose values have the wrong type, the command they are given
@@ -254,7 +252,6 @@ BAD_CONFIGS = {
     "sigma_r_string": ("diagnose", '{"sigma_r": "abc"}', "sigma_r must be a finite number"),
     "sigma_r_nan": ("diagnose", '{"sigma_r": NaN}', "sigma_r must be a finite number"),
     "ratio_null": ("diagnose", '{"delta_s_min_ratio": null}', "delta_s_min_ratio must be"),
-    "s0_string": ("diagnose", '{"constant_s0": "a"}', "constant_s0 must be a finite number"),
     "bindings_list": ("diagnose", '{"column_bindings": []}', "column_bindings must be an"),
     "top_k_overflow": ("diagnose", '{"top_k": 1e400}', "top_k must be an integer"),
     "window_bool": ("diagnose", '{"window": true}', "window must be an integer"),

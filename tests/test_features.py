@@ -542,12 +542,6 @@ class TestContributionVector:
         assert np.allclose(restricted.scores, [1.0 / 3.0, 2.0 / 3.0])
         assert abs(restricted.scores.sum() - 1.0) <= 1e-9
 
-    def test_get_by_name(self):
-        cv = ContributionVector(np.array([0.25, 0.75]), ("a", "b"))
-        assert (cv.get("b"), cv.get("a")) == (0.75, 0.25)
-        with pytest.raises(KeyError, match="c"):
-            cv.get("c")
-
     def test_negative_scores_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             ContributionVector(np.array([-0.1, 1.0]), ("a", "b"))

@@ -11,6 +11,7 @@ from rootkgd.kgraph import (
     GraphError,
     GraphParseError,
     GraphValidationError,
+    KnowledgeGraph,
     graph_from_dict,
     load_graph,
     out_edges,
@@ -18,6 +19,7 @@ from rootkgd.kgraph import (
     serialize,
     validate,
 )
+from rootkgd.rfpa import RfpaParams, propagate
 
 
 def kind_counts(graph):
@@ -228,6 +230,22 @@ class TestRoundTrip:
     def test_serialize_is_loadable_json(self, mff_graph):
         payload = json.loads(json.dumps(serialize(mff_graph)))
         assert graph_from_dict(payload) == mff_graph
+
+    def test_direct_construction_builds_indexes(self, tep_graph):
+        built = KnowledgeGraph(
+            list(tep_graph.entities), list(tep_graph.relations), list(tep_graph.triples)
+        )
+        assert built == tep_graph
+        assert built.entities == tep_graph.entities  # lists are coerced to tuples
+        assert built.by_id == tep_graph.by_id
+        assert built.by_relation == tep_graph.by_relation
+        assert built.out_index == tep_graph.out_index
+        params = RfpaParams(sigma_r=0.1, p_max=3, delta_s_min_ratio=1e-4)
+        for source in ("x4", "reactor", "s4"):
+            a = propagate(built, params, source, 1.0)
+            b = propagate(tep_graph, params, source, 1.0)
+            assert list(a.quantities.items()) == list(b.quantities.items())
+            assert (a.pops, a.max_priority) == (b.pops, b.max_priority)
 
 
 class TestImmutability:

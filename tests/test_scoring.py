@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from oracles import cosine_ref
+from oracles import cosine_ref, paper_seed_score, random_graph_payload
 from rootkgd.features import ContributionVector
 from rootkgd.kgraph import EntityKind, GraphError, graph_from_dict
-from rootkgd.rfpa import RfpaParams, aligned_sequence, propagate
+from rootkgd.rfpa import InitMode, RfpaParams, aligned_sequence, propagate
 from rootkgd.scoring import cosine, format_report, rank_all, report_dict, root_score
 
 PARAMS = RfpaParams(sigma_r=0.1, p_max=3, delta_s_min_ratio=1e-6)
@@ -86,12 +86,12 @@ class TestRootScore:
         contributions = ContributionVector(np.array([1.0]), ("v",))
         assert root_score(graph, PARAMS, contributions, "v") == 1.0
 
-    def test_zero_contribution_variable_uses_constant_seed(self, tep_graph):
+    def test_zero_contribution_variable_still_scores(self, tep_graph):
         roster = tuple(e.id for e in tep_graph.variable_roster())
         scores = np.zeros(len(roster))
         scores[roster.index("x4")] = 1.0
         contributions = ContributionVector(scores, roster)
-        # x45 has zero contribution; with a zero seed it could never score.
+        # x45 has zero contribution of its own; it is seeded like any candidate.
         assert root_score(tep_graph, PARAMS, contributions, "x45") > 0.0
 
     def test_empty_roster_rejected(self, tep_graph):
@@ -160,21 +160,44 @@ class TestRankAll:
         for a, b in zip(base.entries, scaled.entries):
             assert abs(a.score - b.score) <= 1e-12
 
-    def test_constant_seed_invariance_for_physical(self, tep_graph, tep_contributions):
-        rankings = [
-            rank_all(
-                tep_graph,
-                PARAMS,
-                tep_contributions,
-                kinds=(EntityKind.STREAM, EntityKind.DEVICE),
-                constant_s0=c,
+    @pytest.mark.parametrize("mode", list(InitMode))
+    def test_unit_seed_matches_paper_seed(self, mode):
+        """Seeding with one unit ranks as the paper's seed (own positive
+        contribution, else a constant) does, on random graphs."""
+        rng = np.random.default_rng(61)
+        own_seeded = constant_seeded = 0
+        for _ in range(25):
+            graph = graph_from_dict(random_graph_payload(rng, max_nodes=60, max_edges=240))
+            roster = tuple(e.id for e in graph.variable_roster())
+            if not roster:
+                continue
+            params = RfpaParams(
+                sigma_r=float(rng.uniform(0.05, 1.0)),
+                p_max=int(rng.integers(1, 5)),
+                delta_s_min_ratio=float(10.0 ** rng.uniform(-6, -2)),
+                init_mode=mode,
             )
-            for c in (0.1, 1.0, 42.0)
-        ]
-        for other in rankings[1:]:
-            assert [e.id for e in other.entries] == [e.id for e in rankings[0].entries]
-            for a, b in zip(rankings[0].entries, other.entries):
-                assert abs(a.score - b.score) <= 1e-12
+            scores = rng.exponential(size=len(roster)) * (rng.random(len(roster)) < 0.7)
+            contributions = ContributionVector(scores, roster)
+            constant = float(10.0 ** rng.uniform(-2, 2))
+            ranking = rank_all(graph, params, contributions)
+            paper = {
+                e.id: paper_seed_score(graph, params, contributions, e.id, constant)
+                for e in ranking.entries
+            }
+            for e in ranking.entries:
+                assert abs(e.score - paper[e.id]) <= 1e-12
+            paper_rank = {
+                eid: i for i, eid in enumerate(sorted(paper, key=lambda k: (-paper[k], k)))
+            }
+            for i, a in enumerate(ranking.entries):
+                for b in ranking.entries[i + 1:]:
+                    if paper_rank[a.id] > paper_rank[b.id]:
+                        assert abs(a.score - b.score) <= 1e-12
+            positive = {r for r, v in zip(roster, scores) if v > 0}
+            own_seeded += sum(e.id in positive for e in ranking.entries)
+            constant_seeded += sum(e.id not in positive for e in ranking.entries)
+        assert own_seeded > 0 and constant_seeded > 0
 
     def test_scores_in_unit_interval(self, tep_graph, tep_contributions):
         ranking = rank_all(tep_graph, PARAMS, tep_contributions)

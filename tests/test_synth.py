@@ -152,6 +152,9 @@ class TestSimulate:
             FaultInjection(root="x1", kind="spike")
         with pytest.raises(ValueError, match="magnitude"):
             FaultInjection(root="x1", magnitude=0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"positive and finite, got {bad}"):
+                FaultInjection(root="x1", magnitude=bad)
 
     def test_data_always_finite(self, plant):
         _, model = plant
