@@ -36,7 +36,7 @@ from .kgraph import (
     serialize,
     validate,
 )
-from .rfpa import InitMode, PropagationResult, RfpaParams, aligned_sequence, propagate, trace
+from .rfpa import PropagationResult, RfpaParams, aligned_sequence, propagate, trace
 from .scoring import RankEntry, RootCauseRanking, format_report, rank_all, root_score
 from .synth import FaultInjection, PlantModel, PlantSpec, generate_plant, simulate
 
@@ -53,7 +53,6 @@ __all__ = [
     "GraphError",
     "GraphParseError",
     "GraphValidationError",
-    "InitMode",
     "KnowledgeGraph",
     "PcaModel",
     "PlantModel",

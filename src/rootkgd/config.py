@@ -15,7 +15,7 @@ from typing import Any
 
 from .features import NORMALIZATION_ORDERS, STATISTICS
 from .kgraph import EntityKind
-from .rfpa import InitMode, RfpaParams
+from .rfpa import RfpaParams
 
 
 class ConfigError(Exception):
@@ -41,7 +41,6 @@ class DiagnosisConfig:
     sigma_r: float = 0.1
     p_max: int = 3
     delta_s_min_ratio: float = 1e-4
-    init_mode: str = InitMode.SEED_ONLY.value
     fault_start: int = 0
     window: int = 100
     rbc_statistic: str = "spe"
@@ -82,23 +81,22 @@ class DiagnosisConfig:
             raise ConfigError(f"rbc_statistic must be one of {STATISTICS}")
         if self.normalization_order not in NORMALIZATION_ORDERS:
             raise ConfigError(f"normalization_order must be one of {NORMALIZATION_ORDERS}")
-        try:
-            InitMode(self.init_mode)
-        except ValueError:
-            raise ConfigError(
-                f"init_mode must be one of {[m.value for m in InitMode]}, "
-                f"got {self.init_mode!r}"
-            ) from None
         valid_kinds = {k.value for k in EntityKind}
         unknown = [k for k in self.candidate_filter if k not in valid_kinds]
         if unknown:
             raise ConfigError(f"candidate_filter contains unknown kinds: {unknown}")
         object.__setattr__(self, "candidate_filter", tuple(self.candidate_filter))
+        bound_by: dict[str, str] = {}
         for col, target in self.column_bindings.items():
             if not isinstance(col, str) or not (target is None or isinstance(target, str)):
                 raise ConfigError(
                     f"column_bindings entries must map column names to entity ids "
                     f"or null, got {col!r}: {target!r}"
+                )
+            if target is not None and bound_by.setdefault(target, col) != col:
+                raise ConfigError(
+                    f"column_bindings binds columns {bound_by[target]!r} and {col!r} "
+                    f"to the same variable {target!r}"
                 )
 
     def rfpa_params(self) -> RfpaParams:
@@ -106,7 +104,6 @@ class DiagnosisConfig:
             sigma_r=self.sigma_r,
             p_max=self.p_max,
             delta_s_min_ratio=self.delta_s_min_ratio,
-            init_mode=InitMode(self.init_mode),
         )
 
     def candidate_kinds(self) -> tuple[EntityKind, ...]:
@@ -119,7 +116,6 @@ class DiagnosisConfig:
             "sigma_r": self.sigma_r,
             "p_max": self.p_max,
             "delta_s_min_ratio": self.delta_s_min_ratio,
-            "init_mode": self.init_mode,
             "rbc_statistic": self.rbc_statistic,
             "normalization_order": self.normalization_order,
         }

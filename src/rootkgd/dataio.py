@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -29,10 +30,17 @@ def read_csv(path: str | Path) -> DataMatrix:
                     f"{path}:{lineno}: expected {len(columns)} fields, got {len(row)}"
                 )
             try:
-                rows.append([float(cell) for cell in row])
+                values = [float(cell) for cell in row]
             except ValueError:
                 bad = next(c for c in row if not _is_float(c))
                 raise ValueError(f"{path}:{lineno}: not a number: {bad!r}") from None
+            # A finite row sum proves every cell finite, so only a row whose
+            # sum is nan or inf (or overflows) is scanned cell by cell.
+            if not math.isfinite(sum(values)):
+                bad_cells = [c for c, v in zip(row, values) if not math.isfinite(v)]
+                if bad_cells:
+                    raise ValueError(f"{path}:{lineno}: not a finite number: {bad_cells[0]!r}")
+            rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return DataMatrix(np.asarray(rows, dtype=float), columns)

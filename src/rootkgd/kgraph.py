@@ -266,7 +266,7 @@ def validate(graph: KnowledgeGraph) -> ValidationReport:
 
     Errors: no entities, duplicate ids/names/triples, dangling references,
     negative relation parameters or non-finite distances, column bindings on
-    physical entities.
+    physical entities, a column bound by two variables.
     Warnings: unbound variables, entities that occur in no triple, relation
     types that are never used.
     """
@@ -277,6 +277,7 @@ def validate(graph: KnowledgeGraph) -> ValidationReport:
         return report
 
     seen_ids: set[str] = set()
+    column_owner: dict[str, str] = {}
     for e in graph.entities:
         if not e.id:
             report.errors.append("entity with empty id")
@@ -289,6 +290,10 @@ def validate(graph: KnowledgeGraph) -> ValidationReport:
             )
         if e.kind is EntityKind.VARIABLE and e.column is None:
             report.warnings.append(f"variable {e.id!r} has no column binding")
+        elif e.kind is EntityKind.VARIABLE and column_owner.setdefault(e.column, e.id) != e.id:
+            report.errors.append(
+                f"variables {column_owner[e.column]!r} and {e.id!r} both bind column {e.column!r}"
+            )
 
     seen_rels: set[str] = set()
     for r in graph.relations:

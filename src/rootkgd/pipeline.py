@@ -157,10 +157,10 @@ def run_diagnose(config: DiagnosisConfig) -> RootCauseRanking:
     )
 
 
-def run_trace(config: DiagnosisConfig, source: str, s_0: float = 1.0) -> str:
+def run_trace(config: DiagnosisConfig, source: str) -> str:
     """Propagation event log for one source, as TSV."""
     if not config.graph_path:
         raise ConfigError("graph_path is required for tracing")
     graph = load_graph(config.graph_path)
-    _, events = rfpa.trace(graph, config.rfpa_params(), source, s_0)
+    _, events = rfpa.trace(graph, config.rfpa_params(), source)
     return rfpa.format_trace_tsv(events)

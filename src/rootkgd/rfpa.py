@@ -1,11 +1,12 @@
 """Ripple fault propagation over the knowledge graph.
 
-A hypothesized root is seeded with an initial fault quantity which then
-spreads along outgoing triples. Each edge event attenuates the emitted
-quantity exponentially in the relation's distance, and a node re-emits the
-*average* of what it has received (its accumulated quantity divided by its
-receipt count), which keeps cyclic graphs from blowing up. A per-node
-initiation cap and a relative minimum-emission threshold stop the ripple.
+A hypothesized root is seeded with one unit of fault quantity, every other
+node starting at zero, and the quantity then spreads along outgoing triples.
+Each edge event attenuates the emitted quantity exponentially in the
+relation's distance, and a node re-emits the *average* of what it has
+received (its accumulated quantity divided by its receipt count), which keeps
+cyclic graphs from blowing up. A per-node initiation cap and a minimum-emission
+threshold stop the ripple.
 
 The whole walk is deterministic: the queue orders items by (priority,
 insertion sequence) and edges are iterated in the graph's canonical order.
@@ -16,18 +17,10 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .kgraph import KnowledgeGraph
-
-
-class InitMode(str, Enum):
-    #: Only the hypothesized root starts with fault quantity.
-    SEED_ONLY = "seed_only"
-    #: Every entity starts at the seed quantity.
-    BASELINE = "baseline"
 
 
 @dataclass(frozen=True)
@@ -36,14 +29,12 @@ class RfpaParams:
 
     sigma_r scales the per-relation attenuation exp(-sigma_r * distance);
     p_max caps how many rounds any single node may initiate; an edge emission
-    below delta_s_min_ratio times the seed quantity is skipped, so results
-    scale linearly with the seed.
+    below delta_s_min_ratio (a fraction of the unit seed) is skipped.
     """
 
     sigma_r: float = 0.1
     p_max: int = 3
     delta_s_min_ratio: float = 1e-4
-    init_mode: InitMode = InitMode.SEED_ONLY
 
     def __post_init__(self):
         if not (math.isfinite(self.sigma_r) and self.sigma_r > 0):
@@ -54,7 +45,6 @@ class RfpaParams:
             raise ValueError(
                 f"delta_s_min_ratio must be in (0, 1), got {self.delta_s_min_ratio}"
             )
-        object.__setattr__(self, "init_mode", InitMode(self.init_mode))
 
 
 @dataclass(frozen=True)
@@ -75,8 +65,6 @@ class PropagationResult:
     """Final fault quantities of one propagation run."""
 
     quantities: dict[str, float]
-    source: str
-    s_0: float
     pops: int
     max_priority: int
 
@@ -90,27 +78,20 @@ def _run(
     graph: KnowledgeGraph,
     params: RfpaParams,
     source: str,
-    s_0: float,
     trace_sink: list[TraceEvent] | None,
 ) -> PropagationResult:
     graph.entity(source)  # raises GraphError for unknown ids
-    if not s_0 > 0:
-        raise ValueError(f"initial fault quantity must be positive, got {s_0}")
 
     factor = {r.name: attenuation(params, r.distance) for r in graph.relations}
-    threshold = params.delta_s_min_ratio * s_0
+    threshold = params.delta_s_min_ratio
 
-    # quantity and received are read on every edge, so they stay dense and
-    # are reset by a C-level dict.fromkeys; initiated and pushed are read
-    # once per pop or push, so they hold only the nodes the ripple reaches.
-    if params.init_mode is InitMode.BASELINE:
-        quantity = dict.fromkeys(graph.by_id, s_0)
-        received = dict.fromkeys(graph.by_id, 1)
-    else:
-        quantity = dict.fromkeys(graph.by_id, 0.0)
-        received = dict.fromkeys(graph.by_id, 0)
-        quantity[source] = s_0
-        received[source] = 1  # the seed assignment counts as one receipt
+    # quantity and received stay dense over every entity because
+    # PropagationResult.quantities promises one; initiated and pushed hold
+    # only the nodes the ripple reaches.
+    quantity = dict.fromkeys(graph.by_id, 0.0)
+    received = dict.fromkeys(graph.by_id, 0)
+    quantity[source] = 1.0
+    received[source] = 1  # the seed assignment counts as one receipt
     initiated: dict[str, int] = {}
     # A node's pops beyond the (p_max+1)-th are no-ops: the initiation cap is
     # already exceeded, so they emit nothing and change no quantity. Capping
@@ -161,24 +142,20 @@ def _run(
                 )
                 event += 1
 
-    return PropagationResult(
-        quantities=quantity, source=source, s_0=s_0, pops=pops, max_priority=max_priority
-    )
+    return PropagationResult(quantities=quantity, pops=pops, max_priority=max_priority)
 
 
-def propagate(
-    graph: KnowledgeGraph, params: RfpaParams, source: str, s_0: float
-) -> PropagationResult:
-    """Run one fault propagation from ``source`` seeded with ``s_0``."""
-    return _run(graph, params, source, s_0, None)
+def propagate(graph: KnowledgeGraph, params: RfpaParams, source: str) -> PropagationResult:
+    """Run one fault propagation from ``source`` seeded with one unit."""
+    return _run(graph, params, source, None)
 
 
 def trace(
-    graph: KnowledgeGraph, params: RfpaParams, source: str, s_0: float
+    graph: KnowledgeGraph, params: RfpaParams, source: str
 ) -> tuple[PropagationResult, tuple[TraceEvent, ...]]:
     """Like propagate, but also returns the full event log."""
     events: list[TraceEvent] = []
-    result = _run(graph, params, source, s_0, events)
+    result = _run(graph, params, source, events)
     return result, tuple(events)
 
 

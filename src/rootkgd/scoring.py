@@ -69,7 +69,7 @@ def root_score(
     """
     if not contributions.roster:
         raise ValueError("contribution roster is empty")
-    result = propagate(graph, params, candidate, 1.0)
+    result = propagate(graph, params, candidate)
     return cosine(aligned_sequence(result, contributions.roster), contributions.scores)
 
 

@@ -13,7 +13,6 @@ from typing import NamedTuple
 import numpy as np
 
 from rootkgd.features import RESIDUAL_DIAG_FLOOR
-from rootkgd.rfpa import aligned_sequence, propagate
 
 
 def jacobi_eigh(matrix: np.ndarray, sweeps: int = 100, tol: float = 1e-14):
@@ -145,8 +144,8 @@ def paper_seed_score(graph, params, contributions, candidate: str, constant_s0: 
     that is positive, else ``constant_s0``."""
     own = dict(zip(contributions.roster, contributions.scores)).get(candidate, 0.0)
     s_0 = own if own > 0 else constant_s0
-    profile = aligned_sequence(propagate(graph, params, candidate, s_0), contributions.roster)
-    return cosine_ref(profile, contributions.scores)
+    quantities, _, _ = dense_propagate(graph, params, candidate, s_0)
+    return cosine_ref([quantities[v] for v in contributions.roster], contributions.scores)
 
 
 def random_graph_payload(rng: np.random.Generator, max_nodes: int = 200, max_edges: int = 800):
@@ -185,20 +184,17 @@ def random_graph_payload(rng: np.random.Generator, max_nodes: int = 200, max_edg
 
 
 def dense_propagate(graph, params, source: str, s_0: float):
-    """Plain transcription of the propagation walk with every state table
-    dense over all entities; returns (quantities, pops, max_priority)."""
+    """Plain transcription of the propagation walk seeded with ``s_0`` at
+    ``source``, every state table dense over all entities; returns
+    (quantities, pops, max_priority)."""
     import heapq
 
     factor = {r.name: math.exp(-params.sigma_r * r.distance) for r in graph.relations}
     threshold = params.delta_s_min_ratio * s_0
-    if params.init_mode.value == "baseline":
-        quantity = {e.id: s_0 for e in graph.entities}
-        received = {e.id: 1 for e in graph.entities}
-    else:
-        quantity = {e.id: 0.0 for e in graph.entities}
-        received = {e.id: 0 for e in graph.entities}
-        quantity[source] = s_0
-        received[source] = 1
+    quantity = {e.id: 0.0 for e in graph.entities}
+    received = {e.id: 0 for e in graph.entities}
+    quantity[source] = s_0
+    received[source] = 1
     initiated = {e.id: 0 for e in graph.entities}
     pushed = {e.id: 0 for e in graph.entities}
     pushed[source] = 1

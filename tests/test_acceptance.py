@@ -129,7 +129,7 @@ def test_criterion_4_rfpa_termination_and_bounds():
             delta_s_min_ratio=float(10 ** rng.uniform(-4, -2)),
         )
         source = graph.entities[int(rng.integers(len(graph.entities)))].id
-        result = propagate(graph, params, source, 1.0)
+        result = propagate(graph, params, source)
         n = len(graph.entities)
         bound = (params.p_max + 1) * n + 1
         worst_ratio = max(worst_ratio, result.pops / bound)
@@ -196,7 +196,7 @@ def test_criterion_5_scale_invariances(tep_setup):
 def test_criterion_6_hand_trace_equivalence(diamond_graph):
     start = time.perf_counter()
     params = RfpaParams(sigma_r=0.1, p_max=3, delta_s_min_ratio=1e-6)
-    result, events = trace(diamond_graph, params, "A", 1.0)
+    result, events = trace(diamond_graph, params, "A")
 
     expected_lines = (FIXTURES / "diamond_trace.tsv").read_text().splitlines()[1:]
     ok = len(events) == len(expected_lines)

@@ -112,6 +112,28 @@ class TestFitCommand:
         assert result.exit_code == 2
         assert "ghost" in result.stderr
 
+    def test_two_columns_bound_to_one_variable_named(self, plant_dir, tmp_path, runner):
+        columns = plant_dir["manifest"]["columns"]
+        bindings = {c: c for c in columns}
+        bindings[columns[1]] = columns[0]
+        DiagnosisConfig(column_bindings={"spare": None, "unused": None})  # nulls may repeat
+        config = {
+            "graph_path": str(plant_dir["dir"] / "graph.json"),
+            "normal_data_path": str(plant_dir["dir"] / "normal.csv"),
+            "fault_data_path": str(plant_dir["dir"] / "fault.csv"),
+            "fault_start": 100,
+            "column_bindings": bindings,
+        }
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        for command in ("fit", "diagnose"):
+            result = runner.invoke(main, [command, "--config", str(config_path)])
+            assert result.exit_code == 2
+            assert result.stderr == (
+                f"error: column_bindings binds columns {columns[0]!r} and {columns[1]!r} "
+                f"to the same variable {columns[0]!r}\n"
+            )
+
     def test_unbound_columns_ignored_with_warning(self, plant_dir, model_path, caplog):
         # A CSV column the graph does not know must never silently enter.
         config = DiagnosisConfig(
@@ -239,7 +261,7 @@ class TestDiagnoseCommand:
 
     def test_jobs_config_key_is_unknown(self, tmp_path, runner):
         config_path = tmp_path / "config.json"
-        for key in ("jobs", "constant_s0"):
+        for key in ("jobs", "constant_s0", "init_mode"):
             config_path.write_text(json.dumps({key: 2}))
             result = runner.invoke(main, ["diagnose", "--config", str(config_path)])
             assert result.exit_code == 2
@@ -380,6 +402,29 @@ class TestValidateCommand:
         assert result.exit_code == 1
         assert result.stdout == ""
         assert "non-finite distance" in result.stderr
+
+    def test_column_bound_by_two_variables_fails(self, plant_dir, model_path, tmp_path,
+                                                  runner):
+        payload = json.loads((plant_dir["dir"] / "graph.json").read_text())
+        first, second = [e for e in payload["entities"] if e.get("column")][:2]
+        second["column"] = first["column"]
+        path = tmp_path / "shared_column.json"
+        path.write_text(json.dumps(payload))
+        message = (
+            f"error: variables {first['id']!r} and {second['id']!r} "
+            f"both bind column {first['column']!r}"
+        )
+        result = runner.invoke(main, ["validate-kg", str(path)])
+        assert result.exit_code == 1
+        assert message in result.output.splitlines()
+        fit_args = ["fit", "--graph", str(path), "--data", str(plant_dir["dir"] / "normal.csv")]
+        diagnose = diagnose_args(plant_dir, model_path)
+        diagnose[diagnose.index("--graph") + 1] = str(path)
+        for args in (fit_args, diagnose):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 1
+            assert result.stdout == ""
+            assert result.stderr == message + "\n"
 
 
 class TestUsage:

@@ -13,6 +13,9 @@ from rootkgd.dataio import read_csv
 #: CSV texts the reader must reject, and the message after the file name.
 MALFORMED = {
     "non_numeric": ("a,b\n1,2\n3,x\n", ":3: not a number: 'x'"),
+    "nan_cell": ("a,b\n1,2\n3,nan\n", ":3: not a finite number: 'nan'"),
+    "inf_cell": ("a,b\n1,inf\n3,4\n", ":2: not a finite number: 'inf'"),
+    "neg_inf_cell": ("a,b\n1,2\n\n-inf,4\n", ":4: not a finite number: '-inf'"),
     "short_row": ("a,b\n1,2\n3\n", ":3: expected 2 fields, got 1"),
     "trailing_comma": ("a,b\n1,2\n3,4,\n", ":3: expected 2 fields, got 3"),
     "empty_file": ("", ": file is empty"),

@@ -112,6 +112,18 @@ class TestLoadGraph:
         with pytest.raises(GraphParseError, match="unknown kind"):
             graph_from_dict(payload)
 
+    def test_column_bound_by_two_variables(self):
+        payload = minimal_payload()
+        payload["entities"].append(
+            {"id": "v12", "kind": "variable", "label": "Variable 12", "column": "v11"}
+        )
+        payload["triples"].append(["dev1", "State", "v12"])
+        with pytest.raises(GraphValidationError) as excinfo:
+            graph_from_dict(payload)
+        assert excinfo.value.report.errors == [
+            "variables 'v11' and 'v12' both bind column 'v11'"
+        ]
+
     def test_column_on_physical_entity(self):
         payload = minimal_payload()
         payload["entities"][0]["column"] = "c1"
@@ -242,8 +254,8 @@ class TestRoundTrip:
         assert built.out_index == tep_graph.out_index
         params = RfpaParams(sigma_r=0.1, p_max=3, delta_s_min_ratio=1e-4)
         for source in ("x4", "reactor", "s4"):
-            a = propagate(built, params, source, 1.0)
-            b = propagate(tep_graph, params, source, 1.0)
+            a = propagate(built, params, source)
+            b = propagate(tep_graph, params, source)
             assert list(a.quantities.items()) == list(b.quantities.items())
             assert (a.pops, a.max_priority) == (b.pops, b.max_priority)
 

@@ -9,7 +9,6 @@ import pytest
 from oracles import dense_propagate, random_graph_payload
 from rootkgd.kgraph import GraphError, graph_from_dict
 from rootkgd.rfpa import (
-    InitMode,
     RfpaParams,
     aligned_sequence,
     attenuation,
@@ -44,19 +43,19 @@ class TestPropagate:
                 "triples": [],
             }
         )
-        result = propagate(graph, DEFAULTS, "solo", 2.5)
-        assert result.quantities == {"solo": 2.5}
+        result = propagate(graph, DEFAULTS, "solo")
+        assert result.quantities == {"solo": 1.0}
         assert result.pops == 1
         assert result.max_priority == 0
 
     def test_two_node_chain(self, chain_graph):
-        result = propagate(chain_graph, DEFAULTS, "A", 1.0)
+        result = propagate(chain_graph, DEFAULTS, "A")
         assert result.quantities["B"] == math.exp(-0.1)
         assert abs(result.quantities["B"] - 0.9048374) <= 5e-8
         assert result.quantities["A"] == 1.0
 
     def test_diamond_matches_committed_hand_trace(self, diamond_graph):
-        result, events = trace(diamond_graph, DEFAULTS, "A", 1.0)
+        result, events = trace(diamond_graph, DEFAULTS, "A")
         expected = (FIXTURES / "diamond_trace.tsv").read_text().splitlines()[1:]
         lines = format_trace_tsv(events).splitlines()[1:]
         assert len(lines) == len(expected)
@@ -85,7 +84,7 @@ class TestPropagate:
                 {"name": "slow", "d": 1, "o": 5},
             ],
         )
-        result = propagate(graph, DEFAULTS, "A", 1.0)
+        result = propagate(graph, DEFAULTS, "A")
         L = math.exp(-0.1)
         # B emits to C twice (popped once per receipt): first with s=2L, n_r=2,
         # then unchanged state again (no new receipts in between).
@@ -104,7 +103,7 @@ class TestPropagate:
                 {"name": "far", "d": 1, "o": 10},
             ],
         )
-        _, events = trace(graph, DEFAULTS, "A", 1.0)
+        _, events = trace(graph, DEFAULTS, "A")
         pops = [e.head for e in events if e.relation is None]
         assert pops == ["A", "B", "D", "C", "E"]
 
@@ -120,36 +119,22 @@ class TestPropagate:
             ],
         )
         params = RfpaParams(sigma_r=0.1, p_max=3, delta_s_min_ratio=1e-4)
-        result = propagate(graph, params, "A", 1.0)
+        result = propagate(graph, params, "A")
         assert result.quantities["B"] == 0.0
         assert result.quantities["C"] == math.exp(-0.1)
 
     def test_initiation_cap(self):
         graph = graph_of(("A", "flow", "A"))
         params = RfpaParams(sigma_r=0.1, p_max=3, delta_s_min_ratio=1e-9)
-        _, events = trace(graph, params, "A", 1.0)
+        _, events = trace(graph, params, "A")
         pop_events = [e for e in events if e.relation is None]
         edge_events = [e for e in events if e.relation is not None]
         assert len(pop_events) == params.p_max + 1
         assert len(edge_events) == params.p_max
 
-    def test_baseline_init_mode(self, chain_graph):
-        params = RfpaParams(
-            sigma_r=0.1, p_max=3, delta_s_min_ratio=1e-6, init_mode=InitMode.BASELINE
-        )
-        result = propagate(chain_graph, params, "A", 1.0)
-        L = math.exp(-0.1)
-        assert result.quantities["A"] == 1.0
-        assert abs(result.quantities["B"] - (1.0 + L)) <= 1e-15
-
     def test_unknown_source(self, chain_graph):
         with pytest.raises(GraphError, match="unknown entity"):
-            propagate(chain_graph, DEFAULTS, "nope", 1.0)
-
-    def test_nonpositive_seed(self, chain_graph):
-        for s_0 in (0.0, -1.0):
-            with pytest.raises(ValueError, match="positive"):
-                propagate(chain_graph, DEFAULTS, "A", s_0)
+            propagate(chain_graph, DEFAULTS, "nope")
 
     def test_param_validation(self):
         for sigma_r in (0.0, float("nan"), float("inf")):
@@ -172,7 +157,7 @@ class TestInvariants:
                 delta_s_min_ratio=float(10 ** rng.uniform(-4, -2)),
             )
             source = graph.entities[int(rng.integers(len(graph.entities)))].id
-            result = propagate(graph, params, source, 1.0)
+            result = propagate(graph, params, source)
             n = len(graph.entities)
             assert result.pops <= (params.p_max + 1) * n + 1
             values = np.array(list(result.quantities.values()))
@@ -185,28 +170,27 @@ class TestInvariants:
         graph = graph_from_dict(random_graph_payload(rng, max_nodes=40, max_edges=120))
         params = RfpaParams(sigma_r=0.2, p_max=3, delta_s_min_ratio=1e-4)
         source = graph.entities[0].id
-        base = propagate(graph, params, source, 1.0)
+        base = propagate(graph, params, source)
         for c in (0.5, 7.3, 1000.0):
-            scaled = propagate(graph, params, source, c)
+            scaled, _, _ = dense_propagate(graph, params, source, c)
             for eid, q in base.quantities.items():
                 expected = c * q
-                assert abs(scaled.quantities[eid] - expected) <= 1e-12 * max(expected, c)
+                assert abs(scaled[eid] - expected) <= 1e-12 * max(expected, c)
 
     def test_bitwise_determinism(self):
         rng = np.random.default_rng(79)
         graph = graph_from_dict(random_graph_payload(rng, max_nodes=60, max_edges=200))
         params = RfpaParams(sigma_r=0.15, p_max=4, delta_s_min_ratio=1e-4)
         source = graph.entities[3].id
-        first = propagate(graph, params, source, 1.0)
-        second = propagate(graph, params, source, 1.0)
+        first = propagate(graph, params, source)
+        second = propagate(graph, params, source)
         assert first.quantities == second.quantities
         assert first.pops == second.pops
-        _, events_a = trace(graph, params, source, 1.0)
-        _, events_b = trace(graph, params, source, 1.0)
+        _, events_a = trace(graph, params, source)
+        _, events_b = trace(graph, params, source)
         assert format_trace_tsv(events_a) == format_trace_tsv(events_b)
 
-    @pytest.mark.parametrize("mode", list(InitMode))
-    def test_matches_dense_transcription(self, mode):
+    def test_matches_dense_transcription(self):
         rng = np.random.default_rng(47)
         self_loops = 0
         for _ in range(12):
@@ -217,12 +201,10 @@ class TestInvariants:
                 sigma_r=float(rng.uniform(0.05, 1.0)),
                 p_max=int(rng.integers(1, 5)),
                 delta_s_min_ratio=float(10.0 ** rng.uniform(-6, -2)),
-                init_mode=mode,
             )
             for source in rng.choice([e.id for e in graph.entities], size=4):
-                s_0 = float(rng.uniform(0.1, 10.0))
-                result = propagate(graph, params, str(source), s_0)
-                quantities, pops, max_priority = dense_propagate(graph, params, str(source), s_0)
+                result = propagate(graph, params, str(source))
+                quantities, pops, max_priority = dense_propagate(graph, params, str(source), 1.0)
                 assert list(result.quantities.items()) == list(quantities.items())
                 assert (result.pops, result.max_priority) == (pops, max_priority)
         assert self_loops > 0
@@ -237,21 +219,21 @@ class TestInvariants:
 
 class TestAlignedSequence:
     def test_projection_excludes_physical(self, chain_graph):
-        result = propagate(chain_graph, DEFAULTS, "A", 1.0)
+        result = propagate(chain_graph, DEFAULTS, "A")
         vector = aligned_sequence(result, ("B",))
         assert vector.tolist() == [result.quantities["B"]]
 
     def test_roster_order_and_permutation(self, diamond_graph):
-        result = propagate(diamond_graph, DEFAULTS, "A", 1.0)
+        result = propagate(diamond_graph, DEFAULTS, "A")
         forward = aligned_sequence(result, ("B", "C", "D"))
         backward = aligned_sequence(result, ("D", "C", "B"))
         assert forward.tolist() == backward.tolist()[::-1]
 
     def test_empty_roster(self, diamond_graph):
-        result = propagate(diamond_graph, DEFAULTS, "A", 1.0)
+        result = propagate(diamond_graph, DEFAULTS, "A")
         assert aligned_sequence(result, ()).shape == (0,)
 
     def test_missing_id(self, diamond_graph):
-        result = propagate(diamond_graph, DEFAULTS, "A", 1.0)
+        result = propagate(diamond_graph, DEFAULTS, "A")
         with pytest.raises(ValueError, match="missing"):
             aligned_sequence(result, ("B", "nope"))

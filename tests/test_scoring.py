@@ -8,7 +8,7 @@ import pytest
 from oracles import cosine_ref, paper_seed_score, random_graph_payload
 from rootkgd.features import ContributionVector
 from rootkgd.kgraph import EntityKind, GraphError, graph_from_dict
-from rootkgd.rfpa import InitMode, RfpaParams, aligned_sequence, propagate
+from rootkgd.rfpa import RfpaParams, aligned_sequence, propagate
 from rootkgd.scoring import cosine, format_report, rank_all, report_dict, root_score
 
 PARAMS = RfpaParams(sigma_r=0.1, p_max=3, delta_s_min_ratio=1e-6)
@@ -56,7 +56,7 @@ class TestCosine:
 class TestRootScore:
     def test_parallel_profile_scores_one(self, tep_graph):
         roster = tuple(e.id for e in tep_graph.variable_roster())
-        result = propagate(tep_graph, PARAMS, "s4", 1.0)
+        result = propagate(tep_graph, PARAMS, "s4")
         profile = aligned_sequence(result, roster)
         contributions = ContributionVector(profile / profile.sum(), roster)
         score = root_score(tep_graph, PARAMS, contributions, "s4")
@@ -160,8 +160,7 @@ class TestRankAll:
         for a, b in zip(base.entries, scaled.entries):
             assert abs(a.score - b.score) <= 1e-12
 
-    @pytest.mark.parametrize("mode", list(InitMode))
-    def test_unit_seed_matches_paper_seed(self, mode):
+    def test_unit_seed_matches_paper_seed(self):
         """Seeding with one unit ranks as the paper's seed (own positive
         contribution, else a constant) does, on random graphs."""
         rng = np.random.default_rng(61)
@@ -175,7 +174,6 @@ class TestRankAll:
                 sigma_r=float(rng.uniform(0.05, 1.0)),
                 p_max=int(rng.integers(1, 5)),
                 delta_s_min_ratio=float(10.0 ** rng.uniform(-6, -2)),
-                init_mode=mode,
             )
             scores = rng.exponential(size=len(roster)) * (rng.random(len(roster)) < 0.7)
             contributions = ContributionVector(scores, roster)
