@@ -15,10 +15,8 @@ from .features import (
     fit_pca,
     load_model,
     rbc_spe,
-    rbc_t2,
     save_model,
     spe,
-    t2,
 )
 from .kgraph import (
     Entity,
@@ -75,14 +73,12 @@ __all__ = [
     "propagate",
     "rank_all",
     "rbc_spe",
-    "rbc_t2",
     "root_score",
     "save_graph",
     "save_model",
     "serialize",
     "simulate",
     "spe",
-    "t2",
     "trace",
     "validate",
 ]

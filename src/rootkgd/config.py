@@ -13,7 +13,6 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
 
-from .features import NORMALIZATION_ORDERS, STATISTICS
 from .kgraph import EntityKind
 from .rfpa import RfpaParams
 
@@ -43,8 +42,6 @@ class DiagnosisConfig:
     delta_s_min_ratio: float = 1e-4
     fault_start: int = 0
     window: int = 100
-    rbc_statistic: str = "spe"
-    normalization_order: str = "per_sample"
     candidate_filter: tuple[str, ...] = ("variable", "stream", "device")
     top_k: int = 10
 
@@ -77,10 +74,12 @@ class DiagnosisConfig:
             raise ConfigError(f"window must be >= 1, got {self.window}")
         if self.top_k < 1:
             raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
-        if self.rbc_statistic not in STATISTICS:
-            raise ConfigError(f"rbc_statistic must be one of {STATISTICS}")
-        if self.normalization_order not in NORMALIZATION_ORDERS:
-            raise ConfigError(f"normalization_order must be one of {NORMALIZATION_ORDERS}")
+        if not 0 < self.r_pc <= 1:
+            raise ConfigError(f"r_pc must be in (0, 1], got {self.r_pc}")
+        try:
+            self.rfpa_params()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         valid_kinds = {k.value for k in EntityKind}
         unknown = [k for k in self.candidate_filter if k not in valid_kinds]
         if unknown:
@@ -116,8 +115,6 @@ class DiagnosisConfig:
             "sigma_r": self.sigma_r,
             "p_max": self.p_max,
             "delta_s_min_ratio": self.delta_s_min_ratio,
-            "rbc_statistic": self.rbc_statistic,
-            "normalization_order": self.normalization_order,
         }
 
 

@@ -21,6 +21,11 @@ def read_csv(path: str | Path) -> DataMatrix:
         except StopIteration:
             raise ValueError(f"{path}: file is empty") from None
         columns = tuple(name.strip() for name in header)
+        seen: set[str] = set()
+        for name in columns:
+            if name in seen:
+                raise ValueError(f"{path}: duplicate column name {name!r}")
+            seen.add(name)
         rows: list[list[float]] = []
         for lineno, row in enumerate(reader, start=2):
             if not row:

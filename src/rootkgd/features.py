@@ -1,9 +1,10 @@
 """PCA monitoring model and reconstruction-based fault contributions.
 
 A model is fit once on normal-operation data (z-scored by its own training
-mean/std), after which all evaluation functions are pure: squared prediction
-error and Hotelling statistics per sample, per-variable reconstruction
-contributions, and windowed contribution rates over a fault episode.
+mean/std), after which all evaluation functions are pure: the squared
+prediction error (SPE) of a sample, its per-variable reconstruction-based
+contributions to the SPE, and the windowed contribution rate of a fault
+episode, which is the one fault feature the diagnosis uses.
 """
 
 from __future__ import annotations
@@ -22,9 +23,6 @@ logger = logging.getLogger(__name__)
 #: Residual diagonal entries at or below this are treated as "no residual
 #: information": the variable's contribution is defined as 0.
 RESIDUAL_DIAG_FLOOR = 1e-12
-
-NORMALIZATION_ORDERS = ("per_sample", "post_average")
-STATISTICS = ("spe", "t2")
 
 
 @dataclass(frozen=True)
@@ -75,8 +73,8 @@ class PcaModel:
 
     The model is what the fit produces and nothing more: the training
     mean/std, the orthonormal principal loadings ``P`` (n x n_pc) and the
-    eigenvalues on either side of ``n_pc``. The statistics and their
-    contributions are computed from ``P``. Inconsistent shapes, non-positive
+    eigenvalues on either side of ``n_pc``. The SPE and its contributions
+    are computed from ``P``. Inconsistent shapes, non-positive
     std or principal eigenvalues, and non-finite entries raise ``ValueError``.
     """
 
@@ -237,37 +235,27 @@ def fit_pca(normal_data: DataMatrix, r_pc: float) -> PcaModel:
     )
 
 
-def _map_rows(model: PcaModel, Z: np.ndarray, statistic: str) -> tuple[np.ndarray, np.ndarray]:
-    """``Z @ M`` and ``diag(M)`` for the statistic's matrix M, in O(n * n_pc)
-    per row: M = I - P Pᵀ for SPE and M = P diag(1/eig_principal) Pᵀ for T².
-    """
+def _map_rows(model: PcaModel, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The SPE residuals ``Z (I - P Pᵀ)`` and ``diag(I - P Pᵀ)``, in
+    O(n * n_pc) per row, with no n x n matrix formed."""
     P = model.loadings_principal
-    if statistic == "spe":
-        return Z - (Z @ P) @ P.T, 1.0 - (P * P).sum(axis=1)
-    W = P / model.eig_principal
-    return (Z @ W) @ P.T, (P * W).sum(axis=1)
+    return Z - (Z @ P) @ P.T, 1.0 - (P * P).sum(axis=1)
 
 
 def spe(model: PcaModel, sample: np.ndarray) -> float:
     """Squared prediction error of one sample: residual-space energy."""
     z = model.standardize(sample)
-    return float(z @ _map_rows(model, z[None, :], "spe")[0][0])
+    return float(z @ _map_rows(model, z[None, :])[0][0])
 
 
-def t2(model: PcaModel, sample: np.ndarray) -> float:
-    """Hotelling statistic of one sample: eigenvalue-weighted principal energy."""
-    z = model.standardize(sample)
-    return float(z @ _map_rows(model, z[None, :], "t2")[0][0])
-
-
-def _raw_contributions(model: PcaModel, Z: np.ndarray, statistic: str) -> np.ndarray:
+def _raw_contributions(model: PcaModel, Z: np.ndarray) -> np.ndarray:
     """Raw reconstruction contributions of each standardized row of ``Z``.
 
-    The score of variable i is the statistic's drop when the row is
-    optimally corrected along coordinate axis i. Variables whose
-    reconstruction denominator is near zero score 0, with a warning.
+    The score of variable i is the SPE's drop when the row is optimally
+    corrected along coordinate axis i. Variables whose reconstruction
+    denominator is near zero score 0, with a warning.
     """
-    mapped, diag = _map_rows(model, Z, statistic)
+    mapped, diag = _map_rows(model, Z)
     usable = diag > RESIDUAL_DIAG_FLOOR
     if not usable.all():
         flagged = [model.columns[i] for i in np.flatnonzero(~usable)]
@@ -279,55 +267,29 @@ def _raw_contributions(model: PcaModel, Z: np.ndarray, statistic: str) -> np.nda
     return raw
 
 
-def _rbc(model: PcaModel, sample: np.ndarray, statistic: str) -> ContributionVector:
-    z = model.standardize(sample)
-    return ContributionVector(_raw_contributions(model, z[None, :], statistic)[0], model.columns)
-
-
 def rbc_spe(model: PcaModel, sample: np.ndarray) -> ContributionVector:
     """Per-variable reconstruction contribution to the SPE statistic.
 
     Raw, not normalized: see ``_raw_contributions`` for the definition.
     """
-    return _rbc(model, sample, "spe")
+    z = model.standardize(sample)
+    return ContributionVector(_raw_contributions(model, z[None, :])[0], model.columns)
 
 
-def rbc_t2(model: PcaModel, sample: np.ndarray) -> ContributionVector:
-    """Per-variable reconstruction contribution to the Hotelling statistic."""
-    return _rbc(model, sample, "t2")
-
-
-def contribution_rate(
-    model: PcaModel,
-    fault_window: DataMatrix,
-    statistic: str = "spe",
-    order: str = "per_sample",
-) -> ContributionVector:
+def contribution_rate(model: PcaModel, fault_window: DataMatrix) -> ContributionVector:
     """Average contribution over a fault window, normalized to sum 1.
 
-    ``order`` controls whether each sample's raw contributions are normalized
-    before averaging ("per_sample", the default, so no single large-error
-    sample dominates) or only once after averaging ("post_average"). Rows
-    whose contributions are identically zero are skipped.
+    Each sample's raw contributions are normalized before averaging, so no
+    single large-error sample dominates. Rows whose contributions are
+    identically zero are skipped.
     """
-    if statistic not in STATISTICS:
-        raise ValueError(f"statistic must be one of {STATISTICS}, got {statistic!r}")
-    if order not in NORMALIZATION_ORDERS:
-        raise ValueError(f"order must be one of {NORMALIZATION_ORDERS}, got {order!r}")
-    if fault_window.n_samples < 1:
-        raise ValueError("fault window is empty")
-
-    raw = _raw_contributions(model, model.standardize_matrix(fault_window), statistic)
+    raw = _raw_contributions(model, model.standardize_matrix(fault_window))
     row_sums = raw.sum(axis=1)
     live = row_sums > 0
     if not live.any():
         raise ValueError("every sample in the window has zero contribution")
 
-    if order == "per_sample":
-        normalized = raw[live] / row_sums[live, None]
-        mean = normalized.mean(axis=0)
-    else:
-        mean = raw[live].mean(axis=0)
+    mean = (raw[live] / row_sums[live, None]).mean(axis=0)
     return ContributionVector(mean / mean.sum(), model.columns)
 
 

@@ -123,12 +123,7 @@ def run_diagnose(config: DiagnosisConfig) -> RootCauseRanking:
             f"requested but only {fault.n_samples} samples present"
         )
     window = DataMatrix(fault.values[config.fault_start : end], fault.columns)
-    rate = features.contribution_rate(
-        model,
-        window,
-        statistic=config.rbc_statistic,
-        order=config.normalization_order,
-    )
+    rate = features.contribution_rate(model, window)
 
     _, roster_map = resolve_model_columns(model.columns, graph, config)
     unbound = [c for c in model.columns if c not in roster_map]
@@ -141,7 +136,8 @@ def run_diagnose(config: DiagnosisConfig) -> RootCauseRanking:
 
     metadata: dict[str, Any] = {
         "graph": Path(config.graph_path).name,
-        "params": config.params_dict(),
+        # r_pc is the fitted model's: a loaded model may differ from the config.
+        "params": {**config.params_dict(), "r_pc": model.r_pc},
         "window": {
             "fault_start": config.fault_start,
             "length": config.window,

@@ -62,27 +62,21 @@ def residual_projector(matrix: np.ndarray, n_pc: int) -> np.ndarray:
 class DenseProjectors(NamedTuple):
     proj_pc: np.ndarray
     proj_res: np.ndarray
-    d_matrix: np.ndarray
 
 
 def dense_projectors(model) -> DenseProjectors:
-    """The n x n matrices of a PCA model, formed densely from its loadings P:
-    P Pᵀ, I - P Pᵀ and P diag(1/eig_principal) Pᵀ."""
+    """The n x n projectors of a PCA model, formed densely from its loadings
+    P: P Pᵀ and I - P Pᵀ."""
     P = model.loadings_principal
     proj_pc = P @ P.T
-    return DenseProjectors(
-        proj_pc=proj_pc,
-        proj_res=np.eye(len(P)) - proj_pc,
-        d_matrix=P @ np.diag(1.0 / model.eig_principal) @ P.T,
-    )
+    return DenseProjectors(proj_pc=proj_pc, proj_res=np.eye(len(P)) - proj_pc)
 
 
-def dense_contributions(model, Z: np.ndarray, statistic: str) -> np.ndarray:
-    """Reconstruction contributions of each standardized row of ``Z`` through
-    the dense matrix of the statistic: (Z M)ᵢ² / Mᵢᵢ, and 0 where Mᵢᵢ is at or
-    below the residual floor."""
-    dense = dense_projectors(model)
-    matrix = dense.proj_res if statistic == "spe" else dense.d_matrix
+def dense_contributions(model, Z: np.ndarray) -> np.ndarray:
+    """SPE reconstruction contributions of each standardized row of ``Z``
+    through the dense residual projector C: (Z C)ᵢ² / Cᵢᵢ, and 0 where Cᵢᵢ is
+    at or below the residual floor."""
+    matrix = dense_projectors(model).proj_res
     diag = np.diag(matrix)
     usable = diag > RESIDUAL_DIAG_FLOOR
     raw = np.zeros_like(Z)
@@ -90,18 +84,16 @@ def dense_contributions(model, Z: np.ndarray, statistic: str) -> np.ndarray:
     return raw
 
 
-def dense_contribution_rate(model, rows: np.ndarray, statistic: str, order: str):
+def dense_contribution_rate(model, rows: np.ndarray):
     """Windowed contribution rate over raw sample ``rows`` from the dense
-    contributions; None when every row contributes zero."""
-    raw = dense_contributions(model, (rows - model.mean) / model.std, statistic)
+    contributions, each row normalized before averaging; None when every row
+    contributes zero."""
+    raw = dense_contributions(model, (rows - model.mean) / model.std)
     row_sums = raw.sum(axis=1)
     live = row_sums > 0
     if not live.any():
         return None
-    if order == "per_sample":
-        mean = (raw[live] / row_sums[live, None]).mean(axis=0)
-    else:
-        mean = raw[live].mean(axis=0)
+    mean = (raw[live] / row_sums[live, None]).mean(axis=0)
     return mean / mean.sum()
 
 

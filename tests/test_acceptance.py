@@ -73,7 +73,7 @@ def test_criterion_2_pca_identities():
         n = int(rng.integers(3, 14))
         model = random_model(rng, n=n, m=250)
         eye = np.eye(n)
-        C, C_res, _ = dense_projectors(model)
+        C, C_res = dense_projectors(model)
         P = model.loadings_principal
         worst = max(
             worst,

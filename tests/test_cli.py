@@ -167,7 +167,7 @@ class TestDiagnoseCommand:
         assert set(payload) == {"graph", "params", "window", "ranking"}
         assert payload["graph"] == "graph.json"
         assert payload["window"]["fault_start"] == 100
-        assert payload["params"]["rbc_statistic"] == "spe"
+        assert list(payload["params"]) == ["r_pc", "sigma_r", "p_max", "delta_s_min_ratio"]
         assert all(set(e) == {"id", "kind", "score"} for e in payload["ranking"])
 
     def test_byte_identical_reruns(self, plant_dir, model_path, tmp_path, runner):
@@ -181,6 +181,22 @@ class TestDiagnoseCommand:
         table_2 = r2.output.rsplit("report written", 1)[0]
         assert table_1 == table_2
         assert j1.read_bytes() == j2.read_bytes()
+
+    def test_report_names_the_model_r_pc(self, plant_dir, tmp_path, runner):
+        # The config keeps its default r_pc of 0.5; the report must give the
+        # 0.8 the loaded model was fitted with.
+        model = tmp_path / "model.json"
+        result = runner.invoke(
+            main,
+            ["fit", "--graph", str(plant_dir["dir"] / "graph.json"),
+             "--data", str(plant_dir["dir"] / "normal.csv"),
+             "--model", str(model), "--r-pc", "0.8"],
+        )
+        assert result.exit_code == 0, result.output
+        json_path = tmp_path / "report.json"
+        result = runner.invoke(main, diagnose_args(plant_dir, model, "--json", str(json_path)))
+        assert result.exit_code == 0, result.output
+        assert json.loads(json_path.read_text())["params"]["r_pc"] == 0.8
 
     def test_window_exceeding_dataset(self, plant_dir, model_path, runner):
         result = runner.invoke(
@@ -239,19 +255,6 @@ class TestDiagnoseCommand:
         )
         assert len(from_flag.output.splitlines()) == 1 + 2
 
-    def test_t2_statistic_runs(self, plant_dir, model_path, tmp_path, runner):
-        config = {
-            "graph_path": str(plant_dir["dir"] / "graph.json"),
-            "model_path": str(model_path),
-            "fault_data_path": str(plant_dir["dir"] / "fault.csv"),
-            "fault_start": 100,
-            "rbc_statistic": "t2",
-        }
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(config))
-        result = runner.invoke(main, ["diagnose", "--config", str(config_path)])
-        assert result.exit_code == 0, result.output
-
     def test_unknown_config_key_is_usage_error(self, tmp_path, runner):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"graph": "x.json"}))
@@ -261,15 +264,16 @@ class TestDiagnoseCommand:
 
     def test_jobs_config_key_is_unknown(self, tmp_path, runner):
         config_path = tmp_path / "config.json"
-        for key in ("jobs", "constant_s0", "init_mode"):
+        for key in ("jobs", "constant_s0", "init_mode", "rbc_statistic",
+                    "normalization_order"):
             config_path.write_text(json.dumps({key: 2}))
             result = runner.invoke(main, ["diagnose", "--config", str(config_path)])
             assert result.exit_code == 2
             assert f"unknown config keys: ['{key}']" in result.stderr
 
 
-#: Config files whose values have the wrong type, the command they are given
-#: to, and the message each must produce.
+#: Config files whose values have the wrong type or lie out of range, the
+#: command they are given to, and the message each must produce.
 BAD_CONFIGS = {
     "sigma_r_string": ("diagnose", '{"sigma_r": "abc"}', "sigma_r must be a finite number"),
     "sigma_r_nan": ("diagnose", '{"sigma_r": NaN}', "sigma_r must be a finite number"),
@@ -281,6 +285,11 @@ BAD_CONFIGS = {
     "graph_path_number": ("diagnose", '{"graph_path": 5}', "graph_path must be a string"),
     "kinds_number": ("diagnose", '{"candidate_filter": 5}', "candidate_filter must be a list"),
     "fit_r_pc_string": ("fit", '{"r_pc": "x"}', "r_pc must be a finite number"),
+    "p_max_zero": ("diagnose", '{"p_max": 0}', "p_max must be at least 1, got 0"),
+    "sigma_r_negative": ("diagnose", '{"sigma_r": -1}', "sigma_r must be positive"),
+    "ratio_above_one": ("diagnose", '{"delta_s_min_ratio": 2}', "delta_s_min_ratio must be in"),
+    "r_pc_above_one": ("diagnose", '{"r_pc": 1.5}', "r_pc must be in (0, 1], got 1.5"),
+    "fit_r_pc_zero": ("fit", '{"r_pc": 0}', "r_pc must be in (0, 1], got 0"),
 }
 
 

@@ -20,6 +20,7 @@ MALFORMED = {
     "trailing_comma": ("a,b\n1,2\n3,4,\n", ":3: expected 2 fields, got 3"),
     "empty_file": ("", ": file is empty"),
     "header_only": ("a,b\n", ": no data rows"),
+    "duplicate_column": ("x1,x2,x1\n1,2,3\n", ": duplicate column name 'x1'"),
 }
 
 

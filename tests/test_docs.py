@@ -4,6 +4,9 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
+from click.testing import CliRunner
+
+from rootkgd.cli import main
 from rootkgd.config import DiagnosisConfig
 
 README = Path(__file__).parent.parent / "README.md"
@@ -25,3 +28,15 @@ def test_readme_report_params_match_config():
     paragraph = text.split("**Report JSON**", 1)[1].split("\n\n", 1)[0]
     documented = re.findall(r"`(\w+)`", paragraph.split("`params` holds", 1)[1])
     assert documented == list(DiagnosisConfig().params_dict())
+
+
+def test_readme_library_snippet_runs(tmp_path, monkeypatch, capsys):
+    """README's "Library use" block runs as written on the Quickstart plant."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    snippet = re.search(r"```python\n(.*?)```", section, flags=re.DOTALL).group(1)
+    monkeypatch.chdir(tmp_path)
+    result = CliRunner().invoke(main, ["synth", "--out", "plant", "--seed", "5", "--devices", "4"])
+    assert result.exit_code == 0, result.output
+    exec(compile(snippet, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 10

@@ -25,10 +25,8 @@ from rootkgd.features import (
     fit_pca,
     load_model,
     rbc_spe,
-    rbc_t2,
     save_model,
     spe,
-    t2,
 )
 
 
@@ -137,7 +135,7 @@ class TestFitPca:
         rng = np.random.default_rng(seed)
         model = random_model(rng, n=int(rng.integers(3, 12)))
         n = model.n_variables
-        C, C_res, _ = dense_projectors(model)
+        C, C_res = dense_projectors(model)
         assert np.abs(C + C_res - np.eye(n)).max() <= 1e-8
         assert np.abs(C @ C - C).max() <= 1e-8
         assert np.abs(C_res @ C_res - C_res).max() <= 1e-8
@@ -196,7 +194,6 @@ class TestStatistics:
         model = fit_pca(DataMatrix(data, tuple("abcde")), 0.6)
         mean_sample = model.mean.copy()
         assert abs(spe(model, mean_sample)) <= 1e-12
-        assert abs(t2(model, mean_sample)) <= 1e-12
 
     def test_principal_subspace_has_zero_spe(self):
         rng = np.random.default_rng(12)
@@ -216,32 +213,11 @@ class TestStatistics:
             oracle = float(reconstruction @ reconstruction)
             assert abs(spe(model, raw) - oracle) <= 1e-10 * max(1.0, oracle)
 
-    def test_t2_of_scaled_principal_direction(self):
-        rng = np.random.default_rng(14)
-        model = random_model(rng, n=7, r_pc=0.8)
-        z = model.loadings_principal[:, 0] * np.sqrt(model.eig_principal[0])
-        raw = model.mean + model.std * z
-        assert abs(t2(model, raw) - 1.0) <= 1e-9
-
-    def test_t2_matches_componentwise_oracle(self):
-        rng = np.random.default_rng(15)
-        for _ in range(20):
-            model = random_model(rng, n=int(rng.integers(3, 10)))
-            raw = model.mean + model.std * rng.normal(size=model.n_variables) * 2
-            z = model.standardize(raw)
-            oracle = sum(
-                float(model.loadings_principal[:, j] @ z) ** 2 / model.eig_principal[j]
-                for j in range(model.n_pc)
-            )
-            assert abs(t2(model, raw) - oracle) <= 1e-10 * max(1.0, oracle)
-
     def test_length_mismatch(self):
         rng = np.random.default_rng(16)
         model = random_model(rng, n=4)
         with pytest.raises(ValueError, match="shape"):
             spe(model, np.zeros(5))
-        with pytest.raises(ValueError, match="shape"):
-            t2(model, np.zeros(3))
 
     def test_non_finite_sample(self):
         rng = np.random.default_rng(17)
@@ -255,9 +231,8 @@ class TestRbc:
     def test_zero_sample_zero_scores(self):
         rng = np.random.default_rng(20)
         model = random_model(rng, n=5)
-        for fn in (rbc_spe, rbc_t2):
-            scores = fn(model, model.mean.copy()).scores
-            assert (scores == 0).all()
+        scores = rbc_spe(model, model.mean.copy()).scores
+        assert (scores == 0).all()
 
     def test_defining_property_against_golden_section(self):
         rng = np.random.default_rng(21)
@@ -270,28 +245,6 @@ class TestRbc:
             for i in np.flatnonzero(diag >= 1e-6):
                 tol = 1e-8 * max(scores[i], oracle[i], base)
                 assert abs(scores[i] - oracle[i]) <= tol
-
-    def test_t2_defining_property(self):
-        rng = np.random.default_rng(22)
-        for _ in range(10):
-            model = random_model(rng, n=int(rng.integers(4, 10)))
-            raw = model.mean + model.std * rng.normal(size=model.n_variables) * 4
-            z = model.standardize(raw)
-            D = dense_projectors(model).d_matrix
-            base = float(z @ D @ z)
-            scores = rbc_t2(model, raw).scores
-            diag = np.diag(D)
-            for i in np.flatnonzero(diag >= 1e-6):
-
-                def hotelling(f, i=i):
-                    w = z.copy()
-                    w[i] -= f
-                    return float(w @ D @ w)
-
-                bound = 2.0 * float(np.linalg.norm(z)) / diag[i] + 1.0
-                _, minimum = golden_section_min(hotelling, -bound, bound)
-                tol = 1e-8 * max(scores[i], base - minimum, base)
-                assert abs(scores[i] - (base - minimum)) <= tol
 
     def test_bias_fault_identified(self):
         rng = np.random.default_rng(23)
@@ -334,9 +287,10 @@ class TestRbc:
         model = fit_pca(DataMatrix(np.column_stack([v1, v2, v1]), ("a", "b", "c")), 0.9)
         rows = np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 2.0]])
         with caplog.at_level(logging.WARNING, logger="rootkgd.features"):
-            rate = contribution_rate(model, DataMatrix(rows, model.columns), order="post_average")
+            rate = contribution_rate(model, DataMatrix(rows, model.columns))
         assert any("near-zero" in rec.message for rec in caplog.records)
-        mean = np.mean([rbc_spe(model, row).scores for row in rows], axis=0)
+        one_row = [rbc_spe(model, row).scores for row in rows]
+        mean = np.mean([scores / scores.sum() for scores in one_row], axis=0)
         assert rate.scores[1] == 0.0
         np.testing.assert_allclose(rate.scores, mean / mean.sum(), rtol=1e-12)
 
@@ -349,8 +303,9 @@ def random_subspace_model(rng: np.random.Generator, n: int, n_res: int) -> PcaMo
 
 
 class TestDenseReference:
-    """Every statistic, computed through the principal loadings, agrees with
-    the same statistic through the dense n x n matrices of the model."""
+    """The SPE, its contributions and the contribution rate, computed through
+    the principal loadings, agree with the same quantities through the dense
+    n x n residual projector of the model."""
 
     @pytest.mark.parametrize("n_res", [0, 1, 2, 5])
     @pytest.mark.parametrize("seed", range(4))
@@ -362,24 +317,19 @@ class TestDenseReference:
         worst = 0.0
         for row in rows:
             z = model.standardize(row)
-            # A statistic and every one of its contributions lie in [0, bound].
-            for statistic, fn, rbc, matrix, bound in (
-                ("spe", spe, rbc_spe, dense.proj_res, z @ z),
-                ("t2", t2, rbc_t2, dense.d_matrix, z @ z / model.eig_principal.min()),
-            ):
-                worst = max(worst, abs(fn(model, row) - z @ matrix @ z) / bound)
-                reference = dense_contributions(model, z[None, :], statistic)[0]
-                worst = max(worst, np.abs(rbc(model, row).scores - reference).max() / bound)
-        for statistic in ("spe", "t2"):
-            for order in ("per_sample", "post_average"):
-                reference = dense_contribution_rate(model, rows, statistic, order)
-                window = DataMatrix(rows, model.columns)
-                if reference is None:
-                    with pytest.raises(ValueError, match="zero contribution"):
-                        contribution_rate(model, window, statistic, order)
-                    continue
-                rate = contribution_rate(model, window, statistic, order)
-                worst = max(worst, np.abs(rate.scores - reference).max())
+            # The SPE and every one of its contributions lie in [0, z·z].
+            bound = z @ z
+            worst = max(worst, abs(spe(model, row) - z @ dense.proj_res @ z) / bound)
+            reference = dense_contributions(model, z[None, :])[0]
+            worst = max(worst, np.abs(rbc_spe(model, row).scores - reference).max() / bound)
+        reference = dense_contribution_rate(model, rows)
+        window = DataMatrix(rows, model.columns)
+        if reference is None:
+            with pytest.raises(ValueError, match="zero contribution"):
+                contribution_rate(model, window)
+        else:
+            rate = contribution_rate(model, window)
+            worst = max(worst, np.abs(rate.scores - reference).max())
         assert worst <= 1e-12
 
 
@@ -403,20 +353,20 @@ class TestContributionRate:
         window = DataMatrix(
             model.mean + model.std * rng.normal(size=(40, 6)) * 2, model.columns
         )
-        for order in ("per_sample", "post_average"):
-            rate = contribution_rate(model, window, order=order)
-            assert abs(rate.scores.sum() - 1.0) <= 1e-9
-            assert (rate.scores >= 0).all()
+        rate = contribution_rate(model, window)
+        assert abs(rate.scores.sum() - 1.0) <= 1e-9
+        assert (rate.scores >= 0).all()
 
     def test_normalization_orders_differ_on_mixed_scales(self):
         P = np.array([[1.0], [0.0], [0.0]])
         model = make_model(P, np.array([2.0]), np.array([1.0, 0.5]))
         window = DataMatrix(np.array([[0.0, 1.0, 1.0], [0.0, 10.0, 0.0]]), model.columns)
-        per_sample = contribution_rate(model, window, order="per_sample")
-        post = contribution_rate(model, window, order="post_average")
-        # One row dominates the post-average result but not the per-sample one.
+        per_sample = contribution_rate(model, window)
+        # Each row counts once, so the large second row does not dominate, as
+        # it would if the raw contributions were averaged before normalizing.
         assert np.allclose(per_sample.scores, [0.0, 0.75, 0.25])
-        assert not np.allclose(per_sample.scores, post.scores)
+        raw_mean = np.mean([rbc_spe(model, row).scores for row in window.values], axis=0)
+        assert not np.allclose(per_sample.scores, raw_mean / raw_mean.sum())
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(31)
@@ -440,14 +390,6 @@ class TestContributionRate:
         with pytest.raises(ValueError, match="zero contribution"):
             contribution_rate(model, window)
 
-    def test_bad_statistic_and_order(self):
-        model = axis_model()
-        window = DataMatrix(np.ones((1, 2)), model.columns)
-        with pytest.raises(ValueError, match="statistic"):
-            contribution_rate(model, window, statistic="q")
-        with pytest.raises(ValueError, match="order"):
-            contribution_rate(model, window, order="sometimes")
-
 
 class TestProperties:
     @settings(max_examples=40, deadline=None)
@@ -459,7 +401,7 @@ class TestProperties:
         rng = np.random.default_rng(seed)
         model = random_model(rng, n=int(rng.integers(3, 9)), m=120)
         z = rng.normal(size=model.n_variables) * scale
-        C, C_res, _ = dense_projectors(model)
+        C, C_res = dense_projectors(model)
         recombined = C @ z + C_res @ z
         assert np.abs(recombined - z).max() <= 1e-10 * max(1.0, np.abs(z).max())
 
@@ -490,9 +432,7 @@ class TestModelPersistence:
         assert again.columns == model.columns
         sample = model.mean + model.std * rng.normal(size=6)
         assert spe(again, sample) == spe(model, sample)
-        assert t2(again, sample) == t2(model, sample)
-        for rbc in (rbc_spe, rbc_t2):
-            assert np.array_equal(rbc(again, sample).scores, rbc(model, sample).scores)
+        assert np.array_equal(rbc_spe(again, sample).scores, rbc_spe(model, sample).scores)
 
     @pytest.mark.parametrize("case", list(CORRUPTIONS))
     def test_inconsistent_model_rejected(self, tmp_path, case):
