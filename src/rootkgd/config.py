@@ -13,7 +13,6 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
 
-from .kgraph import EntityKind
 from .rfpa import RfpaParams
 
 
@@ -42,7 +41,6 @@ class DiagnosisConfig:
     delta_s_min_ratio: float = 1e-4
     fault_start: int = 0
     window: int = 100
-    candidate_filter: tuple[str, ...] = ("variable", "stream", "device")
     top_k: int = 10
 
     def __post_init__(self):
@@ -63,11 +61,6 @@ class DiagnosisConfig:
             raise ConfigError(
                 f"column_bindings must be an object, got {self.column_bindings!r}"
             )
-        if not (isinstance(self.candidate_filter, (list, tuple))
-                and all(isinstance(k, str) for k in self.candidate_filter)):
-            raise ConfigError(
-                f"candidate_filter must be a list of kind names, got {self.candidate_filter!r}"
-            )
         if self.fault_start < 0:
             raise ConfigError(f"fault_start must be >= 0, got {self.fault_start}")
         if self.window < 1:
@@ -80,11 +73,6 @@ class DiagnosisConfig:
             self.rfpa_params()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        valid_kinds = {k.value for k in EntityKind}
-        unknown = [k for k in self.candidate_filter if k not in valid_kinds]
-        if unknown:
-            raise ConfigError(f"candidate_filter contains unknown kinds: {unknown}")
-        object.__setattr__(self, "candidate_filter", tuple(self.candidate_filter))
         bound_by: dict[str, str] = {}
         for col, target in self.column_bindings.items():
             if not isinstance(col, str) or not (target is None or isinstance(target, str)):
@@ -104,9 +92,6 @@ class DiagnosisConfig:
             p_max=self.p_max,
             delta_s_min_ratio=self.delta_s_min_ratio,
         )
-
-    def candidate_kinds(self) -> tuple[EntityKind, ...]:
-        return tuple(EntityKind(k) for k in self.candidate_filter)
 
     def params_dict(self) -> dict[str, Any]:
         """Parameter set for report metadata."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -75,7 +76,9 @@ class PcaModel:
     mean/std, the orthonormal principal loadings ``P`` (n x n_pc) and the
     eigenvalues on either side of ``n_pc``. The SPE and its contributions
     are computed from ``P``. Inconsistent shapes, non-positive
-    std or principal eigenvalues, and non-finite entries raise ``ValueError``.
+    std or principal eigenvalues, non-finite entries, a non-integer
+    ``n_pc`` and an ``r_pc`` that is not a finite number in (0, 1] raise
+    ``ValueError``.
     """
 
     columns: tuple[str, ...]
@@ -97,6 +100,13 @@ class PcaModel:
         object.__setattr__(self, "loadings_principal", P)
 
         n, k = len(self.columns), self.n_pc
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise ValueError(f"n_pc must be an integer, got {k!r}")
+        r = self.r_pc
+        if (isinstance(r, bool) or not isinstance(r, (int, float))
+                or not math.isfinite(r) or not 0 < r <= 1):
+            raise ValueError(f"r_pc must be a finite number in (0, 1], got {r!r}")
+        object.__setattr__(self, "r_pc", float(r))
         if not 1 <= k <= n:
             raise ValueError(f"n_pc must be in [1, {n}], got {k}")
         shapes = {
@@ -334,8 +344,8 @@ def load_model(path: str | Path) -> PcaModel:
             loadings_principal=P,
             eig_principal=payload["eig_principal"],
             eig_residual=payload["eig_residual"],
-            n_pc=int(payload["n_pc"]),
-            r_pc=float(payload["r_pc"]),
+            n_pc=payload["n_pc"],
+            r_pc=payload["r_pc"],
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed model file ({exc})") from exc

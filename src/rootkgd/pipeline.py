@@ -91,7 +91,7 @@ def run_fit(config: DiagnosisConfig) -> FitOutcome:
     return FitOutcome(model=model, retained_variance=retained)
 
 
-def _obtain_model(config: DiagnosisConfig, graph: KnowledgeGraph) -> PcaModel:
+def _obtain_model(config: DiagnosisConfig) -> PcaModel:
     if config.model_path and Path(config.model_path).exists():
         return features.load_model(config.model_path)
     if config.model_path and not config.normal_data_path:
@@ -108,7 +108,7 @@ def run_diagnose(config: DiagnosisConfig) -> RootCauseRanking:
     if not config.fault_data_path:
         raise ConfigError("fault_data_path is required for diagnosis")
     graph = load_graph(config.graph_path)
-    model = _obtain_model(config, graph)
+    model = _obtain_model(config)
     fault = dataio.read_csv(config.fault_data_path)
 
     missing = [c for c in model.columns if c not in fault.columns]
@@ -144,13 +144,7 @@ def run_diagnose(config: DiagnosisConfig) -> RootCauseRanking:
             "source": Path(config.fault_data_path).name,
         },
     }
-    return scoring.rank_all(
-        graph,
-        config.rfpa_params(),
-        contributions,
-        kinds=config.candidate_kinds(),
-        metadata=metadata,
-    )
+    return scoring.rank_all(graph, config.rfpa_params(), contributions, metadata=metadata)
 
 
 def run_trace(config: DiagnosisConfig, source: str) -> str:

@@ -86,18 +86,19 @@ def _run(
     threshold = params.delta_s_min_ratio
 
     # quantity and received stay dense over every entity because
-    # PropagationResult.quantities promises one; initiated and pushed hold
-    # only the nodes the ripple reaches.
+    # PropagationResult.quantities promises one; initiated holds only the
+    # nodes the ripple reaches.
     quantity = dict.fromkeys(graph.by_id, 0.0)
     received = dict.fromkeys(graph.by_id, 0)
     quantity[source] = 1.0
     received[source] = 1  # the seed assignment counts as one receipt
     initiated: dict[str, int] = {}
-    # A node's pops beyond the (p_max+1)-th are no-ops: the initiation cap is
-    # already exceeded, so they emit nothing and change no quantity. Capping
-    # queue insertions there leaves results identical and bounds total pops
-    # by (p_max + 1) * |entities|.
-    pushed = {source: 1}
+    # A node is queued once per receipt (the seed counts as one), so its
+    # receipt count is also its queue-insertion count. Pops beyond the
+    # (p_max+1)-th are no-ops: the initiation cap is already exceeded, so
+    # they emit nothing and change no quantity. Queuing only the first
+    # p_max + 1 receipts leaves results identical and bounds total pops by
+    # (p_max + 1) * |entities|.
     p_max = params.p_max
 
     heap: list[tuple[int, int, str]] = [(0, 0, source)]
@@ -123,9 +124,7 @@ def _run(
                 continue
             quantity[tail] += delta
             received[tail] += 1
-            queued = pushed.get(tail, 0)
-            if queued <= p_max:
-                pushed[tail] = queued + 1
+            if received[tail] <= p_max + 1:
                 heapq.heappush(heap, (priority + rel.priority_offset, seq, tail))
                 seq += 1
             if trace_sink is not None:

@@ -1,20 +1,20 @@
 """Root-cause scoring: align simulated fault profiles with observed contributions.
 
-Every candidate entity is treated as a hypothetical root: a propagation run
-is seeded there, its resulting quantities are read off at the measured
-variables, and the candidate is scored by cosine similarity between that
-profile and the observed contribution-rate vector. A propagation run scales
-linearly with its seed and cosine ignores scale, so any positive seed gives
-the same score; every candidate is seeded with one unit.
+The candidates are every variable, stream and device in the graph. Each is
+treated as a hypothetical root: a propagation run is seeded there, its
+resulting quantities are read off at the measured variables, and the
+candidate is scored by cosine similarity between that profile and the
+observed contribution-rate vector. A propagation run scales linearly with its
+seed and cosine ignores scale, so any positive seed gives the same score;
+every candidate is seeded with one unit.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -22,8 +22,10 @@ from .features import ContributionVector
 from .kgraph import EntityKind, KnowledgeGraph
 from .rfpa import RfpaParams, aligned_sequence, propagate
 
-#: Entity kinds scored by default; substances are excluded unless asked for.
-DEFAULT_CANDIDATE_KINDS = (EntityKind.VARIABLE, EntityKind.STREAM, EntityKind.DEVICE)
+#: Entity kinds scored as root-cause candidates. Substances are never
+#: candidates: a fault is located on a measured variable or on the devices
+#: and streams of the plant.
+CANDIDATE_KINDS = (EntityKind.VARIABLE, EntityKind.STREAM, EntityKind.DEVICE)
 
 
 @dataclass(frozen=True)
@@ -77,35 +79,24 @@ def rank_all(
     graph: KnowledgeGraph,
     params: RfpaParams,
     contributions: ContributionVector,
-    candidates: Iterable[str] | None = None,
-    kinds: Sequence[EntityKind] = DEFAULT_CANDIDATE_KINDS,
     metadata: dict[str, Any] | None = None,
 ) -> RootCauseRanking:
-    """Score every candidate entity and rank them.
+    """Score every variable, stream and device of the graph and rank them.
 
-    Candidates default to all entities of the requested kinds (variables,
-    streams, and devices unless overridden). Candidates are scored one after
-    another in this process, and the final sort makes the order deterministic.
+    Candidates are scored one after another in this process, and the final
+    sort makes the order deterministic.
     """
-    if candidates is None:
-        ids = [e.id for e in graph.entities_of_kind(*kinds)]
-    else:
-        ids = list(candidates)
-        for eid in ids:
-            graph.entity(eid)
-        repeated = sorted(eid for eid, n in Counter(ids).items() if n > 1)
-        if repeated:
-            raise ValueError(f"duplicate candidate ids: {repeated}")
-    if not ids:
+    candidates = graph.entities_of_kind(*CANDIDATE_KINDS)
+    if not candidates:
         raise ValueError("no candidate entities to score")
 
     entries = [
         RankEntry(
-            id=eid,
-            kind=graph.entity(eid).kind.value,
-            score=root_score(graph, params, contributions, eid),
+            id=e.id,
+            kind=e.kind.value,
+            score=root_score(graph, params, contributions, e.id),
         )
-        for eid in ids
+        for e in candidates
     ]
     entries.sort(key=lambda e: (-e.score, e.id))
     return RootCauseRanking(entries=tuple(entries), metadata=dict(metadata or {}))

@@ -14,6 +14,13 @@ from rootkgd.pipeline import resolve_model_columns, run_diagnose
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+#: Config keys that once existed and were removed; each must now fail as an
+#: unknown key, and README must name each of them.
+REMOVED_CONFIG_KEYS = (
+    "jobs", "constant_s0", "init_mode", "rbc_statistic", "normalization_order",
+    "candidate_filter",
+)
+
 
 @pytest.fixture(scope="module")
 def runner():
@@ -218,6 +225,20 @@ class TestDiagnoseCommand:
         assert f"error: {bad}: malformed model file" in result.stderr
         assert "eig_principal must be positive" in result.stderr
 
+    def test_nan_r_pc_model_is_named_error(self, plant_dir, model_path, tmp_path, runner):
+        payload = json.loads(model_path.read_text())
+        payload["r_pc"] = float("nan")
+        bad = tmp_path / "nan_model.json"
+        bad.write_text(json.dumps(payload))
+        report = tmp_path / "report.json"
+        result = runner.invoke(main, diagnose_args(plant_dir, bad, "--json", str(report)))
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # handled: no traceback
+        assert result.stdout == ""
+        assert f"error: {bad}: malformed model file" in result.stderr
+        assert "r_pc must be a finite number in (0, 1], got nan" in result.stderr
+        assert not report.exists()
+
     def test_fit_on_the_fly_without_model_file(self, plant_dir, tmp_path, runner):
         config = {
             "graph_path": str(plant_dir["dir"] / "graph.json"),
@@ -264,8 +285,7 @@ class TestDiagnoseCommand:
 
     def test_jobs_config_key_is_unknown(self, tmp_path, runner):
         config_path = tmp_path / "config.json"
-        for key in ("jobs", "constant_s0", "init_mode", "rbc_statistic",
-                    "normalization_order"):
+        for key in REMOVED_CONFIG_KEYS:
             config_path.write_text(json.dumps({key: 2}))
             result = runner.invoke(main, ["diagnose", "--config", str(config_path)])
             assert result.exit_code == 2
@@ -283,7 +303,6 @@ BAD_CONFIGS = {
     "window_bool": ("diagnose", '{"window": true}', "window must be an integer"),
     "fault_start_float": ("diagnose", '{"fault_start": 1.5}', "fault_start must be an integer"),
     "graph_path_number": ("diagnose", '{"graph_path": 5}', "graph_path must be a string"),
-    "kinds_number": ("diagnose", '{"candidate_filter": 5}', "candidate_filter must be a list"),
     "fit_r_pc_string": ("fit", '{"r_pc": "x"}', "r_pc must be a finite number"),
     "p_max_zero": ("diagnose", '{"p_max": 0}', "p_max must be at least 1, got 0"),
     "sigma_r_negative": ("diagnose", '{"sigma_r": -1}', "sigma_r must be positive"),

@@ -65,6 +65,12 @@ CORRUPTIONS = {
         lambda m: m["loadings_principal"]["data"].__setitem__(0, float("inf")),
         "loadings_principal contains non-finite",
     ),
+    "r_pc_nan": (
+        lambda m: m.update(r_pc=float("nan")), r"r_pc must be a finite number in \(0, 1\]"
+    ),
+    "r_pc_above_one": (lambda m: m.update(r_pc=7.0), r"r_pc .* got 7\.0"),
+    "r_pc_string": (lambda m: m.update(r_pc="0.5"), r"r_pc .* got '0\.5'"),
+    "n_pc_fraction": (lambda m: m.update(n_pc=2.5), "n_pc must be an integer, got 2.5"),
 }
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import cosine_ref, paper_seed_score, random_graph_payload
 from rootkgd.features import ContributionVector
-from rootkgd.kgraph import EntityKind, GraphError, graph_from_dict
+from rootkgd.kgraph import GraphError, graph_from_dict
 from rootkgd.rfpa import RfpaParams, aligned_sequence, propagate
 from rootkgd.scoring import cosine, format_report, rank_all, report_dict, root_score
 
@@ -110,15 +110,20 @@ class TestRankAll:
         assert kinds == {"variable", "stream", "device"}
         assert len(ranking.entries) == 5 + 14 + 51
 
-    def test_substances_includable(self, tep_graph, tep_contributions):
-        ranking = rank_all(
-            tep_graph,
-            PARAMS,
-            tep_contributions,
-            kinds=(EntityKind.SUBSTANCE,),
+    def test_substances_only_graph_has_no_candidates(self):
+        graph = graph_from_dict(
+            {
+                "entities": [
+                    {"id": "water", "kind": "substance", "label": "Water"},
+                    {"id": "steam", "kind": "substance", "label": "Steam"},
+                ],
+                "relations": [{"name": "Contain", "d": 1, "o": 1}],
+                "triples": [["water", "Contain", "steam"]],
+            }
         )
-        assert {e.kind for e in ranking.entries} == {"substance"}
-        assert len(ranking.entries) == 7
+        contributions = ContributionVector(np.array([1.0]), ("water",))
+        with pytest.raises(ValueError, match="no candidate entities to score"):
+            rank_all(graph, PARAMS, contributions)
 
     def test_sorted_descending_with_id_tie_break(self, diamond_graph):
         # B and C are mirror images, so their scores are bit-identical.
@@ -201,16 +206,6 @@ class TestRankAll:
         ranking = rank_all(tep_graph, PARAMS, tep_contributions)
         for entry in ranking.entries:
             assert -1e-12 <= entry.score <= 1.0 + 1e-12
-
-    def test_explicit_candidates(self, tep_graph, tep_contributions):
-        ranking = rank_all(
-            tep_graph, PARAMS, tep_contributions, candidates=["x4", "s4", "reactor"]
-        )
-        assert {e.id for e in ranking.entries} == {"x4", "s4", "reactor"}
-
-    def test_duplicate_candidates_rejected(self, tep_graph, tep_contributions):
-        with pytest.raises(ValueError, match=r"duplicate candidate ids: \['x4'\]"):
-            rank_all(tep_graph, PARAMS, tep_contributions, candidates=["x4", "s4", "x4"])
 
     def test_deterministic_repeat(self, tep_graph, tep_contributions):
         first = rank_all(tep_graph, PARAMS, tep_contributions)
