@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any
 
@@ -31,10 +31,6 @@ class DiagnosisConfig:
     model_path: str | None = None
     normal_data_path: str | None = None
     fault_data_path: str | None = None
-    #: CSV column -> variable entity id; null keeps a column in the model
-    #: without binding it to the graph. Empty means "use the graph's own
-    #: column attributes".
-    column_bindings: dict[str, str | None] = field(default_factory=dict)
     r_pc: float = 0.5
     sigma_r: float = 0.1
     p_max: int = 3
@@ -57,10 +53,6 @@ class DiagnosisConfig:
             if (isinstance(value, bool) or not isinstance(value, (int, float))
                     or not math.isfinite(value)):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
-        if not isinstance(self.column_bindings, dict):
-            raise ConfigError(
-                f"column_bindings must be an object, got {self.column_bindings!r}"
-            )
         if self.fault_start < 0:
             raise ConfigError(f"fault_start must be >= 0, got {self.fault_start}")
         if self.window < 1:
@@ -73,18 +65,6 @@ class DiagnosisConfig:
             self.rfpa_params()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        bound_by: dict[str, str] = {}
-        for col, target in self.column_bindings.items():
-            if not isinstance(col, str) or not (target is None or isinstance(target, str)):
-                raise ConfigError(
-                    f"column_bindings entries must map column names to entity ids "
-                    f"or null, got {col!r}: {target!r}"
-                )
-            if target is not None and bound_by.setdefault(target, col) != col:
-                raise ConfigError(
-                    f"column_bindings binds columns {bound_by[target]!r} and {col!r} "
-                    f"to the same variable {target!r}"
-                )
 
     def rfpa_params(self) -> RfpaParams:
         return RfpaParams(
@@ -119,7 +99,7 @@ def config_from_dict(payload: dict[str, Any]) -> DiagnosisConfig:
 def load_config(path: str | Path) -> DiagnosisConfig:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: config must be a JSON object")

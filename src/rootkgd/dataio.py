@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import DataMatrix
+from .features import DataMatrix, check_unique
 
 
 def read_csv(path: str | Path) -> DataMatrix:
@@ -17,38 +17,59 @@ def read_csv(path: str | Path) -> DataMatrix:
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: file is empty") from None
-        columns = tuple(name.strip() for name in header)
-        seen: set[str] = set()
-        for name in columns:
-            if name in seen:
-                raise ValueError(f"{path}: duplicate column name {name!r}")
-            seen.add(name)
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(columns):
+            columns, rows = _parse(path, reader)
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            raise _decode_error(path) from None
+    return DataMatrix(np.asarray(rows, dtype=float), columns)
+
+
+def _parse(path: Path, reader) -> tuple[tuple[str, ...], list[list[float]]]:
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"{path}: file is empty")
+    columns = tuple(name.strip() for name in header)
+    try:
+        check_unique(columns)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    rows: list[list[float]] = []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(columns):
+            raise ValueError(
+                f"{path}:{reader.line_num}: expected {len(columns)} fields, got {len(row)}"
+            )
+        try:
+            values = [float(cell) for cell in row]
+        except ValueError:
+            bad = next(c for c in row if not _is_float(c))
+            raise ValueError(f"{path}:{reader.line_num}: not a number: {bad!r}") from None
+        # A finite row sum proves every cell finite, so only a row whose
+        # sum is nan or inf (or overflows) is scanned cell by cell.
+        if not math.isfinite(sum(values)):
+            bad_cells = [c for c, v in zip(row, values) if not math.isfinite(v)]
+            if bad_cells:
                 raise ValueError(
-                    f"{path}:{lineno}: expected {len(columns)} fields, got {len(row)}"
+                    f"{path}:{reader.line_num}: not a finite number: {bad_cells[0]!r}"
                 )
-            try:
-                values = [float(cell) for cell in row]
-            except ValueError:
-                bad = next(c for c in row if not _is_float(c))
-                raise ValueError(f"{path}:{lineno}: not a number: {bad!r}") from None
-            # A finite row sum proves every cell finite, so only a row whose
-            # sum is nan or inf (or overflows) is scanned cell by cell.
-            if not math.isfinite(sum(values)):
-                bad_cells = [c for c, v in zip(row, values) if not math.isfinite(v)]
-                if bad_cells:
-                    raise ValueError(f"{path}:{lineno}: not a finite number: {bad_cells[0]!r}")
-            rows.append(values)
+        rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return DataMatrix(np.asarray(rows, dtype=float), columns)
+    return columns, rows
+
+
+def _decode_error(path: Path) -> ValueError:
+    """The error for a file that is not UTF-8, naming the first bad line."""
+    raw = path.read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw[: exc.start].count(b"\n") + 1
+        return ValueError(f"{path}:{line}: not UTF-8: {exc}")
+    return ValueError(f"{path}: not UTF-8")
 
 
 def _is_float(cell: str) -> bool:

@@ -26,6 +26,15 @@ logger = logging.getLogger(__name__)
 RESIDUAL_DIAG_FLOOR = 1e-12
 
 
+def check_unique(columns: Sequence[str]) -> None:
+    """Raise ``ValueError`` naming the first repeated column name."""
+    seen: set[str] = set()
+    for name in columns:
+        if name in seen:
+            raise ValueError(f"duplicate column name {name!r}")
+        seen.add(name)
+
+
 @dataclass(frozen=True)
 class DataMatrix:
     """Samples-by-variables matrix with named, uniquely-labeled columns."""
@@ -45,8 +54,7 @@ class DataMatrix:
             raise ValueError(
                 f"{values.shape[1]} data columns but {len(self.columns)} column names"
             )
-        if len(set(self.columns)) != len(self.columns):
-            raise ValueError("column names must be unique")
+        check_unique(self.columns)
         if not np.isfinite(values).all():
             raise ValueError("matrix contains non-finite entries")
 
@@ -75,10 +83,10 @@ class PcaModel:
     The model is what the fit produces and nothing more: the training
     mean/std, the orthonormal principal loadings ``P`` (n x n_pc) and the
     eigenvalues on either side of ``n_pc``. The SPE and its contributions
-    are computed from ``P``. Inconsistent shapes, non-positive
-    std or principal eigenvalues, non-finite entries, a non-integer
-    ``n_pc`` and an ``r_pc`` that is not a finite number in (0, 1] raise
-    ``ValueError``.
+    are computed from ``P``. Repeated column names, inconsistent shapes,
+    non-positive std or principal eigenvalues, non-finite entries, a
+    non-integer ``n_pc`` and an ``r_pc`` that is not a finite number in
+    (0, 1] raise ``ValueError``.
     """
 
     columns: tuple[str, ...]
@@ -99,6 +107,7 @@ class PcaModel:
         P = np.array(self.loadings_principal, dtype=float, order="C")
         object.__setattr__(self, "loadings_principal", P)
 
+        check_unique(self.columns)
         n, k = len(self.columns), self.n_pc
         if isinstance(k, bool) or not isinstance(k, int):
             raise ValueError(f"n_pc must be an integer, got {k!r}")
@@ -332,7 +341,7 @@ def load_model(path: str | Path) -> PcaModel:
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ValueError(f"{path}: invalid model file: {exc}") from exc
     try:
         lp = payload["loadings_principal"]

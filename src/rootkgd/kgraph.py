@@ -232,10 +232,9 @@ def graph_from_dict(payload: Any) -> KnowledgeGraph:
 
 def load_graph(path: str | Path) -> KnowledgeGraph:
     """Load, parse, and validate a graph file (see graph_from_dict)."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise GraphParseError(f"{path}: invalid JSON: {exc}") from exc
     return graph_from_dict(payload)
 

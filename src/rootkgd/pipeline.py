@@ -10,56 +10,31 @@ from typing import Any
 from . import dataio, features, rfpa, scoring
 from .config import ConfigError, DiagnosisConfig
 from .features import DataMatrix, PcaModel
-from .kgraph import EntityKind, KnowledgeGraph, load_graph
+from .kgraph import KnowledgeGraph, load_graph
 from .scoring import RootCauseRanking
 
 logger = logging.getLogger(__name__)
 
 
 def resolve_model_columns(
-    data_columns: tuple[str, ...],
-    graph: KnowledgeGraph | None,
-    config: DiagnosisConfig,
-) -> tuple[list[str], dict[str, str]]:
-    """Pick the dataset columns a model should use and map them to entities.
+    data_columns: tuple[str, ...], graph: KnowledgeGraph | None
+) -> list[str]:
+    """Pick the dataset columns a model is fitted on.
 
-    Explicit config bindings are strict (a bound column missing from the data
-    is an error) and select exactly their keys. Without explicit bindings the
-    graph's own column attributes are used, and dataset columns unknown to
-    the graph are ignored with a warning.
+    With a graph, these are the columns its variables bind through their
+    ``column`` attribute; dataset columns unknown to the graph are ignored
+    with a warning. Without a graph, every column is used.
     """
-    if config.column_bindings:
-        missing = [c for c in config.column_bindings if c not in data_columns]
-        if missing:
-            raise ConfigError(f"bound columns missing from dataset: {missing}")
-        columns = [c for c in data_columns if c in config.column_bindings]
-        roster_map = {
-            c: config.column_bindings[c]
-            for c in columns
-            if config.column_bindings[c] is not None
-        }
-    elif graph is not None:
-        graph_bindings = {e.column: e.id for e in graph.variable_roster()}
-        columns = [c for c in data_columns if c in graph_bindings]
-        ignored = [c for c in data_columns if c not in graph_bindings]
-        if ignored:
-            logger.warning("ignoring CSV columns not bound to any variable: %s", ignored)
-        roster_map = {c: graph_bindings[c] for c in columns}
-    else:
-        columns = list(data_columns)
-        roster_map = {}
-
+    if graph is None:
+        return list(data_columns)
+    bound = {e.column for e in graph.variable_roster()}
+    columns = [c for c in data_columns if c in bound]
+    ignored = [c for c in data_columns if c not in bound]
+    if ignored:
+        logger.warning("ignoring CSV columns not bound to any variable: %s", ignored)
     if not columns:
-        raise ConfigError("no dataset columns are usable (check column bindings)")
-    if graph is not None:
-        for col, eid in roster_map.items():
-            entity = graph.entity(eid)  # raises for unknown ids
-            if entity.kind is not EntityKind.VARIABLE:
-                raise ConfigError(
-                    f"column {col!r} is bound to {eid!r}, which is a "
-                    f"{entity.kind.value}, not a variable"
-                )
-    return columns, roster_map
+        raise ConfigError("no dataset columns are bound to graph variables")
+    return columns
 
 
 @dataclass(frozen=True)
@@ -81,7 +56,7 @@ def run_fit(config: DiagnosisConfig) -> FitOutcome:
         raise ConfigError("normal_data_path is required to fit a model")
     graph = load_graph(config.graph_path) if config.graph_path else None
     data = dataio.read_csv(config.normal_data_path)
-    columns, _ = resolve_model_columns(data.columns, graph, config)
+    columns = resolve_model_columns(data.columns, graph)
     model = features.fit_pca(data.select(columns), config.r_pc)
     retained = float(model.eig_principal.sum()) / float(
         model.eig_principal.sum() + model.eig_residual.sum()
@@ -91,24 +66,18 @@ def run_fit(config: DiagnosisConfig) -> FitOutcome:
     return FitOutcome(model=model, retained_variance=retained)
 
 
-def _obtain_model(config: DiagnosisConfig) -> PcaModel:
-    if config.model_path and Path(config.model_path).exists():
-        return features.load_model(config.model_path)
-    if config.model_path and not config.normal_data_path:
-        raise ConfigError(f"model file not found: {config.model_path}")
-    if config.normal_data_path:
-        return run_fit(config).model
-    raise ConfigError("diagnosis needs a model_path or a normal_data_path to fit from")
-
-
 def run_diagnose(config: DiagnosisConfig) -> RootCauseRanking:
     """The full pipeline: contributions on the fault window, then ranking."""
     if not config.graph_path:
         raise ConfigError("graph_path is required for diagnosis")
+    if not config.model_path:
+        raise ConfigError("model_path is required for diagnosis")
     if not config.fault_data_path:
         raise ConfigError("fault_data_path is required for diagnosis")
     graph = load_graph(config.graph_path)
-    model = _obtain_model(config)
+    if not Path(config.model_path).exists():
+        raise ConfigError(f"model file not found: {config.model_path}")
+    model = features.load_model(config.model_path)
     fault = dataio.read_csv(config.fault_data_path)
 
     missing = [c for c in model.columns if c not in fault.columns]
@@ -125,18 +94,18 @@ def run_diagnose(config: DiagnosisConfig) -> RootCauseRanking:
     window = DataMatrix(fault.values[config.fault_start : end], fault.columns)
     rate = features.contribution_rate(model, window)
 
-    _, roster_map = resolve_model_columns(model.columns, graph, config)
-    unbound = [c for c in model.columns if c not in roster_map]
+    variable_of = {e.column: e.id for e in graph.variable_roster()}
+    unbound = [c for c in model.columns if c not in variable_of]
     if unbound:
         logger.warning("model columns without a variable binding are ignored: %s", unbound)
-    roster_ids = [roster_map[c] for c in model.columns if c in roster_map]
-    if not roster_ids:
+    bound = [c for c in model.columns if c in variable_of]
+    if not bound:
         raise ConfigError("no model columns are bound to graph variables")
-    contributions = rate.relabel(roster_map).restrict(roster_ids)
+    contributions = rate.restrict(bound).relabel(variable_of)
 
     metadata: dict[str, Any] = {
         "graph": Path(config.graph_path).name,
-        # r_pc is the fitted model's: a loaded model may differ from the config.
+        # r_pc is the model file's, which may differ from the config's.
         "params": {**config.params_dict(), "r_pc": model.r_pc},
         "window": {
             "fault_start": config.fault_start,

@@ -2,15 +2,19 @@ from __future__ import annotations
 
 import json
 import logging
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from rootkgd.cli import main
 from rootkgd.config import DiagnosisConfig
-from rootkgd.features import load_model
-from rootkgd.pipeline import resolve_model_columns, run_diagnose
+from rootkgd.dataio import read_csv, write_csv
+from rootkgd.features import DataMatrix, load_model
+from rootkgd.kgraph import load_graph
+from rootkgd.pipeline import resolve_model_columns, run_diagnose, run_fit
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -18,7 +22,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 #: unknown key, and README must name each of them.
 REMOVED_CONFIG_KEYS = (
     "jobs", "constant_s0", "init_mode", "rbc_statistic", "normalization_order",
-    "candidate_filter",
+    "candidate_filter", "column_bindings",
 )
 
 
@@ -107,52 +111,13 @@ class TestFitCommand:
         assert f"n={n} variables" in result.output
         assert "retained variance" in result.output
 
-    def test_missing_bound_column_named(self, plant_dir, tmp_path, runner):
-        config = {
-            "graph_path": str(plant_dir["dir"] / "graph.json"),
-            "normal_data_path": str(plant_dir["dir"] / "normal.csv"),
-            "column_bindings": {"ghost": "x1"},
-        }
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(config))
-        result = runner.invoke(main, ["fit", "--config", str(config_path)])
-        assert result.exit_code == 2
-        assert "ghost" in result.stderr
-
-    def test_two_columns_bound_to_one_variable_named(self, plant_dir, tmp_path, runner):
-        columns = plant_dir["manifest"]["columns"]
-        bindings = {c: c for c in columns}
-        bindings[columns[1]] = columns[0]
-        DiagnosisConfig(column_bindings={"spare": None, "unused": None})  # nulls may repeat
-        config = {
-            "graph_path": str(plant_dir["dir"] / "graph.json"),
-            "normal_data_path": str(plant_dir["dir"] / "normal.csv"),
-            "fault_data_path": str(plant_dir["dir"] / "fault.csv"),
-            "fault_start": 100,
-            "column_bindings": bindings,
-        }
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(config))
-        for command in ("fit", "diagnose"):
-            result = runner.invoke(main, [command, "--config", str(config_path)])
-            assert result.exit_code == 2
-            assert result.stderr == (
-                f"error: column_bindings binds columns {columns[0]!r} and {columns[1]!r} "
-                f"to the same variable {columns[0]!r}\n"
-            )
-
-    def test_unbound_columns_ignored_with_warning(self, plant_dir, model_path, caplog):
+    def test_unbound_columns_ignored_with_warning(self, plant_dir, caplog):
         # A CSV column the graph does not know must never silently enter.
-        config = DiagnosisConfig(
-            graph_path=str(plant_dir["dir"] / "graph.json"),
-            normal_data_path=str(plant_dir["dir"] / "normal.csv"),
-        )
+        graph = load_graph(plant_dir["dir"] / "graph.json")
         columns = tuple(plant_dir["manifest"]["columns"]) + ("extra_sensor",)
         with caplog.at_level(logging.WARNING, logger="rootkgd.pipeline"):
-            from rootkgd.kgraph import load_graph
-
-            used, _ = resolve_model_columns(columns, load_graph(config.graph_path), config)
-        assert "extra_sensor" not in used
+            used = resolve_model_columns(columns, graph)
+        assert used == plant_dir["manifest"]["columns"]
         assert any("extra_sensor" in rec.message for rec in caplog.records)
 
 
@@ -239,19 +204,26 @@ class TestDiagnoseCommand:
         assert "r_pc must be a finite number in (0, 1], got nan" in result.stderr
         assert not report.exists()
 
-    def test_fit_on_the_fly_without_model_file(self, plant_dir, tmp_path, runner):
+    def test_model_path_is_required(self, plant_dir, tmp_path, runner):
+        # diagnose never fits: a normal_data_path does not stand in for a model.
         config = {
             "graph_path": str(plant_dir["dir"] / "graph.json"),
             "normal_data_path": str(plant_dir["dir"] / "normal.csv"),
             "fault_data_path": str(plant_dir["dir"] / "fault.csv"),
             "fault_start": 100,
-            "window": 100,
         }
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config))
         result = runner.invoke(main, ["diagnose", "--config", str(config_path)])
-        assert result.exit_code == 0, result.output
-        assert result.output.splitlines()[1].split()[1] == plant_dir["manifest"]["root"]
+        assert result.exit_code == 2
+        assert result.stderr == "error: model_path is required for diagnosis\n"
+        missing = tmp_path / "missing.json"
+        result = runner.invoke(
+            main, ["diagnose", "--config", str(config_path), "--model", str(missing)]
+        )
+        assert result.exit_code == 2
+        assert result.stderr == f"error: model file not found: {missing}\n"
+        assert not missing.exists()
 
     def test_jobs_flag_is_rejected(self, plant_dir, model_path, runner):
         result = runner.invoke(main, diagnose_args(plant_dir, model_path, "--jobs", "2"))
@@ -298,7 +270,6 @@ BAD_CONFIGS = {
     "sigma_r_string": ("diagnose", '{"sigma_r": "abc"}', "sigma_r must be a finite number"),
     "sigma_r_nan": ("diagnose", '{"sigma_r": NaN}', "sigma_r must be a finite number"),
     "ratio_null": ("diagnose", '{"delta_s_min_ratio": null}', "delta_s_min_ratio must be"),
-    "bindings_list": ("diagnose", '{"column_bindings": []}', "column_bindings must be an"),
     "top_k_overflow": ("diagnose", '{"top_k": 1e400}', "top_k must be an integer"),
     "window_bool": ("diagnose", '{"window": true}', "window must be an integer"),
     "fault_start_float": ("diagnose", '{"fault_start": 1.5}', "fault_start must be an integer"),
@@ -322,6 +293,36 @@ class TestConfigTypes:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)  # handled: no traceback
         assert result.stderr.startswith(f"error: {message}")
+
+
+#: JSON files no loader can read: bytes that are not UTF-8, and nesting too
+#: deep for the parser.
+UNREADABLE_JSON = {"non_utf8": b'{"graph_path": "\xff"}', "deep": b"[" * 200_000}
+
+
+@pytest.mark.parametrize("content", list(UNREADABLE_JSON))
+@pytest.mark.parametrize(
+    "role, code, message",
+    [
+        ("config", 2, "invalid JSON"),
+        ("graph", 2, "invalid JSON"),
+        ("model", 1, "invalid model file"),
+    ],
+)
+def test_unreadable_json_is_named_error(plant_dir, model_path, tmp_path, runner, content,
+                                        role, code, message):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(UNREADABLE_JSON[content])
+    args = diagnose_args(plant_dir, model_path)
+    if role == "config":
+        args += ["--config", str(bad)]
+    else:
+        args[args.index(f"--{role}") + 1] = str(bad)
+    result = runner.invoke(main, args)
+    assert result.exit_code == code
+    assert isinstance(result.exception, SystemExit)  # handled: no traceback
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: {bad}: {message}: ")
 
 
 class TestTraceCommand:
@@ -470,43 +471,48 @@ class TestUsage:
 
 
 class TestPipelineRoster:
-    def test_graph_variable_absent_from_dataset_is_excluded(self, plant_dir, tmp_path):
-        # Drop one column from the fault data; the diagnosis roster shrinks
-        # instead of failing.
-        manifest = plant_dir["manifest"]
-        keep = [c for c in manifest["columns"] if c != manifest["root"]]
-
-        import csv
-
-        src = plant_dir["dir"] / "fault.csv"
-        dst_fault = tmp_path / "fault_subset.csv"
-        with src.open() as fin, dst_fault.open("w", newline="") as fout:
-            reader = csv.reader(fin)
-            writer = csv.writer(fout)
-            header = next(reader)
-            idx = [header.index(c) for c in keep]
-            writer.writerow(keep)
-            for row in reader:
-                writer.writerow([row[i] for i in idx])
-        src_norm = plant_dir["dir"] / "normal.csv"
-        dst_norm = tmp_path / "normal_subset.csv"
-        with src_norm.open() as fin, dst_norm.open("w", newline="") as fout:
-            reader = csv.reader(fin)
-            writer = csv.writer(fout)
-            header = next(reader)
-            idx = [header.index(c) for c in keep]
-            writer.writerow(keep)
-            for row in reader:
-                writer.writerow([row[i] for i in idx])
-
-        config = DiagnosisConfig(
+    def diagnose_config(self, plant_dir, tmp_path) -> DiagnosisConfig:
+        return DiagnosisConfig(
             graph_path=str(plant_dir["dir"] / "graph.json"),
-            normal_data_path=str(dst_norm),
-            fault_data_path=str(dst_fault),
+            model_path=str(tmp_path / "model.json"),
+            normal_data_path=str(tmp_path / "normal.csv"),
+            fault_data_path=str(tmp_path / "fault.csv"),
             fault_start=100,
             window=100,
         )
+
+    def test_graph_variable_absent_from_dataset_is_excluded(self, plant_dir, tmp_path):
+        # Drop one column from both datasets; the diagnosis roster shrinks
+        # instead of failing.
+        manifest = plant_dir["manifest"]
+        keep = [c for c in manifest["columns"] if c != manifest["root"]]
+        for name in ("normal", "fault"):
+            data = read_csv(plant_dir["dir"] / f"{name}.csv").select(keep)
+            write_csv(data, tmp_path / f"{name}.csv")
+        config = self.diagnose_config(plant_dir, tmp_path)
+        run_fit(config)
         ranking = run_diagnose(config)
-        scored = {e.id for e in ranking.entries}
-        assert manifest["root"] in scored  # still a candidate entity
-        assert len(scored) > 0
+        assert list(load_model(config.model_path).columns) == keep
+        assert manifest["root"] in {e.id for e in ranking.entries}  # still a candidate
+
+    def test_model_column_unbound_by_graph_warned_once(self, plant_dir, tmp_path, caplog):
+        # Fitted without a graph, the model keeps a column that no variable
+        # binds; diagnose names it once, as a model column, and leaves it out.
+        rng = np.random.default_rng(0)
+        for name in ("normal", "fault"):
+            data = read_csv(plant_dir["dir"] / f"{name}.csv")
+            spare = rng.standard_normal((data.n_samples, 1))
+            write_csv(
+                DataMatrix(np.hstack([data.values, spare]), data.columns + ("spare",)),
+                tmp_path / f"{name}.csv",
+            )
+        config = self.diagnose_config(plant_dir, tmp_path)
+        run_fit(replace(config, graph_path=None))
+        assert load_model(config.model_path).columns[-1] == "spare"
+        with caplog.at_level(logging.WARNING, logger="rootkgd.pipeline"):
+            ranking = run_diagnose(config)
+        assert [rec.getMessage() for rec in caplog.records] == [
+            "model columns without a variable binding are ignored: ['spare']"
+        ]
+        variables = {e.id for e in ranking.variables()}
+        assert variables == set(plant_dir["manifest"]["columns"])

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from rootkgd.cli import main
 from rootkgd.dataio import read_csv
 
-#: CSV texts the reader must reject, and the message after the file name.
+#: CSV contents the reader must reject, and the message after the file name.
 MALFORMED = {
     "non_numeric": ("a,b\n1,2\n3,x\n", ":3: not a number: 'x'"),
     "nan_cell": ("a,b\n1,2\n3,nan\n", ":3: not a finite number: 'nan'"),
@@ -21,6 +21,18 @@ MALFORMED = {
     "empty_file": ("", ": file is empty"),
     "header_only": ("a,b\n", ": no data rows"),
     "duplicate_column": ("x1,x2,x1\n1,2,3\n", ": duplicate column name 'x1'"),
+    "after_quoted_newline": ('a,b\n"1\n",2\n3,x\n', ":4: not a number: 'x'"),
+    "non_utf8_cell": (
+        b"a,b\n1,2\n3,\xff\n",
+        ":3: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 10: invalid start byte",
+    ),
+    "non_utf8_header": (
+        b"\xfea,b\n1,2\n",
+        ":1: not UTF-8: 'utf-8' codec can't decode byte 0xfe in position 0: invalid start byte",
+    ),
+    "field_over_csv_limit": (
+        "a,b\n1,2\n3,4\n" + "5" * 131073 + ",6\n", ":4: field larger than field limit (131072)"
+    ),
 }
 
 
@@ -28,7 +40,7 @@ MALFORMED = {
 def test_malformed_input_is_named(tmp_path, case):
     text, message = MALFORMED[case]
     path = tmp_path / "data.csv"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(ValueError) as excinfo:
         read_csv(path)
     assert str(excinfo.value) == f"{path}{message}"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+import shlex
 from dataclasses import fields
 from pathlib import Path
 
@@ -50,3 +51,21 @@ def test_readme_library_snippet_runs(tmp_path, monkeypatch, capsys):
     assert result.exit_code == 0, result.output
     exec(compile(snippet, "README.md", "exec"), {})
     assert len(capsys.readouterr().out.splitlines()) == 10
+
+
+def test_readme_quickstart_commands_run(tmp_path, monkeypatch):
+    """Every `rootkgd` command of README's Quickstart block exits 0, run in
+    order in an empty directory, so no deleted option survives there."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Quickstart", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```bash\n(.*?)```", section, flags=re.DOTALL).group(1)
+    commands = [
+        shlex.split(line)[1:]
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("rootkgd ")
+    ]
+    assert len(commands) == 5
+    monkeypatch.chdir(tmp_path)
+    for args in commands:
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, (args, result.output)

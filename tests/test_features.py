@@ -71,6 +71,9 @@ CORRUPTIONS = {
     "r_pc_above_one": (lambda m: m.update(r_pc=7.0), r"r_pc .* got 7\.0"),
     "r_pc_string": (lambda m: m.update(r_pc="0.5"), r"r_pc .* got '0\.5'"),
     "n_pc_fraction": (lambda m: m.update(n_pc=2.5), "n_pc must be an integer, got 2.5"),
+    "repeated_column": (
+        lambda m: m["columns"].__setitem__(3, "v1"), r"\(duplicate column name 'v1'\)$"
+    ),
 }
 
 
