@@ -34,7 +34,7 @@ from .kgraph import (
     serialize,
     validate,
 )
-from .rfpa import PropagationResult, RfpaParams, aligned_sequence, propagate, trace
+from .rfpa import PropagationResult, RfpaParams, propagate, trace
 from .scoring import RankEntry, RootCauseRanking, format_report, rank_all, root_score
 from .synth import FaultInjection, PlantModel, PlantSpec, generate_plant, simulate
 
@@ -62,7 +62,6 @@ __all__ = [
     "RootCauseRanking",
     "Triple",
     "ValidationReport",
-    "aligned_sequence",
     "contribution_rate",
     "fit_pca",
     "format_report",

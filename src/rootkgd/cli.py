@@ -66,13 +66,20 @@ def handle_errors(fn):
 
 
 @click.group()
-def main():
+@click.pass_context
+def main(ctx):
     """Root-cause diagnosis from a plant knowledge graph and process data."""
     level_name = os.environ.get("ROOTKGD_LOG", "WARNING").upper()
     level = getattr(logging, level_name, None)
     if not isinstance(level, int):
         level = logging.WARNING
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    # A handler per invocation, so each logs to its own stderr.
+    package = logging.getLogger("rootkgd")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    package.addHandler(handler)
+    package.setLevel(level)
+    ctx.call_on_close(lambda: package.removeHandler(handler))
 
 
 @main.command()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,16 +13,43 @@ from .features import DataMatrix, check_unique
 
 
 def read_csv(path: str | Path) -> DataMatrix:
-    """Read a dataset: first row is the column header, one sample per row."""
+    """Read a dataset: first row is the column header, one sample per row.
+
+    Parsed in bulk by ``np.loadtxt``, else row by row (see ``_read_bulk``)."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            columns, rows = _parse(path, reader)
-        except csv.Error as exc:
-            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-        except UnicodeDecodeError:
-            raise _decode_error(path) from None
+        return _read_bulk(fh) or _read_rows(path, fh)
+
+
+def _read_bulk(fh) -> DataMatrix | None:
+    """The dataset parsed by ``np.loadtxt``, or None where ``_read_rows``, the
+    author of every error message, must read it: on any exception or warning
+    (DataMatrix rejects a column-count mismatch and non-finite values), a line
+    that is not one whole sample, or one longer than the csv field limit."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            columns = [name.strip() for name in next(csv.reader(fh))]
+            lines = fh.readlines()
+            values = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2)
+            data = DataMatrix(values, columns)
+    except Exception:
+        return None
+    samples = sum(1 for line in lines if line.strip("\r\n"))
+    fits = max(map(len, lines)) <= csv.field_size_limit()
+    return data if fits and samples == data.n_samples else None
+
+
+def _read_rows(path: Path, fh) -> DataMatrix:
+    """The dataset parsed row by row from the start of ``fh``."""
+    fh.seek(0)
+    reader = csv.reader(fh)
+    try:
+        columns, rows = _parse(path, reader)
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        raise _decode_error(path) from None
     return DataMatrix(np.asarray(rows, dtype=float), columns)
 
 
@@ -47,14 +75,9 @@ def _parse(path: Path, reader) -> tuple[tuple[str, ...], list[list[float]]]:
         except ValueError:
             bad = next(c for c in row if not _is_float(c))
             raise ValueError(f"{path}:{reader.line_num}: not a number: {bad!r}") from None
-        # A finite row sum proves every cell finite, so only a row whose
-        # sum is nan or inf (or overflows) is scanned cell by cell.
-        if not math.isfinite(sum(values)):
-            bad_cells = [c for c, v in zip(row, values) if not math.isfinite(v)]
-            if bad_cells:
-                raise ValueError(
-                    f"{path}:{reader.line_num}: not a finite number: {bad_cells[0]!r}"
-                )
+        bad = next((c for c, v in zip(row, values) if not math.isfinite(v)), None)
+        if bad is not None:
+            raise ValueError(f"{path}:{reader.line_num}: not a finite number: {bad!r}")
         rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no data rows")

@@ -175,7 +175,7 @@ class ContributionVector:
             raise ValueError("contribution scores must be nonnegative")
 
     @cached_property
-    def _index(self) -> dict[str, int]:
+    def positions(self) -> dict[str, int]:
         return {r: i for i, r in enumerate(self.roster)}
 
     def normalized(self) -> "ContributionVector":
@@ -190,10 +190,10 @@ class ContributionVector:
 
     def restrict(self, names: Sequence[str]) -> "ContributionVector":
         """Project onto a sub-roster and renormalize to sum 1."""
-        missing = [n for n in names if n not in self._index]
+        missing = [n for n in names if n not in self.positions]
         if missing:
             raise ValueError(f"names not present in roster: {missing}")
-        sub = self.scores[[self._index[n] for n in names]]
+        sub = self.scores[[self.positions[n] for n in names]]
         return ContributionVector(sub, tuple(names)).normalized()
 
 

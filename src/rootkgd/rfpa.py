@@ -18,8 +18,6 @@ import heapq
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .kgraph import KnowledgeGraph
 
 
@@ -39,6 +37,8 @@ class RfpaParams:
     def __post_init__(self):
         if not (math.isfinite(self.sigma_r) and self.sigma_r > 0):
             raise ValueError(f"sigma_r must be positive and finite, got {self.sigma_r}")
+        if isinstance(self.p_max, bool) or not isinstance(self.p_max, int):
+            raise ValueError(f"p_max must be an integer, got {self.p_max!r}")
         if self.p_max < 1:
             raise ValueError(f"p_max must be at least 1, got {self.p_max}")
         if not 0 < self.delta_s_min_ratio < 1:
@@ -62,7 +62,8 @@ class TraceEvent:
 
 @dataclass(frozen=True)
 class PropagationResult:
-    """Final fault quantities of one propagation run."""
+    """Final fault quantities of one propagation run: only the entities the
+    ripple reached, each positive; any other entity holds 0.0."""
 
     quantities: dict[str, float]
     pops: int
@@ -85,13 +86,10 @@ def _run(
     factor = {r.name: attenuation(params, r.distance) for r in graph.relations}
     threshold = params.delta_s_min_ratio
 
-    # quantity and received stay dense over every entity because
-    # PropagationResult.quantities promises one; initiated holds only the
-    # nodes the ripple reaches.
-    quantity = dict.fromkeys(graph.by_id, 0.0)
-    received = dict.fromkeys(graph.by_id, 0)
-    quantity[source] = 1.0
-    received[source] = 1  # the seed assignment counts as one receipt
+    # Every state table holds only the nodes the ripple reaches, so a run
+    # costs O(reach log reach), not O(|entities|); an absent node holds 0.
+    quantity = {source: 1.0}
+    received = {source: 1}  # the seed assignment counts as one receipt
     initiated: dict[str, int] = {}
     # A node is queued once per receipt (the seed counts as one), so its
     # receipt count is also its queue-insertion count. Pops beyond the
@@ -122,9 +120,9 @@ def _run(
             delta = quantity[head] / received[head] * factor[rel.name]
             if delta < threshold:
                 continue
-            quantity[tail] += delta
-            received[tail] += 1
-            if received[tail] <= p_max + 1:
+            total = quantity[tail] = quantity.get(tail, 0.0) + delta
+            receipts = received[tail] = received.get(tail, 0) + 1
+            if receipts <= p_max + 1:
                 heapq.heappush(heap, (priority + rel.priority_offset, seq, tail))
                 seq += 1
             if trace_sink is not None:
@@ -136,7 +134,7 @@ def _run(
                         relation=rel.name,
                         tail=tail,
                         delta=delta,
-                        total=quantity[tail],
+                        total=total,
                     )
                 )
                 event += 1
@@ -156,16 +154,6 @@ def trace(
     events: list[TraceEvent] = []
     result = _run(graph, params, source, events)
     return result, tuple(events)
-
-
-def aligned_sequence(result: PropagationResult, roster: tuple[str, ...]) -> np.ndarray:
-    """Quantities projected onto a roster of entity ids, in roster order."""
-    quantities = result.quantities
-    try:
-        return np.fromiter(map(quantities.__getitem__, roster), dtype=float, count=len(roster))
-    except KeyError:
-        missing = [r for r in roster if r not in quantities]
-        raise ValueError(f"roster ids missing from propagation result: {missing}") from None
 
 
 def format_trace_tsv(events: tuple[TraceEvent, ...]) -> str:

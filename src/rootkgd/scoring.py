@@ -20,7 +20,7 @@ import numpy as np
 
 from .features import ContributionVector
 from .kgraph import EntityKind, KnowledgeGraph
-from .rfpa import RfpaParams, aligned_sequence, propagate
+from .rfpa import RfpaParams, propagate
 
 #: Entity kinds scored as root-cause candidates. Substances are never
 #: candidates: a fault is located on a measured variable or on the devices
@@ -71,8 +71,16 @@ def root_score(
     """
     if not contributions.roster:
         raise ValueError("contribution roster is empty")
+    roster, position = contributions.roster, contributions.positions
+    if len(position) < len(roster) or not position.keys() <= graph.by_id.keys():
+        bad = [r for i, r in enumerate(roster) if r not in graph.by_id or position[r] != i]
+        raise ValueError(f"roster ids repeated or not in the graph: {bad}")
     result = propagate(graph, params, candidate)
-    return cosine(aligned_sequence(result, contributions.roster), contributions.scores)
+    profile = np.zeros(len(roster))
+    for entity, quantity in result.quantities.items():
+        if entity in position:
+            profile[position[entity]] = quantity
+    return cosine(profile, contributions.scores)
 
 
 def rank_all(

@@ -516,3 +516,28 @@ class TestPipelineRoster:
         ]
         variables = {e.id for e in ranking.variables()}
         assert variables == set(plant_dir["manifest"]["columns"])
+
+    def test_each_invocation_warns_on_its_own_stderr(self, plant_dir, tmp_path):
+        # The same warning from two in-process runs reaches each run's stderr.
+        rng = np.random.default_rng(1)
+        for name in ("normal", "fault"):
+            data = read_csv(plant_dir["dir"] / f"{name}.csv")
+            spare = rng.standard_normal((data.n_samples, 1))
+            write_csv(
+                DataMatrix(np.hstack([data.values, spare]), data.columns + ("spare",)),
+                tmp_path / f"{name}.csv",
+            )
+        config = self.diagnose_config(plant_dir, tmp_path)
+        run_fit(replace(config, graph_path=None))
+        args = ["diagnose", "--graph", config.graph_path, "--model", config.model_path,
+                "--data", config.fault_data_path, "--fault-start", "100"]
+        warning = (
+            "WARNING rootkgd.pipeline: model columns without a variable binding "
+            "are ignored: ['spare']\n"
+        )
+        handlers = list(logging.getLogger("rootkgd").handlers)
+        for _ in range(2):
+            result = CliRunner().invoke(main, args)
+            assert result.exit_code == 0, result.output
+            assert result.stderr == warning
+            assert logging.getLogger("rootkgd").handlers == handlers  # none left behind

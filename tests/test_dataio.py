@@ -3,12 +3,19 @@ and, where there is one, the line."""
 
 from __future__ import annotations
 
+import csv
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootkgd.cli import main
-from rootkgd.dataio import read_csv
+from rootkgd.dataio import _read_bulk, _read_rows, read_csv
 
 #: CSV contents the reader must reject, and the message after the file name.
 MALFORMED = {
@@ -72,3 +79,105 @@ def test_diagnose_on_malformed_csv_is_named_error(tmp_path):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)  # handled: no traceback
     assert result.stderr == f"error: {bad}:3: not a number: 'x'\n"
+
+
+def read_rows(path: Path):
+    """The row-by-row reader alone, bypassing the bulk parse."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        return _read_rows(path, fh)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+#: Cells both parsers read.
+good_cells = st.one_of(
+    finite.map(repr),
+    finite.map(lambda v: "%.9g" % v),
+    finite.map(lambda v: f'"{v!r}"'),
+    st.sampled_from([" 7 ", "\t8", "\xa09", "-0", ".5", "+1.", '"1" ', '"1\n"', '"\r\n2"']),
+)
+#: Cells only float() reads, non-finite ones, and ones neither parser reads.
+bad_cells = st.sampled_from([
+    "1_000", "\u0661\u0662", "\uff13", "1e500", "nan", "inf", "-inf", "NaN", "", "x",
+    "0x10", "1+0j", "\x00", "1\x002", "\x0c3", '"1"x', '"1,2"', '"1""2"', '""', '"3', '1"2',
+])
+endings = st.sampled_from(["\n", "\r\n", "\r"])
+#: Free text over the characters that matter to either parser.
+noise = st.text(alphabet='0123456789.-+eE_,"\n\r \t\x00\u0661xn', max_size=40)
+
+
+@st.composite
+def csv_texts(draw):
+    """A header of one to three columns, then mostly well-formed rows with
+    now and then a bad cell, a ragged row, or a blank or whitespace line."""
+    width = draw(st.integers(1, 3))
+    header = draw(st.sampled_from(
+        [",".join("abc"[:width]), " , ".join(" abc"[1:width + 1]), "a," * (width - 1) + "a"]
+    ))
+    if draw(st.integers(0, 9)) == 0:
+        return header + "\n" + draw(noise)
+    text = header + draw(endings)
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            text += draw(st.sampled_from(["\n", "\r\n", " \n", "\t\r\n", "\x0c\n"]))
+            continue
+        n = width + (kind == 1) * draw(st.sampled_from([-1, 1]))
+        row = [draw(bad_cells if draw(st.integers(0, 14)) == 0 else good_cells) for _ in range(n)]
+        text += ",".join(row) + draw(endings)
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=csv_texts())
+def test_bulk_parse_matches_row_by_row(text):
+    """read_csv returns the row-by-row reader's matrix bit for bit, or raises
+    its exact message."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_bytes(text.encode())
+        try:
+            expected = read_rows(path)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as excinfo:
+                read_csv(path)
+            assert str(excinfo.value) == str(exc)
+            return
+        data = read_csv(path)
+        assert data.columns == expected.columns
+        assert data.values.shape == expected.values.shape
+        assert data.values.tobytes() == expected.values.tobytes()
+
+
+def test_bulk_parse_takes_well_formed_files(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_bytes(b'a,b\r\n1.5,"2"\r\n\r\n"3" ,-4e1\r\n')
+    with path.open(newline="", encoding="utf-8") as fh:
+        data = _read_bulk(fh)
+    assert data is not None and data.columns == ("a", "b")
+    assert data.values.tobytes() == read_rows(path).values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["0" * (csv.field_size_limit() + 1), '"' + " \n" * (csv.field_size_limit() // 2) + '1"'],
+    ids=["long_line", "quoted_short_lines"],
+)
+def test_finite_field_over_csv_limit_is_named(tmp_path, field):
+    # np.loadtxt reads both fields as finite numbers; the csv module's field
+    # limit rejects them.
+    path = tmp_path / "data.csv"
+    path.write_text("a,b\n1,2\n" + field + ",6\n")
+    with pytest.raises(ValueError) as excinfo:
+        read_csv(path)
+    assert str(excinfo.value).startswith(f"{path}:")
+    assert str(excinfo.value).endswith(": field larger than field limit (131072)")
+
+
+def test_header_only_file_emits_no_warning(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("a,b\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=": no data rows$"):
+            read_csv(path)
+    assert caught == []

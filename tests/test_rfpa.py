@@ -10,7 +10,6 @@ from oracles import dense_propagate, random_graph_payload
 from rootkgd.kgraph import GraphError, graph_from_dict
 from rootkgd.rfpa import (
     RfpaParams,
-    aligned_sequence,
     attenuation,
     format_trace_tsv,
     propagate,
@@ -32,6 +31,21 @@ def graph_of(*triples, relations=None, extra_entities=()):
 
 
 DEFAULTS = RfpaParams(sigma_r=0.1, p_max=3, delta_s_min_ratio=1e-6)
+
+
+def assert_matches_dense(graph, params, source):
+    """The run from ``source`` equals the dense oracle: every entity's value
+    bit for bit (an absent entity holds 0.0), exactly the reached entities as
+    keys, each positive, and the same pops and maximum priority."""
+    result = propagate(graph, params, source)
+    quantities, pops, max_priority = dense_propagate(graph, params, source, 1.0)
+    assert [result.quantities.get(e.id, 0.0).hex() for e in graph.entities] == [
+        quantities[e.id].hex() for e in graph.entities
+    ]
+    assert set(result.quantities) == {eid for eid, q in quantities.items() if q > 0.0}
+    assert all(q > 0.0 for q in result.quantities.values())
+    assert (result.pops, result.max_priority) == (pops, max_priority)
+    return result
 
 
 class TestPropagate:
@@ -119,8 +133,8 @@ class TestPropagate:
             ],
         )
         params = RfpaParams(sigma_r=0.1, p_max=3, delta_s_min_ratio=1e-4)
-        result = propagate(graph, params, "A")
-        assert result.quantities["B"] == 0.0
+        result = assert_matches_dense(graph, params, "A")
+        assert "B" not in result.quantities
         assert result.quantities["C"] == math.exp(-0.1)
 
     def test_initiation_cap(self):
@@ -142,6 +156,9 @@ class TestPropagate:
                 RfpaParams(sigma_r=sigma_r)
         with pytest.raises(ValueError, match="p_max"):
             RfpaParams(p_max=0)
+        for p_max in (2.5, 3.0, math.inf, True):
+            with pytest.raises(ValueError, match="p_max must be an integer"):
+                RfpaParams(p_max=p_max)
         with pytest.raises(ValueError, match="delta_s_min_ratio"):
             RfpaParams(delta_s_min_ratio=1.5)
 
@@ -192,7 +209,7 @@ class TestInvariants:
 
     def test_matches_dense_transcription(self):
         rng = np.random.default_rng(47)
-        self_loops = 0
+        self_loops = unreached = 0
         for _ in range(12):
             payload = random_graph_payload(rng, max_nodes=80, max_edges=320)
             self_loops += sum(h == t for h, _, t in payload["triples"])
@@ -203,11 +220,9 @@ class TestInvariants:
                 delta_s_min_ratio=float(10.0 ** rng.uniform(-6, -2)),
             )
             for source in rng.choice([e.id for e in graph.entities], size=4):
-                result = propagate(graph, params, str(source))
-                quantities, pops, max_priority = dense_propagate(graph, params, str(source), 1.0)
-                assert list(result.quantities.items()) == list(quantities.items())
-                assert (result.pops, result.max_priority) == (pops, max_priority)
-        assert self_loops > 0
+                result = assert_matches_dense(graph, params, str(source))
+                unreached += len(graph.entities) - len(result.quantities)
+        assert self_loops > 0 and unreached > 0
 
     def test_attenuation_range(self):
         params = RfpaParams(sigma_r=0.5)
@@ -216,24 +231,3 @@ class TestInvariants:
             factor = attenuation(params, d)
             assert 0.0 < factor < 1.0
 
-
-class TestAlignedSequence:
-    def test_projection_excludes_physical(self, chain_graph):
-        result = propagate(chain_graph, DEFAULTS, "A")
-        vector = aligned_sequence(result, ("B",))
-        assert vector.tolist() == [result.quantities["B"]]
-
-    def test_roster_order_and_permutation(self, diamond_graph):
-        result = propagate(diamond_graph, DEFAULTS, "A")
-        forward = aligned_sequence(result, ("B", "C", "D"))
-        backward = aligned_sequence(result, ("D", "C", "B"))
-        assert forward.tolist() == backward.tolist()[::-1]
-
-    def test_empty_roster(self, diamond_graph):
-        result = propagate(diamond_graph, DEFAULTS, "A")
-        assert aligned_sequence(result, ()).shape == (0,)
-
-    def test_missing_id(self, diamond_graph):
-        result = propagate(diamond_graph, DEFAULTS, "A")
-        with pytest.raises(ValueError, match="missing"):
-            aligned_sequence(result, ("B", "nope"))

@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from oracles import cosine_ref, paper_seed_score, random_graph_payload
+from oracles import cosine_ref, dense_propagate, paper_seed_score, random_graph_payload
 from rootkgd.features import ContributionVector
 from rootkgd.kgraph import GraphError, graph_from_dict
-from rootkgd.rfpa import RfpaParams, aligned_sequence, propagate
+from rootkgd.rfpa import RfpaParams, propagate
 from rootkgd.scoring import cosine, format_report, rank_all, report_dict, root_score
 
 PARAMS = RfpaParams(sigma_r=0.1, p_max=3, delta_s_min_ratio=1e-6)
@@ -57,7 +57,7 @@ class TestRootScore:
     def test_parallel_profile_scores_one(self, tep_graph):
         roster = tuple(e.id for e in tep_graph.variable_roster())
         result = propagate(tep_graph, PARAMS, "s4")
-        profile = aligned_sequence(result, roster)
+        profile = np.array([result.quantities.get(r, 0.0) for r in roster])
         contributions = ContributionVector(profile / profile.sum(), roster)
         score = root_score(tep_graph, PARAMS, contributions, "s4")
         assert abs(score - 1.0) <= 1e-12
@@ -101,6 +101,31 @@ class TestRootScore:
     def test_unknown_candidate(self, tep_graph, tep_contributions):
         with pytest.raises(GraphError, match="unknown entity"):
             root_score(tep_graph, PARAMS, tep_contributions, "bogus")
+
+    def test_roster_id_not_in_graph(self, chain_graph):
+        contributions = ContributionVector(np.array([0.5, 0.5]), ("B", "nope"))
+        with pytest.raises(ValueError, match=r"roster ids repeated or not in the graph: \['nope'\]"):
+            root_score(chain_graph, PARAMS, contributions, "A")
+
+    def test_repeated_roster_id(self, chain_graph):
+        contributions = ContributionVector(np.array([0.5, 0.5]), ("B", "B"))
+        with pytest.raises(ValueError, match=r"repeated or not in the graph: \['B'\]"):
+            root_score(chain_graph, PARAMS, contributions, "A")
+
+    def test_unrostered_reached_entities_ignored(self, chain_graph):
+        # A holds its unit seed, but only B is on the roster.
+        contributions = ContributionVector(np.array([1.0]), ("B",))
+        assert root_score(chain_graph, PARAMS, contributions, "A") == 1.0
+
+    def test_roster_permutation(self, tep_graph, tep_contributions):
+        order = np.random.default_rng(5).permutation(len(tep_contributions.roster))
+        permuted = ContributionVector(
+            tep_contributions.scores[order],
+            tuple(tep_contributions.roster[i] for i in order),
+        )
+        for candidate in ("x4", "reactor", "s4"):
+            base = root_score(tep_graph, PARAMS, tep_contributions, candidate)
+            assert abs(root_score(tep_graph, PARAMS, permuted, candidate) - base) <= 1e-15
 
 
 class TestRankAll:
@@ -201,6 +226,29 @@ class TestRankAll:
             own_seeded += sum(e.id in positive for e in ranking.entries)
             constant_seeded += sum(e.id not in positive for e in ranking.entries)
         assert own_seeded > 0 and constant_seeded > 0
+
+    def test_matches_dense_oracle_profiles(self):
+        """Every score is bit-identical to the cosine of the dense oracle's
+        profile read off at the roster."""
+        rng = np.random.default_rng(62)
+        scored = 0
+        for _ in range(15):
+            graph = graph_from_dict(random_graph_payload(rng, max_nodes=60, max_edges=240))
+            roster = tuple(e.id for e in graph.variable_roster())
+            if not roster:
+                continue
+            params = RfpaParams(
+                sigma_r=float(rng.uniform(0.05, 1.0)),
+                p_max=int(rng.integers(1, 5)),
+                delta_s_min_ratio=float(10.0 ** rng.uniform(-6, -2)),
+            )
+            contributions = ContributionVector(rng.exponential(size=len(roster)), roster)
+            for entry in rank_all(graph, params, contributions).entries:
+                quantities, _, _ = dense_propagate(graph, params, entry.id, 1.0)
+                profile = np.array([quantities[r] for r in roster])
+                assert entry.score.hex() == cosine(profile, contributions.scores).hex()
+                scored += 1
+        assert scored > 0
 
     def test_scores_in_unit_interval(self, tep_graph, tep_contributions):
         ranking = rank_all(tep_graph, PARAMS, tep_contributions)
