@@ -16,7 +16,6 @@ from .features import (
     load_model,
     rbc_spe,
     save_model,
-    spe,
 )
 from .kgraph import (
     Entity,
@@ -29,7 +28,6 @@ from .kgraph import (
     Triple,
     ValidationReport,
     load_graph,
-    out_edges,
     save_graph,
     serialize,
     validate,
@@ -68,7 +66,6 @@ __all__ = [
     "generate_plant",
     "load_graph",
     "load_model",
-    "out_edges",
     "propagate",
     "rank_all",
     "rbc_spe",
@@ -77,7 +74,6 @@ __all__ = [
     "save_model",
     "serialize",
     "simulate",
-    "spe",
     "trace",
     "validate",
 ]

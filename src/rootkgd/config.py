@@ -8,7 +8,7 @@ the input paths fully determines a run.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any
@@ -50,8 +50,9 @@ class DiagnosisConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         for name in _REAL_FIELDS:
             value = getattr(self, name)
+            # Fails for NaN, infinities and integers too large for a float.
             if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not math.isfinite(value)):
+                    or not abs(value) <= sys.float_info.max):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.fault_start < 0:
             raise ConfigError(f"fault_start must be >= 0, got {self.fault_start}")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
 from pathlib import Path
@@ -63,25 +64,38 @@ def _parse(path: Path, reader) -> tuple[tuple[str, ...], list[list[float]]]:
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     rows: list[list[float]] = []
+    line = reader.line_num  # the last line of the previous record
     for row in reader:
-        if not row:
-            continue
+        start, line = line + 1, reader.line_num
+        if not row or (len(row) == 1 and row[0].isspace()):
+            continue  # a blank line: empty or whitespace only
         if len(row) != len(columns):
-            raise ValueError(
-                f"{path}:{reader.line_num}: expected {len(columns)} fields, got {len(row)}"
-            )
+            raise _row_error(path, start, line, f"expected {len(columns)} fields, got {len(row)}")
         try:
             values = [float(cell) for cell in row]
         except ValueError:
             bad = next(c for c in row if not _is_float(c))
-            raise ValueError(f"{path}:{reader.line_num}: not a number: {bad!r}") from None
+            raise _row_error(path, start, line, f"not a number: {bad!r}") from None
         bad = next((c for c, v in zip(row, values) if not math.isfinite(v)), None)
         if bad is not None:
-            raise ValueError(f"{path}:{reader.line_num}: not a finite number: {bad!r}")
+            raise _row_error(path, start, line, f"not a finite number: {bad!r}")
         rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return columns, rows
+
+
+def _row_error(path: Path, start: int, line: int, message: str) -> ValueError:
+    """The error for the record on lines ``start``..``line``. A quote it opens
+    and the file never closes is named first: the non-strict reader reads the
+    rest of the file into that field, where a strict one fails at its end."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        try:
+            next(csv.reader(itertools.islice(fh, start - 1, None), strict=True))
+        except csv.Error as exc:
+            if str(exc) == "unexpected end of data":
+                return ValueError(f"{path}:{start}: unclosed quote")
+    return ValueError(f"{path}:{line}: {message}")
 
 
 def _decode_error(path: Path) -> ValueError:

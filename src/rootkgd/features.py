@@ -1,10 +1,11 @@
 """PCA monitoring model and reconstruction-based fault contributions.
 
 A model is fit once on normal-operation data (z-scored by its own training
-mean/std), after which all evaluation functions are pure: the squared
-prediction error (SPE) of a sample, its per-variable reconstruction-based
-contributions to the SPE, and the windowed contribution rate of a fault
-episode, which is the one fault feature the diagnosis uses.
+mean/std), after which all evaluation functions are pure and take a window
+of samples: ``rbc_spe`` gives each sample's per-variable reconstruction-based
+contributions to the squared prediction error (SPE), and
+``contribution_rate`` averages them into the windowed contribution rate of a
+fault episode, the one fault feature the diagnosis uses.
 """
 
 from __future__ import annotations
@@ -140,16 +141,6 @@ class PcaModel:
     def n_variables(self) -> int:
         return len(self.columns)
 
-    def standardize(self, sample: np.ndarray) -> np.ndarray:
-        sample = np.asarray(sample, dtype=float)
-        if sample.shape != (self.n_variables,):
-            raise ValueError(
-                f"sample has shape {sample.shape}, model expects ({self.n_variables},)"
-            )
-        if not np.isfinite(sample).all():
-            raise ValueError("sample contains non-finite entries")
-        return (sample - self.mean) / self.std
-
     def standardize_matrix(self, data: DataMatrix) -> np.ndarray:
         if data.columns != self.columns:
             raise ValueError("data columns do not match the model's training columns")
@@ -254,45 +245,29 @@ def fit_pca(normal_data: DataMatrix, r_pc: float) -> PcaModel:
     )
 
 
-def _map_rows(model: PcaModel, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The SPE residuals ``Z (I - P Pᵀ)`` and ``diag(I - P Pᵀ)``, in
-    O(n * n_pc) per row, with no n x n matrix formed."""
-    P = model.loadings_principal
-    return Z - (Z @ P) @ P.T, 1.0 - (P * P).sum(axis=1)
+def rbc_spe(model: PcaModel, data: DataMatrix) -> np.ndarray:
+    """Raw reconstruction contributions to the SPE, one row per sample and
+    columns in ``model.columns`` order.
 
-
-def spe(model: PcaModel, sample: np.ndarray) -> float:
-    """Squared prediction error of one sample: residual-space energy."""
-    z = model.standardize(sample)
-    return float(z @ _map_rows(model, z[None, :])[0][0])
-
-
-def _raw_contributions(model: PcaModel, Z: np.ndarray) -> np.ndarray:
-    """Raw reconstruction contributions of each standardized row of ``Z``.
-
-    The score of variable i is the SPE's drop when the row is optimally
+    The score of variable i is the SPE's drop when the sample is optimally
     corrected along coordinate axis i. Variables whose reconstruction
-    denominator is near zero score 0, with a warning.
+    denominator is near zero score 0, with a warning. Data whose columns
+    differ from the model's raise ``ValueError``.
     """
-    mapped, diag = _map_rows(model, Z)
+    # The residuals Z (I - P Pᵀ) and diag(I - P Pᵀ), in O(n * n_pc) per
+    # sample, with no n x n matrix formed.
+    Z = model.standardize_matrix(data)
+    P = model.loadings_principal
+    mapped, diag = Z - (Z @ P) @ P.T, 1.0 - (P * P).sum(axis=1)
     usable = diag > RESIDUAL_DIAG_FLOOR
     if not usable.all():
         flagged = [model.columns[i] for i in np.flatnonzero(~usable)]
         logger.warning(
             "variables with near-zero reconstruction denominator scored as 0: %s", flagged
         )
-    raw = np.zeros_like(Z)
+    raw = np.zeros_like(Z)  # Z's memory layout: the row sums' rounding depends on it
     raw[:, usable] = mapped[:, usable] ** 2 / diag[usable]
     return raw
-
-
-def rbc_spe(model: PcaModel, sample: np.ndarray) -> ContributionVector:
-    """Per-variable reconstruction contribution to the SPE statistic.
-
-    Raw, not normalized: see ``_raw_contributions`` for the definition.
-    """
-    z = model.standardize(sample)
-    return ContributionVector(_raw_contributions(model, z[None, :])[0], model.columns)
 
 
 def contribution_rate(model: PcaModel, fault_window: DataMatrix) -> ContributionVector:
@@ -302,7 +277,7 @@ def contribution_rate(model: PcaModel, fault_window: DataMatrix) -> Contribution
     single large-error sample dominates. Rows whose contributions are
     identically zero are skipped.
     """
-    raw = _raw_contributions(model, model.standardize_matrix(fault_window))
+    raw = rbc_spe(model, fault_window)
     row_sums = raw.sum(axis=1)
     live = row_sums > 0
     if not live.any():

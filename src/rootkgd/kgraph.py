@@ -192,7 +192,11 @@ def _parse_relation(raw: Any, pos: int) -> RelationType:
         raise GraphParseError(f"relations[{pos}] ({raw['name']!r}): 'd' must be a number")
     if not isinstance(raw["o"], int) or isinstance(raw["o"], bool):
         raise GraphParseError(f"relations[{pos}] ({raw['name']!r}): 'o' must be an integer")
-    return RelationType(name=raw["name"], distance=float(raw["d"]), priority_offset=raw["o"])
+    try:
+        distance = float(raw["d"])
+    except OverflowError:  # an integer too large for a float is as infinite as 1e400
+        distance = math.inf if raw["d"] > 0 else -math.inf
+    return RelationType(name=raw["name"], distance=distance, priority_offset=raw["o"])
 
 
 def _parse_triple(raw: Any, pos: int) -> Triple:
@@ -332,10 +336,3 @@ def validate(graph: KnowledgeGraph) -> ValidationReport:
             report.warnings.append(f"relation {r.name!r} is never used")
 
     return report
-
-
-def out_edges(graph: KnowledgeGraph, entity_id: str) -> tuple[tuple[RelationType, str], ...]:
-    """Outgoing (relation, tail) pairs of an entity in deterministic order."""
-    if entity_id not in graph.by_id:
-        raise GraphError(f"unknown entity id: {entity_id!r}")
-    return graph.out_index.get(entity_id, ())

@@ -67,7 +67,6 @@ class PropagationResult:
 
     quantities: dict[str, float]
     pops: int
-    max_priority: int
 
 
 def attenuation(params: RfpaParams, distance: float) -> float:
@@ -102,13 +101,11 @@ def _run(
     heap: list[tuple[int, int, str]] = [(0, 0, source)]
     seq = 1
     pops = 0
-    max_priority = 0
     event = 0
 
     while heap:
         priority, _, head = heapq.heappop(heap)
         pops += 1
-        max_priority = max(max_priority, priority)
         if trace_sink is not None:
             trace_sink.append(TraceEvent(seq=event, priority=priority, head=head))
             event += 1
@@ -139,7 +136,7 @@ def _run(
                 )
                 event += 1
 
-    return PropagationResult(quantities=quantity, pops=pops, max_priority=max_priority)
+    return PropagationResult(quantities=quantity, pops=pops)
 
 
 def propagate(graph: KnowledgeGraph, params: RfpaParams, source: str) -> PropagationResult:

@@ -10,7 +10,7 @@ device), giving the diagnosis pipeline a ground truth to recover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -20,7 +20,7 @@ from .kgraph import KnowledgeGraph, graph_from_dict
 
 FAULT_KINDS = ("step", "drift", "random_variation")
 
-DEFAULT_RELATION_PARAMS: dict[str, tuple[float, int]] = {
+RELATION_PARAMS: dict[str, tuple[float, int]] = {
     "State": (1.0, 1),
     "State of": (1.0, 1),
     "Output": (3.0, 5),
@@ -34,9 +34,6 @@ class PlantSpec:
     n_devices: int
     streams_per_device: tuple[int, int] = (1, 1)
     variables_per_device: tuple[int, int] = (2, 2)
-    relation_params: dict[str, tuple[float, int]] = field(
-        default_factory=lambda: dict(DEFAULT_RELATION_PARAMS)
-    )
     noise_scale: float = 0.3
     seed: int = 0
 
@@ -52,9 +49,6 @@ class PlantSpec:
                 raise ValueError(f"{name} bounds must satisfy 1 <= lo <= hi, got {bounds}")
         if self.noise_scale <= 0:
             raise ValueError(f"noise_scale must be positive, got {self.noise_scale}")
-        for name in ("State", "State of", "Output"):
-            if name not in self.relation_params:
-                raise ValueError(f"relation_params must define {name!r}")
 
 
 @dataclass(frozen=True)
@@ -84,7 +78,6 @@ class PlantModel:
     columns: tuple[str, ...]
     var_device: tuple[int, ...]
     var_of_device: dict[str, tuple[str, ...]]
-    device_of_stream: dict[str, str]
     chain_coeff: np.ndarray
     loadings: np.ndarray
     baseline: np.ndarray
@@ -99,9 +92,6 @@ class PlantModel:
     def variable_std(self) -> np.ndarray:
         lat = self.latent_variance()[list(self.var_device)]
         return np.sqrt(self.loadings**2 * lat + self.noise_scale**2)
-
-    def variable_mean(self) -> np.ndarray:
-        return self.baseline.copy()
 
     def owner_device(self, variable_id: str) -> str:
         return self.device_ids[self.var_device[self.columns.index(variable_id)]]
@@ -118,7 +108,6 @@ def generate_plant(spec: PlantSpec) -> tuple[KnowledgeGraph, PlantModel]:
         entities.append({"id": did, "kind": "device", "label": f"Device {i + 1}"})
 
     stream_count = 0
-    device_of_stream: dict[str, str] = {}
     for i in range(spec.n_devices - 1):
         lo, hi = spec.streams_per_device
         for _ in range(int(rng.integers(lo, hi + 1))):
@@ -131,7 +120,6 @@ def generate_plant(spec: PlantSpec) -> tuple[KnowledgeGraph, PlantModel]:
                     "label": f"Stream {stream_count} (Device {i + 1} to Device {i + 2})",
                 }
             )
-            device_of_stream[sid] = device_ids[i]
             triples.append([device_ids[i], "Output", sid])
             triples.append([sid, "Output", device_ids[i + 1]])
 
@@ -160,7 +148,7 @@ def generate_plant(spec: PlantSpec) -> tuple[KnowledgeGraph, PlantModel]:
 
     relations = [
         {"name": name, "d": float(d), "o": int(o)}
-        for name, (d, o) in spec.relation_params.items()
+        for name, (d, o) in RELATION_PARAMS.items()
     ]
     graph = graph_from_dict({"entities": entities, "relations": relations, "triples": triples})
 
@@ -170,7 +158,6 @@ def generate_plant(spec: PlantSpec) -> tuple[KnowledgeGraph, PlantModel]:
         columns=tuple(columns),
         var_device=tuple(var_device),
         var_of_device={d: tuple(v) for d, v in var_of_device.items()},
-        device_of_stream=device_of_stream,
         chain_coeff=rng.uniform(0.6, 0.95, size=spec.n_devices),
         loadings=rng.uniform(0.7, 1.4, size=n_vars),
         baseline=rng.uniform(-5.0, 5.0, size=n_vars),

@@ -136,7 +136,7 @@ def paper_seed_score(graph, params, contributions, candidate: str, constant_s0: 
     that is positive, else ``constant_s0``."""
     own = dict(zip(contributions.roster, contributions.scores)).get(candidate, 0.0)
     s_0 = own if own > 0 else constant_s0
-    quantities, _, _ = dense_propagate(graph, params, candidate, s_0)
+    quantities, _ = dense_propagate(graph, params, candidate, s_0)
     return cosine_ref([quantities[v] for v in contributions.roster], contributions.scores)
 
 
@@ -178,7 +178,7 @@ def random_graph_payload(rng: np.random.Generator, max_nodes: int = 200, max_edg
 def dense_propagate(graph, params, source: str, s_0: float):
     """Plain transcription of the propagation walk seeded with ``s_0`` at
     ``source``, every state table dense over all entities; returns
-    (quantities, pops, max_priority)."""
+    (quantities, pops)."""
     import heapq
 
     factor = {r.name: math.exp(-params.sigma_r * r.distance) for r in graph.relations}
@@ -193,11 +193,9 @@ def dense_propagate(graph, params, source: str, s_0: float):
     heap = [(0, 0, source)]
     seq = 1
     pops = 0
-    max_priority = 0
     while heap:
         priority, _, head = heapq.heappop(heap)
         pops += 1
-        max_priority = max(max_priority, priority)
         initiated[head] += 1
         if initiated[head] > params.p_max:
             continue
@@ -211,4 +209,4 @@ def dense_propagate(graph, params, source: str, s_0: float):
                 pushed[tail] += 1
                 heapq.heappush(heap, (priority + rel.priority_offset, seq, tail))
                 seq += 1
-    return quantity, pops, max_priority
+    return quantity, pops

@@ -18,13 +18,13 @@ import pytest
 from conftest import random_model
 from oracles import dense_projectors, paper_seed_score, random_graph_payload
 from rootkgd.config import DiagnosisConfig
-from rootkgd.features import ContributionVector, contribution_rate, fit_pca, rbc_spe
-from rootkgd.kgraph import EntityKind, graph_from_dict, out_edges
+from rootkgd.features import ContributionVector, contribution_rate, fit_pca
+from rootkgd.kgraph import EntityKind, graph_from_dict
 from rootkgd.pipeline import run_diagnose, run_fit
 from rootkgd.rfpa import RfpaParams, propagate, trace
 from rootkgd.scoring import rank_all
 from rootkgd.synth import FaultInjection, PlantSpec, generate_plant, simulate
-from test_features import rbc_spe_oracle
+from test_features import rbc_row, rbc_spe_oracle
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -46,7 +46,7 @@ def test_criterion_1_rbc_defining_property():
         n = int(rng.integers(4, 17))
         model = random_model(rng, n=n, m=300)
         raw = model.mean + model.std * rng.normal(size=n) * 3
-        scores = rbc_spe(model, raw).scores
+        scores = rbc_row(model, raw)
         oracle, base = rbc_spe_oracle(model, raw)
         diag = np.diag(dense_projectors(model).proj_res)
         for i in np.flatnonzero(diag >= 1e-6):
@@ -253,7 +253,7 @@ def test_criterion_7_end_to_end_synthetic_recovery():
         if ranking.variables()[0].id == root:
             variable_hits += 1
         owner_streams = {
-            t for r, t in out_edges(graph, owner) if graph.entity(t).kind is EntityKind.STREAM
+            t for r, t in graph.out_index[owner] if graph.entity(t).kind is EntityKind.STREAM
         } | {
             t.head
             for t in graph.triples

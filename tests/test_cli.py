@@ -269,6 +269,9 @@ class TestDiagnoseCommand:
 BAD_CONFIGS = {
     "sigma_r_string": ("diagnose", '{"sigma_r": "abc"}', "sigma_r must be a finite number"),
     "sigma_r_nan": ("diagnose", '{"sigma_r": NaN}', "sigma_r must be a finite number"),
+    "sigma_r_huge_int": (
+        "diagnose", '{"sigma_r": 1%s}' % ("0" * 400), "sigma_r must be a finite number"
+    ),
     "ratio_null": ("diagnose", '{"delta_s_min_ratio": null}', "delta_s_min_ratio must be"),
     "top_k_overflow": ("diagnose", '{"top_k": 1e400}', "top_k must be an integer"),
     "window_bool": ("diagnose", '{"window": true}', "window must be an integer"),

@@ -29,6 +29,7 @@ MALFORMED = {
     "header_only": ("a,b\n", ": no data rows"),
     "duplicate_column": ("x1,x2,x1\n1,2,3\n", ": duplicate column name 'x1'"),
     "after_quoted_newline": ('a,b\n"1\n",2\n3,x\n', ":4: not a number: 'x'"),
+    "unclosed_quote": ('a,b\n1,2\n"3,4\n', ":3: unclosed quote"),
     "non_utf8_cell": (
         b"a,b\n1,2\n3,\xff\n",
         ":3: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 10: invalid start byte",
@@ -54,11 +55,17 @@ def test_malformed_input_is_named(tmp_path, case):
 
 
 def test_blank_lines_skipped_and_quoted_numbers_parse(tmp_path):
+    # A blank line, empty or whitespace only, is skipped wherever it stands,
+    # also as the unterminated last line.
     path = tmp_path / "data.csv"
-    path.write_text('a,b\n\n"1.5",2\n\n3,"-4e1"\n')
-    data = read_csv(path)
-    assert data.columns == ("a", "b")
-    assert np.array_equal(data.values, [[1.5, 2.0], [3.0, -40.0]])
+    for blank in ("\n", "  \n", "\t\n", " \r\n"):
+        last = blank.rstrip("\r\n")
+        path.write_bytes(f'a,b\n{blank}"1.5",2\n{blank}3,"-4e1"\n{last}'.encode())
+        data = read_csv(path)
+        assert data.columns == ("a", "b")
+        assert np.array_equal(data.values, [[1.5, 2.0], [3.0, -40.0]])
+        path.write_bytes(f"a\n1\n{blank}2\n{last}".encode())
+        assert np.array_equal(read_csv(path).values, [[1.0], [2.0]])
 
 
 def test_diagnose_on_malformed_csv_is_named_error(tmp_path):

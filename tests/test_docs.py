@@ -7,11 +7,19 @@ from pathlib import Path
 
 from click.testing import CliRunner
 
+import rootkgd
 from rootkgd.cli import main
 from rootkgd.config import DiagnosisConfig
 from test_cli import REMOVED_CONFIG_KEYS
 
 README = Path(__file__).parent.parent / "README.md"
+
+
+def test_package_exports_resolve():
+    """Every name the package exports exists on it, and the removed per-sample
+    SPE and out-edge accessor are not exported."""
+    assert all(hasattr(rootkgd, name) for name in rootkgd.__all__)
+    assert {"spe", "out_edges"}.isdisjoint(rootkgd.__all__)
 
 
 def test_readme_config_table_lists_every_field_in_order():

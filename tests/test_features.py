@@ -26,7 +26,6 @@ from rootkgd.features import (
     load_model,
     rbc_spe,
     save_model,
-    spe,
 )
 
 
@@ -82,6 +81,11 @@ def axis_model() -> PcaModel:
     return make_model(np.array([[1.0], [0.0]]), np.array([2.0]), np.array([1.0]))
 
 
+def rbc_row(model: PcaModel, row: np.ndarray) -> np.ndarray:
+    """The RBC scores of one sample."""
+    return rbc_spe(model, DataMatrix(row[None, :], model.columns))[0]
+
+
 def rbc_spe_oracle(model: PcaModel, sample: np.ndarray):
     """Defining property: score_i = SPE(x) - min_f SPE(x - f * axis_i).
 
@@ -89,7 +93,7 @@ def rbc_spe_oracle(model: PcaModel, sample: np.ndarray):
     closed-form the implementation uses.
     """
     C_res = dense_projectors(model).proj_res
-    z = model.standardize(sample)
+    z = (np.asarray(sample, dtype=float) - model.mean) / model.std
     base = float(z @ C_res @ z)
     scores = []
     for i in range(len(z)):
@@ -197,50 +201,27 @@ class TestFitPca:
 
 
 class TestStatistics:
-    def test_mean_sample_scores_zero(self):
-        rng = np.random.default_rng(11)
-        data = rng.normal(size=(200, 5)) + rng.uniform(-4, 4, 5)
-        model = fit_pca(DataMatrix(data, tuple("abcde")), 0.6)
-        mean_sample = model.mean.copy()
-        assert abs(spe(model, mean_sample)) <= 1e-12
-
     def test_principal_subspace_has_zero_spe(self):
         rng = np.random.default_rng(12)
         model = random_model(rng, n=6, r_pc=0.7)
         coeffs = rng.normal(size=model.n_pc)
         z = model.loadings_principal @ coeffs
         raw = model.mean + model.std * z
-        assert spe(model, raw) <= 1e-9
-
-    def test_spe_matches_reconstruction_oracle(self):
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            model = random_model(rng, n=int(rng.integers(3, 10)))
-            raw = model.mean + model.std * rng.normal(size=model.n_variables) * 3
-            z = model.standardize(raw)
-            reconstruction = z - model.loadings_principal @ (model.loadings_principal.T @ z)
-            oracle = float(reconstruction @ reconstruction)
-            assert abs(spe(model, raw) - oracle) <= 1e-10 * max(1.0, oracle)
+        assert (rbc_row(model, raw) <= 1e-9).all()
 
     def test_length_mismatch(self):
         rng = np.random.default_rng(16)
         model = random_model(rng, n=4)
-        with pytest.raises(ValueError, match="shape"):
-            spe(model, np.zeros(5))
-
-    def test_non_finite_sample(self):
-        rng = np.random.default_rng(17)
-        model = random_model(rng, n=4)
-        bad = np.array([1.0, np.inf, 0.0, 0.0])
-        with pytest.raises(ValueError, match="non-finite"):
-            spe(model, bad)
+        window = DataMatrix(np.zeros((3, 5)), tuple("abcde"))
+        with pytest.raises(ValueError, match="do not match the model's training columns"):
+            rbc_spe(model, window)
 
 
 class TestRbc:
     def test_zero_sample_zero_scores(self):
         rng = np.random.default_rng(20)
         model = random_model(rng, n=5)
-        scores = rbc_spe(model, model.mean.copy()).scores
+        scores = rbc_row(model, model.mean.copy())
         assert (scores == 0).all()
 
     def test_defining_property_against_golden_section(self):
@@ -248,7 +229,7 @@ class TestRbc:
         for _ in range(10):
             model = random_model(rng, n=int(rng.integers(4, 10)))
             raw = model.mean + model.std * rng.normal(size=model.n_variables) * 4
-            scores = rbc_spe(model, raw).scores
+            scores = rbc_row(model, raw)
             oracle, base = rbc_spe_oracle(model, raw)
             diag = np.diag(dense_projectors(model).proj_res)
             for i in np.flatnonzero(diag >= 1e-6):
@@ -271,7 +252,7 @@ class TestRbc:
             j = int(rng.choice(eligible))
             raw = model.mean + model.std * rng.normal(size=n)
             raw[j] += 10.0 * model.std[j]
-            if int(np.argmax(rbc_spe(model, raw).scores)) == j:
+            if int(np.argmax(rbc_row(model, raw))) == j:
                 hits += 1
         assert hits >= int(np.ceil(0.95 * trials))
 
@@ -283,13 +264,13 @@ class TestRbc:
         model = fit_pca(data, 0.9)
         assert dense_projectors(model).proj_res[1, 1] <= 1e-12
         with caplog.at_level(logging.WARNING, logger="rootkgd.features"):
-            scores = rbc_spe(model, np.array([1.0, 2.0, 3.0])).scores
+            scores = rbc_row(model, np.array([1.0, 2.0, 3.0]))
         assert scores[1] == 0.0
         assert any("near-zero" in rec.message for rec in caplog.records)
 
     def test_window_rate_is_mean_of_one_row_scores(self, caplog):
-        # The windowed path and the one-row path share one implementation, so
-        # they agree, and a near-zero denominator is flagged on both.
+        # The rate is the mean of each sample's normalized scores, and a
+        # near-zero denominator is flagged.
         rng = np.random.default_rng(25)
         v1 = rng.normal(size=300)
         v2 = rng.normal(size=300)
@@ -298,7 +279,7 @@ class TestRbc:
         with caplog.at_level(logging.WARNING, logger="rootkgd.features"):
             rate = contribution_rate(model, DataMatrix(rows, model.columns))
         assert any("near-zero" in rec.message for rec in caplog.records)
-        one_row = [rbc_spe(model, row).scores for row in rows]
+        one_row = [rbc_row(model, row) for row in rows]
         mean = np.mean([scores / scores.sum() for scores in one_row], axis=0)
         assert rate.scores[1] == 0.0
         np.testing.assert_allclose(rate.scores, mean / mean.sum(), rtol=1e-12)
@@ -312,8 +293,8 @@ def random_subspace_model(rng: np.random.Generator, n: int, n_res: int) -> PcaMo
 
 
 class TestDenseReference:
-    """The SPE, its contributions and the contribution rate, computed through
-    the principal loadings, agree with the same quantities through the dense
+    """The SPE contributions and the contribution rate, computed through the
+    principal loadings, agree with the same quantities through the dense
     n x n residual projector of the model."""
 
     @pytest.mark.parametrize("n_res", [0, 1, 2, 5])
@@ -325,12 +306,11 @@ class TestDenseReference:
         rows = model.mean + model.std * rng.normal(size=(25, model.n_variables)) * 3
         worst = 0.0
         for row in rows:
-            z = model.standardize(row)
-            # The SPE and every one of its contributions lie in [0, z·z].
+            z = (row - model.mean) / model.std
+            # Every contribution to the SPE lies in [0, z·z].
             bound = z @ z
-            worst = max(worst, abs(spe(model, row) - z @ dense.proj_res @ z) / bound)
             reference = dense_contributions(model, z[None, :])[0]
-            worst = max(worst, np.abs(rbc_spe(model, row).scores - reference).max() / bound)
+            worst = max(worst, np.abs(rbc_row(model, row) - reference).max() / bound)
         reference = dense_contribution_rate(model, rows)
         window = DataMatrix(rows, model.columns)
         if reference is None:
@@ -374,7 +354,7 @@ class TestContributionRate:
         # Each row counts once, so the large second row does not dominate, as
         # it would if the raw contributions were averaged before normalizing.
         assert np.allclose(per_sample.scores, [0.0, 0.75, 0.25])
-        raw_mean = np.mean([rbc_spe(model, row).scores for row in window.values], axis=0)
+        raw_mean = rbc_spe(model, window).mean(axis=0)
         assert not np.allclose(per_sample.scores, raw_mean / raw_mean.sum())
 
     def test_permutation_equivariance(self):
@@ -440,8 +420,7 @@ class TestModelPersistence:
         again = load_model(path)
         assert again.columns == model.columns
         sample = model.mean + model.std * rng.normal(size=6)
-        assert spe(again, sample) == spe(model, sample)
-        assert np.array_equal(rbc_spe(again, sample).scores, rbc_spe(model, sample).scores)
+        assert np.array_equal(rbc_row(again, sample), rbc_row(model, sample))
 
     @pytest.mark.parametrize("case", list(CORRUPTIONS))
     def test_inconsistent_model_rejected(self, tmp_path, case):

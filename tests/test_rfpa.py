@@ -36,15 +36,15 @@ DEFAULTS = RfpaParams(sigma_r=0.1, p_max=3, delta_s_min_ratio=1e-6)
 def assert_matches_dense(graph, params, source):
     """The run from ``source`` equals the dense oracle: every entity's value
     bit for bit (an absent entity holds 0.0), exactly the reached entities as
-    keys, each positive, and the same pops and maximum priority."""
+    keys, each positive, and the same pops."""
     result = propagate(graph, params, source)
-    quantities, pops, max_priority = dense_propagate(graph, params, source, 1.0)
+    quantities, pops = dense_propagate(graph, params, source, 1.0)
     assert [result.quantities.get(e.id, 0.0).hex() for e in graph.entities] == [
         quantities[e.id].hex() for e in graph.entities
     ]
     assert set(result.quantities) == {eid for eid, q in quantities.items() if q > 0.0}
     assert all(q > 0.0 for q in result.quantities.values())
-    assert (result.pops, result.max_priority) == (pops, max_priority)
+    assert result.pops == pops
     return result
 
 
@@ -60,7 +60,6 @@ class TestPropagate:
         result = propagate(graph, DEFAULTS, "solo")
         assert result.quantities == {"solo": 1.0}
         assert result.pops == 1
-        assert result.max_priority == 0
 
     def test_two_node_chain(self, chain_graph):
         result = propagate(chain_graph, DEFAULTS, "A")
@@ -83,7 +82,6 @@ class TestPropagate:
                 else:
                     assert abs(float(g) - float(w)) <= 1e-12
         assert result.pops == 5
-        assert result.max_priority == 2
         assert abs(result.quantities["D"] - 1.6374615061559634) <= 1e-12
 
     def test_receipts_average_downweights_reemission(self):
@@ -189,7 +187,7 @@ class TestInvariants:
         source = graph.entities[0].id
         base = propagate(graph, params, source)
         for c in (0.5, 7.3, 1000.0):
-            scaled, _, _ = dense_propagate(graph, params, source, c)
+            scaled, _ = dense_propagate(graph, params, source, c)
             for eid, q in base.quantities.items():
                 expected = c * q
                 assert abs(scaled[eid] - expected) <= 1e-12 * max(expected, c)

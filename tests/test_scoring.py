@@ -244,7 +244,7 @@ class TestRankAll:
             )
             contributions = ContributionVector(rng.exponential(size=len(roster)), roster)
             for entry in rank_all(graph, params, contributions).entries:
-                quantities, _, _ = dense_propagate(graph, params, entry.id, 1.0)
+                quantities, _ = dense_propagate(graph, params, entry.id, 1.0)
                 profile = np.array([quantities[r] for r in roster])
                 assert entry.score.hex() == cosine(profile, contributions.scores).hex()
                 scored += 1
