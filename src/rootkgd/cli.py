@@ -12,13 +12,14 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
 import numpy as np
 
 from . import synth as synthmod
-from .config import ConfigError, DiagnosisConfig, apply_overrides, load_config
+from .config import ConfigError, DiagnosisConfig, load_config
 from .dataio import write_csv
 from .kgraph import (
     GraphError,
@@ -29,7 +30,7 @@ from .kgraph import (
     validate,
 )
 from .pipeline import run_diagnose, run_fit, run_trace
-from .scoring import format_report
+from .scoring import format_report, report_dict
 
 logger = logging.getLogger(__name__)
 
@@ -38,12 +39,10 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
 
-def _effective_config(config_path: str | None, **overrides) -> DiagnosisConfig:
-    if config_path:
-        base = load_config(config_path)
-    else:
-        base = DiagnosisConfig()
-    return apply_overrides(base, **overrides)
+def _effective_config(config_path: str | None, **flags) -> DiagnosisConfig:
+    """The config file, or the defaults, with each flag that is not None on top."""
+    base = load_config(config_path) if config_path else DiagnosisConfig()
+    return replace(base, **{k: v for k, v in flags.items() if v is not None})
 
 
 def handle_errors(fn):
@@ -98,8 +97,11 @@ def fit(config_path, graph_path, data_path, model_path, r_pc):
         model_path=model_path,
         r_pc=r_pc,
     )
-    outcome = run_fit(config)
-    click.echo(outcome.summary())
+    model = run_fit(config)
+    click.echo(
+        f"fitted PCA model: n={model.n_variables} variables, k={model.n_pc} components, "
+        f"retained variance {model.retained_variance:.4f}"
+    )
     if config.model_path:
         click.echo(f"model written to {config.model_path}")
 
@@ -127,11 +129,10 @@ def diagnose(config_path, graph_path, model_path, data_path, fault_start, window
         top_k=top_k,
     )
     ranking = run_diagnose(config)
-    click.echo(format_report(ranking, top_k=config.top_k, mode="text"), nl=False)
+    click.echo(format_report(ranking, top_k=config.top_k), nl=False)
     if json_path:
-        Path(json_path).write_text(
-            format_report(ranking, top_k=config.top_k, mode="json"), encoding="utf-8"
-        )
+        report = json.dumps(report_dict(ranking), indent=2) + "\n"
+        Path(json_path).write_text(report, encoding="utf-8")
         click.echo(f"report written to {json_path}")
 
 
@@ -147,17 +148,12 @@ def trace(source, config_path, graph_path):
 
 
 @main.command("validate-kg")
-@click.argument("graph_file", required=False, type=click.Path())
-@click.option("--config", "config_path", type=click.Path(), help="JSON config file.")
-@click.option("--graph", "graph_path", type=click.Path(), help="Knowledge graph file.")
+@click.argument("graph_file", type=click.Path())
 @handle_errors
-def validate_kg(graph_file, config_path, graph_path):
+def validate_kg(graph_file):
     """Validate a knowledge graph file; exit 0 only if it has no errors."""
-    config = _effective_config(config_path, graph_path=graph_file or graph_path)
-    if not config.graph_path:
-        raise ConfigError("a graph file is required (argument, --graph, or config)")
     try:
-        graph = load_graph(config.graph_path)
+        graph = load_graph(graph_file)
     except GraphValidationError as exc:
         for line in exc.report.errors:
             click.echo(f"error: {line}")

@@ -1,19 +1,18 @@
-"""Diagnosis configuration: defaults, JSON config files, CLI overrides.
+"""Diagnosis configuration: defaults and JSON config files.
 
-Precedence is flag > file > default. Every propagation and contribution
-parameter used anywhere in the pipeline lives here, so a config file plus
-the input paths fully determines a run.
+Every propagation and contribution parameter used anywhere in the pipeline
+lives here, so a config file plus the input paths fully determines a run.
+The command line overlays its flags on a config (see ``cli``).
 """
 
 from __future__ import annotations
 
 import json
-import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
-from .rfpa import RfpaParams
+from .rfpa import RfpaParams, finite_real
 
 
 class ConfigError(Exception):
@@ -50,9 +49,7 @@ class DiagnosisConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         for name in _REAL_FIELDS:
             value = getattr(self, name)
-            # Fails for NaN, infinities and integers too large for a float.
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not abs(value) <= sys.float_info.max):
+            if not finite_real(value):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.fault_start < 0:
             raise ConfigError(f"fault_start must be >= 0, got {self.fault_start}")
@@ -73,15 +70,6 @@ class DiagnosisConfig:
             p_max=self.p_max,
             delta_s_min_ratio=self.delta_s_min_ratio,
         )
-
-    def params_dict(self) -> dict[str, Any]:
-        """Parameter set for report metadata."""
-        return {
-            "r_pc": self.r_pc,
-            "sigma_r": self.sigma_r,
-            "p_max": self.p_max,
-            "delta_s_min_ratio": self.delta_s_min_ratio,
-        }
 
 
 _FIELD_NAMES = {f.name for f in fields(DiagnosisConfig)}
@@ -105,12 +93,3 @@ def load_config(path: str | Path) -> DiagnosisConfig:
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return config_from_dict(payload)
-
-
-def apply_overrides(config: DiagnosisConfig, **overrides: Any) -> DiagnosisConfig:
-    """Overlay CLI flags; None values mean "not given, keep current"."""
-    effective = {k: v for k, v in overrides.items() if v is not None}
-    unknown = set(effective) - _FIELD_NAMES
-    if unknown:
-        raise ConfigError(f"unknown config overrides: {sorted(unknown)}")
-    return replace(config, **effective)

@@ -26,7 +26,8 @@ def _read_bulk(fh) -> DataMatrix | None:
     """The dataset parsed by ``np.loadtxt``, or None where ``_read_rows``, the
     author of every error message, must read it: on any exception or warning
     (DataMatrix rejects a column-count mismatch and non-finite values), a line
-    that is not one whole sample, or one longer than the csv field limit."""
+    that is not one whole sample, one longer than the csv field limit, or an
+    odd count of quotes in the last line, which leaves a quote unclosed."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -38,7 +39,9 @@ def _read_bulk(fh) -> DataMatrix | None:
         return None
     samples = sum(1 for line in lines if line.strip("\r\n"))
     fits = max(map(len, lines)) <= csv.field_size_limit()
-    return data if fits and samples == data.n_samples else None
+    last = next(line for line in reversed(lines) if line.strip())
+    closed = last.count('"') % 2 == 0
+    return data if fits and closed and samples == data.n_samples else None
 
 
 def _read_rows(path: Path, fh) -> DataMatrix:
@@ -65,6 +68,7 @@ def _parse(path: Path, reader) -> tuple[tuple[str, ...], list[list[float]]]:
         raise ValueError(f"{path}: {exc}") from None
     rows: list[list[float]] = []
     line = reader.line_num  # the last line of the previous record
+    start = line + 1
     for row in reader:
         start, line = line + 1, reader.line_num
         if not row or (len(row) == 1 and row[0].isspace()):
@@ -80,22 +84,29 @@ def _parse(path: Path, reader) -> tuple[tuple[str, ...], list[list[float]]]:
         if bad is not None:
             raise _row_error(path, start, line, f"not a finite number: {bad!r}")
         rows.append(values)
+    if _unclosed_quote(path, start):  # in the last record, "4 still parses as 4
+        raise ValueError(f"{path}:{start}: unclosed quote")
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return columns, rows
 
 
 def _row_error(path: Path, start: int, line: int, message: str) -> ValueError:
-    """The error for the record on lines ``start``..``line``. A quote it opens
-    and the file never closes is named first: the non-strict reader reads the
-    rest of the file into that field, where a strict one fails at its end."""
+    """The error for the record on lines ``start``..``line``, or its unclosed quote."""
+    if _unclosed_quote(path, start):
+        return ValueError(f"{path}:{start}: unclosed quote")
+    return ValueError(f"{path}:{line}: {message}")
+
+
+def _unclosed_quote(path: Path, start: int) -> bool:
+    """Whether the record on line ``start`` opens a quote the file never closes,
+    which the non-strict reader reads to the end of the file as one field."""
     with path.open(newline="", encoding="utf-8") as fh:
         try:
-            next(csv.reader(itertools.islice(fh, start - 1, None), strict=True))
+            next(csv.reader(itertools.islice(fh, start - 1, None), strict=True), None)
         except csv.Error as exc:
-            if str(exc) == "unexpected end of data":
-                return ValueError(f"{path}:{start}: unclosed quote")
-    return ValueError(f"{path}:{line}: {message}")
+            return str(exc) == "unexpected end of data"
+    return False
 
 
 def _decode_error(path: Path) -> ValueError:

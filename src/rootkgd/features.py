@@ -141,6 +141,12 @@ class PcaModel:
     def n_variables(self) -> int:
         return len(self.columns)
 
+    @property
+    def retained_variance(self) -> float:
+        """Share of the training variance held by the principal components."""
+        principal = float(self.eig_principal.sum())
+        return principal / float(principal + self.eig_residual.sum())
+
     def standardize_matrix(self, data: DataMatrix) -> np.ndarray:
         if data.columns != self.columns:
             raise ValueError("data columns do not match the model's training columns")

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 from . import dataio, features, rfpa, scoring
 from .config import ConfigError, DiagnosisConfig
@@ -16,54 +16,31 @@ from .scoring import RootCauseRanking
 logger = logging.getLogger(__name__)
 
 
-def resolve_model_columns(
-    data_columns: tuple[str, ...], graph: KnowledgeGraph | None
-) -> list[str]:
-    """Pick the dataset columns a model is fitted on.
-
-    With a graph, these are the columns its variables bind through their
-    ``column`` attribute; dataset columns unknown to the graph are ignored
-    with a warning. Without a graph, every column is used.
-    """
-    if graph is None:
-        return list(data_columns)
+def bound_columns(columns: Sequence[str], graph: KnowledgeGraph, what: str) -> list[str]:
+    """The ``columns`` a graph variable binds, in order; one warning names the
+    rest as ``what`` columns, and none bound is a ``ConfigError``."""
     bound = {e.column for e in graph.variable_roster()}
-    columns = [c for c in data_columns if c in bound]
-    ignored = [c for c in data_columns if c not in bound]
-    if ignored:
-        logger.warning("ignoring CSV columns not bound to any variable: %s", ignored)
-    if not columns:
-        raise ConfigError("no dataset columns are bound to graph variables")
-    return columns
+    unbound = [c for c in columns if c not in bound]
+    if unbound:
+        logger.warning("%s columns without a variable binding are ignored: %s", what, unbound)
+    kept = [c for c in columns if c in bound]
+    if not kept:
+        raise ConfigError(f"no {what} columns are bound to graph variables")
+    return kept
 
 
-@dataclass(frozen=True)
-class FitOutcome:
-    model: PcaModel
-    retained_variance: float
-
-    def summary(self) -> str:
-        return (
-            f"fitted PCA model: n={self.model.n_variables} variables, "
-            f"k={self.model.n_pc} components, "
-            f"retained variance {self.retained_variance:.4f}"
-        )
-
-
-def run_fit(config: DiagnosisConfig) -> FitOutcome:
-    """Fit a model on the configured normal-operation dataset."""
+def run_fit(config: DiagnosisConfig) -> PcaModel:
+    """Fit a model on the configured normal-operation dataset: on the columns
+    the graph binds if a graph is given, else on every column."""
     if not config.normal_data_path:
         raise ConfigError("normal_data_path is required to fit a model")
     graph = load_graph(config.graph_path) if config.graph_path else None
     data = dataio.read_csv(config.normal_data_path)
-    columns = resolve_model_columns(data.columns, graph)
+    columns = data.columns if graph is None else bound_columns(data.columns, graph, "dataset")
     model = features.fit_pca(data.select(columns), config.r_pc)
-    retained = float(model.eig_principal.sum()) / float(
-        model.eig_principal.sum() + model.eig_residual.sum()
-    )
     if config.model_path:
         features.save_model(model, config.model_path)
-    return FitOutcome(model=model, retained_variance=retained)
+    return model
 
 
 def run_diagnose(config: DiagnosisConfig) -> RootCauseRanking:
@@ -94,19 +71,14 @@ def run_diagnose(config: DiagnosisConfig) -> RootCauseRanking:
     window = DataMatrix(fault.values[config.fault_start : end], fault.columns)
     rate = features.contribution_rate(model, window)
 
+    bound = bound_columns(model.columns, graph, "model")
     variable_of = {e.column: e.id for e in graph.variable_roster()}
-    unbound = [c for c in model.columns if c not in variable_of]
-    if unbound:
-        logger.warning("model columns without a variable binding are ignored: %s", unbound)
-    bound = [c for c in model.columns if c in variable_of]
-    if not bound:
-        raise ConfigError("no model columns are bound to graph variables")
     contributions = rate.restrict(bound).relabel(variable_of)
 
     metadata: dict[str, Any] = {
         "graph": Path(config.graph_path).name,
         # r_pc is the model file's, which may differ from the config's.
-        "params": {**config.params_dict(), "r_pc": model.r_pc},
+        "params": {"r_pc": model.r_pc, **asdict(config.rfpa_params())},
         "window": {
             "fault_start": config.fault_start,
             "length": config.window,

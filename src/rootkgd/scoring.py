@@ -11,7 +11,6 @@ every candidate is seeded with one unit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Any
@@ -121,15 +120,11 @@ def report_dict(ranking: RootCauseRanking) -> dict[str, Any]:
     }
 
 
-def format_report(ranking: RootCauseRanking, top_k: int = 10, mode: str = "text") -> str:
-    """Render a ranking: two side-by-side top-k columns (text) or JSON."""
+def format_report(ranking: RootCauseRanking, top_k: int = 10) -> str:
+    """Render a ranking as text: the top ``top_k`` variables beside the top
+    ``top_k`` streams and devices."""
     if top_k < 1:
         raise ValueError(f"top_k must be at least 1, got {top_k}")
-    if mode == "json":
-        return json.dumps(report_dict(ranking), indent=2) + "\n"
-    if mode != "text":
-        raise ValueError(f"mode must be 'text' or 'json', got {mode!r}")
-
     left = ranking.variables()[:top_k]
     right = ranking.physical()[:top_k]
     width = max([12] + [len(e.id) for e in left + right])

@@ -14,7 +14,7 @@ from rootkgd.config import DiagnosisConfig
 from rootkgd.dataio import read_csv, write_csv
 from rootkgd.features import DataMatrix, load_model
 from rootkgd.kgraph import load_graph
-from rootkgd.pipeline import resolve_model_columns, run_diagnose, run_fit
+from rootkgd.pipeline import bound_columns, run_diagnose, run_fit
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -116,9 +116,11 @@ class TestFitCommand:
         graph = load_graph(plant_dir["dir"] / "graph.json")
         columns = tuple(plant_dir["manifest"]["columns"]) + ("extra_sensor",)
         with caplog.at_level(logging.WARNING, logger="rootkgd.pipeline"):
-            used = resolve_model_columns(columns, graph)
+            used = bound_columns(columns, graph, "dataset")
         assert used == plant_dir["manifest"]["columns"]
-        assert any("extra_sensor" in rec.message for rec in caplog.records)
+        assert [rec.getMessage() for rec in caplog.records] == [
+            "dataset columns without a variable binding are ignored: ['extra_sensor']"
+        ]
 
 
 class TestDiagnoseCommand:

@@ -30,6 +30,9 @@ MALFORMED = {
     "duplicate_column": ("x1,x2,x1\n1,2,3\n", ": duplicate column name 'x1'"),
     "after_quoted_newline": ('a,b\n"1\n",2\n3,x\n', ":4: not a number: 'x'"),
     "unclosed_quote": ('a,b\n1,2\n"3,4\n', ":3: unclosed quote"),
+    "unclosed_quote_last_field": ('a,b\n1,2\n3,"4\n', ":3: unclosed quote"),
+    "unclosed_quote_last_row": ('a\n1\n"2\n', ":3: unclosed quote"),
+    "unclosed_quote_no_final_newline": ('a,b\n1,2\n3,"4', ":3: unclosed quote"),
     "non_utf8_cell": (
         b"a,b\n1,2\n3,\xff\n",
         ":3: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 10: invalid start byte",

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import importlib.util
 import re
 import shlex
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -10,9 +12,11 @@ from click.testing import CliRunner
 import rootkgd
 from rootkgd.cli import main
 from rootkgd.config import DiagnosisConfig
+from rootkgd.rfpa import RfpaParams
 from test_cli import REMOVED_CONFIG_KEYS
 
-README = Path(__file__).parent.parent / "README.md"
+ROOT = Path(__file__).parent.parent
+README = ROOT / "README.md"
 
 
 def test_package_exports_resolve():
@@ -20,6 +24,24 @@ def test_package_exports_resolve():
     SPE and out-edge accessor are not exported."""
     assert all(hasattr(rootkgd, name) for name in rootkgd.__all__)
     assert {"spe", "out_edges"}.isdisjoint(rootkgd.__all__)
+
+
+def test_benchmark_traced_functions_resolve(monkeypatch):
+    """Every function the benchmark traces (``perfbench/tracing.py``'s
+    ``TRACED``) is a callable on its rootkgd module, so deleting or renaming
+    one fails here and not only in the benchmark."""
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses look it up
+    spec.loader.exec_module(tracing)
+    assert tracing.TRACED
+    missing = [
+        f"{module}.{name}"
+        for module, names in tracing.TRACED.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(module), name, None))
+    ]
+    assert missing == []
 
 
 def test_readme_config_table_lists_every_field_in_order():
@@ -46,7 +68,7 @@ def test_readme_report_params_match_config():
     text = README.read_text(encoding="utf-8")
     paragraph = text.split("**Report JSON**", 1)[1].split("\n\n", 1)[0]
     documented = re.findall(r"`(\w+)`", paragraph.split("`params` holds", 1)[1])
-    assert documented == list(DiagnosisConfig().params_dict())
+    assert documented == ["r_pc"] + [f.name for f in fields(RfpaParams)]
 
 
 def test_readme_library_snippet_runs(tmp_path, monkeypatch, capsys):

@@ -149,7 +149,7 @@ class TestPropagate:
             propagate(chain_graph, DEFAULTS, "nope")
 
     def test_param_validation(self):
-        for sigma_r in (0.0, float("nan"), float("inf")):
+        for sigma_r in (0.0, float("nan"), float("inf"), 10**400, "x"):
             with pytest.raises(ValueError, match="sigma_r must be positive and finite"):
                 RfpaParams(sigma_r=sigma_r)
         with pytest.raises(ValueError, match="p_max"):
@@ -157,8 +157,9 @@ class TestPropagate:
         for p_max in (2.5, 3.0, math.inf, True):
             with pytest.raises(ValueError, match="p_max must be an integer"):
                 RfpaParams(p_max=p_max)
-        with pytest.raises(ValueError, match="delta_s_min_ratio"):
-            RfpaParams(delta_s_min_ratio=1.5)
+        for ratio in (1.5, "x", None):
+            with pytest.raises(ValueError, match=r"delta_s_min_ratio must be in \(0, 1\)"):
+                RfpaParams(delta_s_min_ratio=ratio)
 
 
 class TestInvariants:

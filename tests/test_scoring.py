@@ -277,7 +277,7 @@ def ranking(tep_graph, tep_contributions):
 
 class TestFormatReport:
     def test_text_layout(self, ranking):
-        text = format_report(ranking, top_k=10, mode="text")
+        text = format_report(ranking, top_k=10)
         lines = text.splitlines()
         assert "variable" in lines[0] and "stream/device" in lines[0]
         assert len(lines) == 11
@@ -287,11 +287,11 @@ class TestFormatReport:
         assert all(len(tok.split(".")[1]) == 5 for tok in first if "." in tok)
 
     def test_top_k_truncation(self, ranking):
-        text = format_report(ranking, top_k=1000, mode="text")
+        text = format_report(ranking, top_k=1000)
         assert len(text.splitlines()) == 1 + 51  # all variables, no padding rows
 
     def test_json_round_trip(self, ranking):
-        payload = json.loads(format_report(ranking, top_k=5, mode="json"))
+        payload = json.loads(json.dumps(report_dict(ranking), indent=2))
         assert set(payload) == {"graph", "params", "window", "ranking"}
         assert payload["graph"] == "tep.kg.json"
         by_id = {e["id"]: e["score"] for e in payload["ranking"]}
@@ -306,5 +306,3 @@ class TestFormatReport:
     def test_bad_args(self, ranking):
         with pytest.raises(ValueError, match="top_k"):
             format_report(ranking, top_k=0)
-        with pytest.raises(ValueError, match="mode"):
-            format_report(ranking, mode="xml")
