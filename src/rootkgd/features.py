@@ -150,7 +150,7 @@ class PcaModel:
     def standardize_matrix(self, data: DataMatrix) -> np.ndarray:
         if data.columns != self.columns:
             raise ValueError("data columns do not match the model's training columns")
-        return (data.values - self.mean) / self.std
+        return np.asfortranarray((data.values - self.mean) / self.std)
 
 
 @dataclass(frozen=True)
@@ -271,7 +271,8 @@ def rbc_spe(model: PcaModel, data: DataMatrix) -> np.ndarray:
         logger.warning(
             "variables with near-zero reconstruction denominator scored as 0: %s", flagged
         )
-    raw = np.zeros_like(Z)  # Z's memory layout: the row sums' rounding depends on it
+    # Fortran-ordered, as Z always is: the row sums' rounding depends on the layout.
+    raw = np.zeros_like(Z)
     raw[:, usable] = mapped[:, usable] ** 2 / diag[usable]
     return raw
 

@@ -122,6 +122,19 @@ class TestFitCommand:
             "dataset columns without a variable binding are ignored: ['extra_sensor']"
         ]
 
+    def test_no_bound_column_is_usage_error(self, plant_dir, tmp_path, runner):
+        data = read_csv(plant_dir["dir"] / "normal.csv")
+        renamed = tmp_path / "renamed.csv"
+        write_csv(DataMatrix(data.values, tuple(f"z{c}" for c in data.columns)), renamed)
+        result = runner.invoke(
+            main, ["fit", "--graph", str(plant_dir["dir"] / "graph.json"), "--data", str(renamed)]
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.endswith(
+            "error: no dataset columns are bound to graph variables\n"
+        )
+
 
 class TestDiagnoseCommand:
     def test_end_to_end_recovers_root(self, plant_dir, model_path, runner):
@@ -179,6 +192,37 @@ class TestDiagnoseCommand:
         )
         assert result.exit_code == 1
         assert "window exceeds dataset" in result.stderr
+
+    def test_fault_dataset_missing_model_column(self, plant_dir, model_path, tmp_path,
+                                                runner):
+        data = read_csv(plant_dir["dir"] / "fault.csv")
+        dropped = data.columns[0]
+        fault = tmp_path / "fault.csv"
+        write_csv(data.select(data.columns[1:]), fault)
+        args = diagnose_args(plant_dir, model_path)
+        args[args.index("--data") + 1] = str(fault)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == f"error: fault dataset is missing model columns: {[dropped]}\n"
+
+    def test_model_with_no_bound_column_is_usage_error(self, plant_dir, tmp_path, runner):
+        # A model fitted without a graph on columns no variable binds.
+        model = tmp_path / "model.json"
+        for name in ("normal", "fault"):
+            data = read_csv(plant_dir["dir"] / f"{name}.csv")
+            columns = tuple(f"z{c}" for c in data.columns)
+            write_csv(DataMatrix(data.values, columns), tmp_path / f"{name}.csv")
+        result = runner.invoke(
+            main, ["fit", "--data", str(tmp_path / "normal.csv"), "--model", str(model)]
+        )
+        assert result.exit_code == 0, result.output
+        args = diagnose_args(plant_dir, model)
+        args[args.index("--data") + 1] = str(tmp_path / "fault.csv")
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.endswith("error: no model columns are bound to graph variables\n")
 
     def test_inconsistent_model_is_named_error(self, plant_dir, model_path, tmp_path, runner):
         payload = json.loads(model_path.read_text())

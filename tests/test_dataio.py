@@ -33,6 +33,12 @@ MALFORMED = {
     "unclosed_quote_last_field": ('a,b\n1,2\n3,"4\n', ":3: unclosed quote"),
     "unclosed_quote_last_row": ('a\n1\n"2\n', ":3: unclosed quote"),
     "unclosed_quote_no_final_newline": ('a,b\n1,2\n3,"4', ":3: unclosed quote"),
+    "unclosed_quote_after_blank_line": ('a,b\n1,2\n\n"3,4\n', ":4: unclosed quote"),
+    "text_after_closing_quote": ('a,b\n"1" ,2\n', ":2: ',' expected after '\"'"),
+    "text_after_closing_quote_in_header": ('"a" ,b\n1,2\n', ":1: ',' expected after '\"'"),
+    "text_after_closing_quote_then_unclosed": (
+        'a,b\n1,2\n"3" ,"4', ":3: ',' expected after '\"'"
+    ),
     "non_utf8_cell": (
         b"a,b\n1,2\n3,\xff\n",
         ":3: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 10: invalid start byte",
@@ -82,13 +88,17 @@ def test_diagnose_on_malformed_csv_is_named_error(tmp_path):
         result = runner.invoke(main, args)
         assert result.exit_code == 0, result.output
     bad = tmp_path / "bad.csv"
-    bad.write_text("a,b\n1,2\n3,x\n")
-    result = runner.invoke(
-        main, ["diagnose", "--graph", str(graph), "--model", str(model), "--data", str(bad)]
-    )
-    assert result.exit_code == 1
-    assert isinstance(result.exception, SystemExit)  # handled: no traceback
-    assert result.stderr == f"error: {bad}:3: not a number: 'x'\n"
+    for text, message in (
+        ("a,b\n1,2\n3,x\n", ":3: not a number: 'x'"),
+        ('a,b\n1,2\n"3" ,"4', ":3: ',' expected after '\"'"),
+    ):
+        bad.write_text(text)
+        result = runner.invoke(
+            main, ["diagnose", "--graph", str(graph), "--model", str(model), "--data", str(bad)]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # handled: no traceback
+        assert result.stderr == f"error: {bad}{message}\n"
 
 
 def read_rows(path: Path):
@@ -103,12 +113,14 @@ good_cells = st.one_of(
     finite.map(repr),
     finite.map(lambda v: "%.9g" % v),
     finite.map(lambda v: f'"{v!r}"'),
-    st.sampled_from([" 7 ", "\t8", "\xa09", "-0", ".5", "+1.", '"1" ', '"1\n"', '"\r\n2"']),
+    st.sampled_from([" 7 ", "\t8", "\xa09", "-0", ".5", "+1.", '"1\n"', '"\r\n2"']),
 )
 #: Cells only float() reads, non-finite ones, and ones neither parser reads.
+#: A quoted field ends at its closing quote, so '"1" ' is malformed.
 bad_cells = st.sampled_from([
     "1_000", "\u0661\u0662", "\uff13", "1e500", "nan", "inf", "-inf", "NaN", "", "x",
-    "0x10", "1+0j", "\x00", "1\x002", "\x0c3", '"1"x', '"1,2"', '"1""2"', '""', '"3', '1"2',
+    "0x10", "1+0j", "\x00", "1\x002", "\x0c3", '"1" ', '"1"x', '"1,2"', '"1""2"', '""', '"3',
+    '1"2',
 ])
 endings = st.sampled_from(["\n", "\r\n", "\r"])
 #: Free text over the characters that matter to either parser.
@@ -121,7 +133,8 @@ def csv_texts(draw):
     now and then a bad cell, a ragged row, or a blank or whitespace line."""
     width = draw(st.integers(1, 3))
     header = draw(st.sampled_from(
-        [",".join("abc"[:width]), " , ".join(" abc"[1:width + 1]), "a," * (width - 1) + "a"]
+        [",".join("abc"[:width]), " , ".join(" abc"[1:width + 1]), "a," * (width - 1) + "a",
+         ",".join(['"a" '] + list("bc"[:width - 1]))]
     ))
     if draw(st.integers(0, 9)) == 0:
         return header + "\n" + draw(noise)
@@ -141,7 +154,8 @@ def csv_texts(draw):
 @given(text=csv_texts())
 def test_bulk_parse_matches_row_by_row(text):
     """read_csv returns the row-by-row reader's matrix bit for bit, or raises
-    its exact message."""
+    its exact message. Only quote-free files reach the bulk parse, so those
+    pair the two parsers; a file with a quote checks the row reader alone."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.csv"
         path.write_bytes(text.encode())
@@ -160,11 +174,18 @@ def test_bulk_parse_matches_row_by_row(text):
 
 def test_bulk_parse_takes_well_formed_files(tmp_path):
     path = tmp_path / "data.csv"
-    path.write_bytes(b'a,b\r\n1.5,"2"\r\n\r\n"3" ,-4e1\r\n')
+    path.write_bytes(b'a,b\r\n1.5, 2\r\n\r\n3 ,-4e1\r\n')
     with path.open(newline="", encoding="utf-8") as fh:
         data = _read_bulk(fh)
     assert data is not None and data.columns == ("a", "b")
     assert data.values.tobytes() == read_rows(path).values.tobytes()
+    # A quote anywhere, even one the strict reader accepts, leaves the file
+    # to the row-by-row reader.
+    for text in (b'a,b\n1.5,"2"\n', b'"a",b\n1.5,2\n'):
+        path.write_bytes(text)
+        with path.open(newline="", encoding="utf-8") as fh:
+            assert _read_bulk(fh) is None
+        assert read_csv(path).values.tolist() == [[1.5, 2.0]]
 
 
 @pytest.mark.parametrize(

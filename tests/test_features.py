@@ -373,6 +373,18 @@ class TestContributionRate:
         assert prate.roster == pcols
         assert np.abs(prate.scores - rate.scores[perm]).max() <= 1e-9
 
+    def test_rate_does_not_depend_on_window_layout(self):
+        # The pipeline's window is a row slice of a Fortran-ordered matrix; the
+        # same numbers in C order give the same rates, bit for bit.
+        rng = np.random.default_rng(33)
+        model = random_model(rng, n=40)
+        values = model.mean + model.std * rng.normal(size=(200, 40)) * 3
+        fortran = np.asfortranarray(values)[50:150]
+        c_order = np.ascontiguousarray(fortran)
+        assert not fortran.flags.c_contiguous and c_order.flags.c_contiguous
+        rates = [contribution_rate(model, DataMatrix(v, model.columns)) for v in (fortran, c_order)]
+        assert rates[0].scores.tobytes() == rates[1].scores.tobytes()
+
     def test_all_zero_window_raises(self):
         model = axis_model()
         window = DataMatrix(np.zeros((3, 2)), model.columns)
