@@ -17,7 +17,7 @@ def read_csv(path: str | Path) -> DataMatrix:
 
     Parsed in bulk by ``np.loadtxt``, else row by row (see ``_read_bulk``)."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         return _read_bulk(fh) or _read_rows(path, fh)
 
 

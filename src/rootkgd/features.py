@@ -63,10 +63,6 @@ class DataMatrix:
     def n_samples(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def n_variables(self) -> int:
-        return self.values.shape[1]
-
     def select(self, columns: Sequence[str]) -> "DataMatrix":
         """Column subset in the requested order."""
         index = {c: i for i, c in enumerate(self.columns)}

@@ -1,8 +1,9 @@
 """Industrial knowledge graph: typed entities, weighted relations, directed triples.
 
-The graph is loaded from a JSON file, validated once, and then treated as
-immutable. Downstream modules only ever read it (adjacency queries), so a
-single instance can be shared freely across threads.
+A graph is checked when it is built, whether loaded from a JSON file or
+constructed directly, and is then treated as immutable: every graph object
+holds the invariants ``validate`` lists. Downstream modules only ever read it
+(adjacency queries), so a single instance can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
 
 class GraphError(Exception):
@@ -24,7 +25,7 @@ class GraphParseError(GraphError):
 
 
 class GraphValidationError(GraphError):
-    """The document parsed but violates graph invariants."""
+    """The graph's parts, parsed or built directly, violate its invariants."""
 
     def __init__(self, report: "ValidationReport"):
         super().__init__("; ".join(report.errors))
@@ -93,18 +94,18 @@ class ValidationReport:
 class KnowledgeGraph:
     """Entities, relation types and triples, plus read-only lookup indexes.
 
-    ``by_id``, ``by_relation`` and ``out_index`` are built on construction,
-    so a graph built directly works like a loaded one. ``out_index`` groups
-    the triple list by head entity; edges are kept in a deterministic order
-    (ascending relation distance, then tail id, then relation name) so that
-    propagation results never depend on file order.
+    Construction checks the parts as ``validate`` does and raises
+    ``GraphValidationError`` on any error, so a graph built directly works
+    like a loaded one. ``by_id`` and ``out_index`` are then built;
+    ``out_index`` groups the triple list by head entity, with edges in a
+    deterministic order (ascending relation distance, then tail id, then
+    relation name) so that propagation results never depend on file order.
     """
 
     entities: tuple[Entity, ...]
     relations: tuple[RelationType, ...]
     triples: tuple[Triple, ...]
     by_id: dict[str, Entity] = field(init=False, compare=False, repr=False)
-    by_relation: dict[str, RelationType] = field(init=False, compare=False, repr=False)
     out_index: dict[str, tuple[tuple[RelationType, str], ...]] = field(
         init=False, compare=False, repr=False
     )
@@ -112,16 +113,19 @@ class KnowledgeGraph:
     def __post_init__(self):
         for name in ("entities", "relations", "triples"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        # First declaration wins; duplicates are reported by validate().
-        by_id: dict[str, Entity] = {}
-        for e in self.entities:
-            by_id.setdefault(e.id, e)
-        by_relation: dict[str, RelationType] = {}
-        for r in self.relations:
-            by_relation.setdefault(r.name, r)
-        object.__setattr__(self, "by_id", by_id)
-        object.__setattr__(self, "by_relation", by_relation)
-        object.__setattr__(self, "out_index", _build_out_index(by_id, by_relation, self.triples))
+        report = _check(self.entities, self.relations, self.triples)
+        if not report.ok:
+            raise GraphValidationError(report)
+        relation = {r.name: r for r in self.relations}
+        grouped: dict[str, list[tuple[RelationType, str]]] = {e.id: [] for e in self.entities}
+        for t in self.triples:
+            grouped[t.head].append((relation[t.relation], t.tail))
+        out_index = {
+            eid: tuple(sorted(edges, key=lambda e: (e[0].distance, e[1], e[0].name)))
+            for eid, edges in grouped.items()
+        }
+        object.__setattr__(self, "by_id", {e.id: e for e in self.entities})
+        object.__setattr__(self, "out_index", out_index)
 
     def entity(self, entity_id: str) -> Entity:
         try:
@@ -138,25 +142,6 @@ class KnowledgeGraph:
         return tuple(
             e for e in self.entities if e.kind is EntityKind.VARIABLE and e.column is not None
         )
-
-
-def _build_out_index(
-    by_id: dict[str, Entity],
-    by_relation: dict[str, RelationType],
-    triples: Iterable[Triple],
-) -> dict[str, tuple[tuple[RelationType, str], ...]]:
-    grouped: dict[str, list[tuple[RelationType, str]]] = {eid: [] for eid in by_id}
-    for t in triples:
-        rel = by_relation.get(t.relation)
-        # Dangling triples are reported by validate(); skip them here so the
-        # index can be built for an invalid graph too.
-        if rel is None or t.head not in by_id or t.tail not in by_id:
-            continue
-        grouped[t.head].append((rel, t.tail))
-    return {
-        eid: tuple(sorted(edges, key=lambda e: (e[0].distance, e[1], e[0].name)))
-        for eid, edges in grouped.items()
-    }
 
 
 def _parse_entity(raw: Any, pos: int) -> Entity:
@@ -227,11 +212,7 @@ def graph_from_dict(payload: Any) -> KnowledgeGraph:
     relations = [_parse_relation(raw, i) for i, raw in enumerate(payload["relations"])]
     triples = [_parse_triple(raw, i) for i, raw in enumerate(payload["triples"])]
 
-    graph = KnowledgeGraph(entities, relations, triples)
-    report = validate(graph)
-    if not report.ok:
-        raise GraphValidationError(report)
-    return graph
+    return KnowledgeGraph(entities, relations, triples)
 
 
 def load_graph(path: str | Path) -> KnowledgeGraph:
@@ -265,7 +246,17 @@ def save_graph(graph: KnowledgeGraph, path: str | Path) -> None:
 
 
 def validate(graph: KnowledgeGraph) -> ValidationReport:
-    """Check graph invariants; returns a report instead of raising.
+    """The invariant report of a graph (see ``_check``). A constructed graph
+    has passed the check, so its ``errors`` are empty; the warnings remain."""
+    return _check(graph.entities, graph.relations, graph.triples)
+
+
+def _check(
+    entities: tuple[Entity, ...],
+    relations: tuple[RelationType, ...],
+    triples: tuple[Triple, ...],
+) -> ValidationReport:
+    """Check graph invariants on a graph's parts; returns a report instead of raising.
 
     Errors: no entities, duplicate ids/names/triples, dangling references,
     negative relation parameters or non-finite distances, column bindings on
@@ -275,13 +266,13 @@ def validate(graph: KnowledgeGraph) -> ValidationReport:
     """
     report = ValidationReport()
 
-    if not graph.entities:
+    if not entities:
         report.errors.append("no entities declared")
         return report
 
     seen_ids: set[str] = set()
     column_owner: dict[str, str] = {}
-    for e in graph.entities:
+    for e in entities:
         if not e.id:
             report.errors.append("entity with empty id")
         if e.id in seen_ids:
@@ -293,13 +284,15 @@ def validate(graph: KnowledgeGraph) -> ValidationReport:
             )
         if e.kind is EntityKind.VARIABLE and e.column is None:
             report.warnings.append(f"variable {e.id!r} has no column binding")
-        elif e.kind is EntityKind.VARIABLE and column_owner.setdefault(e.column, e.id) != e.id:
+        elif e.kind is EntityKind.VARIABLE and column_owner.get(e.column, e.id) != e.id:
             report.errors.append(
                 f"variables {column_owner[e.column]!r} and {e.id!r} both bind column {e.column!r}"
             )
+        elif e.kind is EntityKind.VARIABLE:
+            column_owner[e.column] = e.id
 
     seen_rels: set[str] = set()
-    for r in graph.relations:
+    for r in relations:
         if r.name in seen_rels:
             report.errors.append(f"duplicate relation name: {r.name!r}")
         seen_rels.add(r.name)
@@ -315,23 +308,23 @@ def validate(graph: KnowledgeGraph) -> ValidationReport:
     seen_triples: set[Triple] = set()
     touched: set[str] = set()
     used_relations: set[str] = set()
-    for t in graph.triples:
+    for t in triples:
         if t in seen_triples:
             report.errors.append(f"duplicate triple {t}")
         seen_triples.add(t)
-        if t.head not in graph.by_id:
+        if t.head not in seen_ids:
             report.errors.append(f"triple {t} references undeclared head entity {t.head!r}")
-        if t.tail not in graph.by_id:
+        if t.tail not in seen_ids:
             report.errors.append(f"triple {t} references undeclared tail entity {t.tail!r}")
-        if t.relation not in graph.by_relation:
+        if t.relation not in seen_rels:
             report.errors.append(f"triple {t} references undeclared relation {t.relation!r}")
         touched.update((t.head, t.tail))
         used_relations.add(t.relation)
 
-    for e in graph.entities:
+    for e in entities:
         if e.id not in touched:
             report.warnings.append(f"entity {e.id!r} occurs in no triple")
-    for r in graph.relations:
+    for r in relations:
         if r.name not in used_relations:
             report.warnings.append(f"relation {r.name!r} is never used")
 

@@ -55,6 +55,8 @@ def run_diagnose(config: DiagnosisConfig) -> RootCauseRanking:
     if not Path(config.model_path).exists():
         raise ConfigError(f"model file not found: {config.model_path}")
     model = features.load_model(config.model_path)
+    bound = bound_columns(model.columns, graph, "model")
+    variable_of = {e.column: e.id for e in graph.variable_roster()}
     fault = dataio.read_csv(config.fault_data_path)
 
     missing = [c for c in model.columns if c not in fault.columns]
@@ -70,22 +72,20 @@ def run_diagnose(config: DiagnosisConfig) -> RootCauseRanking:
         )
     window = DataMatrix(fault.values[config.fault_start : end], fault.columns)
     rate = features.contribution_rate(model, window)
-
-    bound = bound_columns(model.columns, graph, "model")
-    variable_of = {e.column: e.id for e in graph.variable_roster()}
     contributions = rate.restrict(bound).relabel(variable_of)
 
+    params = config.rfpa_params()
     metadata: dict[str, Any] = {
         "graph": Path(config.graph_path).name,
         # r_pc is the model file's, which may differ from the config's.
-        "params": {"r_pc": model.r_pc, **asdict(config.rfpa_params())},
+        "params": {"r_pc": model.r_pc, **asdict(params)},
         "window": {
             "fault_start": config.fault_start,
             "length": config.window,
             "source": Path(config.fault_data_path).name,
         },
     }
-    return scoring.rank_all(graph, config.rfpa_params(), contributions, metadata=metadata)
+    return scoring.rank_all(graph, params, contributions, metadata=metadata)
 
 
 def run_trace(config: DiagnosisConfig, source: str) -> str:

@@ -11,12 +11,11 @@ device), giving the diagnosis pipeline a ground truth to recover.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
 from .features import DataMatrix
-from .kgraph import KnowledgeGraph, graph_from_dict
+from .kgraph import Entity, EntityKind, KnowledgeGraph, RelationType, Triple
 
 FAULT_KINDS = ("step", "drift", "random_variation")
 
@@ -101,11 +100,11 @@ def generate_plant(spec: PlantSpec) -> tuple[KnowledgeGraph, PlantModel]:
     """Build a seeded plant graph and its generative model description."""
     rng = np.random.default_rng(spec.seed)
 
-    entities: list[dict[str, Any]] = []
-    triples: list[list[str]] = []
+    entities: list[Entity] = []
+    triples: list[Triple] = []
     device_ids = tuple(f"dev{i + 1}" for i in range(spec.n_devices))
     for i, did in enumerate(device_ids):
-        entities.append({"id": did, "kind": "device", "label": f"Device {i + 1}"})
+        entities.append(Entity(did, EntityKind.DEVICE, f"Device {i + 1}"))
 
     stream_count = 0
     for i in range(spec.n_devices - 1):
@@ -113,15 +112,10 @@ def generate_plant(spec: PlantSpec) -> tuple[KnowledgeGraph, PlantModel]:
         for _ in range(int(rng.integers(lo, hi + 1))):
             stream_count += 1
             sid = f"str{stream_count}"
-            entities.append(
-                {
-                    "id": sid,
-                    "kind": "stream",
-                    "label": f"Stream {stream_count} (Device {i + 1} to Device {i + 2})",
-                }
-            )
-            triples.append([device_ids[i], "Output", sid])
-            triples.append([sid, "Output", device_ids[i + 1]])
+            label = f"Stream {stream_count} (Device {i + 1} to Device {i + 2})"
+            entities.append(Entity(sid, EntityKind.STREAM, label))
+            triples.append(Triple(device_ids[i], "Output", sid))
+            triples.append(Triple(sid, "Output", device_ids[i + 1]))
 
     columns: list[str] = []
     var_device: list[int] = []
@@ -132,25 +126,16 @@ def generate_plant(spec: PlantSpec) -> tuple[KnowledgeGraph, PlantModel]:
         for _ in range(int(rng.integers(lo, hi + 1))):
             var_count += 1
             vid = f"x{var_count}"
-            entities.append(
-                {
-                    "id": vid,
-                    "kind": "variable",
-                    "label": f"Variable {var_count} (Device {i + 1})",
-                    "column": vid,
-                }
-            )
-            triples.append([did, "State", vid])
-            triples.append([vid, "State of", did])
+            label = f"Variable {var_count} (Device {i + 1})"
+            entities.append(Entity(vid, EntityKind.VARIABLE, label, column=vid))
+            triples.append(Triple(did, "State", vid))
+            triples.append(Triple(vid, "State of", did))
             columns.append(vid)
             var_device.append(i)
             var_of_device[did].append(vid)
 
-    relations = [
-        {"name": name, "d": float(d), "o": int(o)}
-        for name, (d, o) in RELATION_PARAMS.items()
-    ]
-    graph = graph_from_dict({"entities": entities, "relations": relations, "triples": triples})
+    relations = [RelationType(name, d, o) for name, (d, o) in RELATION_PARAMS.items()]
+    graph = KnowledgeGraph(entities, relations, triples)
 
     n_vars = len(columns)
     model = PlantModel(

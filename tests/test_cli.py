@@ -218,11 +218,15 @@ class TestDiagnoseCommand:
         )
         assert result.exit_code == 0, result.output
         args = diagnose_args(plant_dir, model)
-        args[args.index("--data") + 1] = str(tmp_path / "fault.csv")
-        result = runner.invoke(main, args)
-        assert result.exit_code == 2
-        assert result.stdout == ""
-        assert result.stderr.endswith("error: no model columns are bound to graph variables\n")
+        # The check precedes the fault CSV read, so a missing file is not reached.
+        for fault in (tmp_path / "fault.csv", tmp_path / "absent.csv"):
+            args[args.index("--data") + 1] = str(fault)
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2
+            assert result.stdout == ""
+            assert result.stderr.endswith(
+                "error: no model columns are bound to graph variables\n"
+            )
 
     def test_inconsistent_model_is_named_error(self, plant_dir, model_path, tmp_path, runner):
         payload = json.loads(model_path.read_text())

@@ -43,6 +43,10 @@ MALFORMED = {
         b"a,b\n1,2\n3,\xff\n",
         ":3: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 10: invalid start byte",
     ),
+    "non_utf8_after_bom": (
+        b"\xef\xbb\xbfa,b\n1,2\n3,\xff\n",
+        ":3: not UTF-8: 'utf-8' codec can't decode byte 0xff in position 13: invalid start byte",
+    ),
     "non_utf8_header": (
         b"\xfea,b\n1,2\n",
         ":1: not UTF-8: 'utf-8' codec can't decode byte 0xfe in position 0: invalid start byte",
@@ -75,6 +79,17 @@ def test_blank_lines_skipped_and_quoted_numbers_parse(tmp_path):
         assert np.array_equal(data.values, [[1.5, 2.0], [3.0, -40.0]])
         path.write_bytes(f"a\n1\n{blank}2\n{last}".encode())
         assert np.array_equal(read_csv(path).values, [[1.0], [2.0]])
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    # A UTF-8 byte-order mark is not part of the first column's name, whichever
+    # parser reads the file.
+    path = tmp_path / "data.csv"
+    for text in ('\ufeffa,b\n1,2\n', '\ufeff"a",b\n1,2\n'):
+        path.write_text(text, encoding="utf-8")
+        data = read_csv(path)
+        assert data.columns == ("a", "b")
+        assert data.values.tolist() == [[1.0, 2.0]]
 
 
 def test_diagnose_on_malformed_csv_is_named_error(tmp_path):

@@ -7,11 +7,14 @@ import pytest
 
 from conftest import minimal_payload
 from rootkgd.kgraph import (
+    Entity,
     EntityKind,
     GraphError,
     GraphParseError,
     GraphValidationError,
     KnowledgeGraph,
+    RelationType,
+    Triple,
     graph_from_dict,
     load_graph,
     save_graph,
@@ -128,6 +131,36 @@ class TestLoadGraph:
         payload["entities"][0]["column"] = "c1"
         with pytest.raises(GraphValidationError, match="column binding"):
             graph_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "breakage", ["dangling_triple", "duplicate_id", "negative_distance", "shared_column"]
+    )
+    def test_direct_construction_checks_invariants(self, breakage):
+        payload = minimal_payload()
+        if breakage == "dangling_triple":
+            payload["triples"].append(["dev1", "State", "ghost"])
+        elif breakage == "duplicate_id":
+            payload["entities"].append({"id": "dev1", "kind": "device", "label": "again"})
+        elif breakage == "negative_distance":
+            payload["relations"][0]["d"] = -1
+        else:
+            payload["entities"].append(
+                {"id": "v12", "kind": "variable", "label": "Variable 12", "column": "v11"}
+            )
+        with pytest.raises(GraphValidationError) as loaded:
+            graph_from_dict(payload)
+        entities = [
+            Entity(e["id"], EntityKind(e["kind"]), e["label"], e.get("column"))
+            for e in payload["entities"]
+        ]
+        relations = [
+            RelationType(r["name"], float(r["d"]), r["o"]) for r in payload["relations"]
+        ]
+        triples = [Triple(*t) for t in payload["triples"]]
+        with pytest.raises(GraphValidationError) as built:
+            KnowledgeGraph(entities, relations, triples)
+        assert built.value.report.errors == loaded.value.report.errors
+        assert built.value.report.errors
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -249,7 +282,6 @@ class TestRoundTrip:
         assert built == tep_graph
         assert built.entities == tep_graph.entities  # lists are coerced to tuples
         assert built.by_id == tep_graph.by_id
-        assert built.by_relation == tep_graph.by_relation
         assert built.out_index == tep_graph.out_index
         params = RfpaParams(sigma_r=0.1, p_max=3, delta_s_min_ratio=1e-4)
         for source in ("x4", "reactor", "s4"):

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from rootkgd.kgraph import EntityKind, validate
+from rootkgd.kgraph import EntityKind, graph_from_dict, serialize, validate
 from rootkgd.synth import FaultInjection, PlantSpec, generate_plant, simulate
 
 
@@ -32,6 +34,15 @@ class TestGeneratePlant:
         report = validate(graph)
         assert report.errors == []
         assert report.warnings == []
+
+    @pytest.mark.parametrize(
+        "shape",
+        [{}, {"streams_per_device": (1, 2), "variables_per_device": (2, 4)}],
+        ids=["default", "ranged"],
+    )
+    def test_graph_survives_json_round_trip(self, shape):
+        graph, _ = generate_plant(PlantSpec(n_devices=6, seed=3, **shape))
+        assert graph_from_dict(json.loads(json.dumps(serialize(graph)))) == graph
 
     def test_three_device_chain_topology(self, plant):
         graph, model = plant
