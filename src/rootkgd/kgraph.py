@@ -96,10 +96,11 @@ class KnowledgeGraph:
 
     Construction checks the parts as ``validate`` does and raises
     ``GraphValidationError`` on any error, so a graph built directly works
-    like a loaded one. ``by_id`` and ``out_index`` are then built;
-    ``out_index`` groups the triple list by head entity, with edges in a
-    deterministic order (ascending relation distance, then tail id, then
-    relation name) so that propagation results never depend on file order.
+    like a loaded one. ``by_id``, ``out_index`` and the check's ``warnings``
+    are then kept. ``out_index`` groups the triple list by head entity, with
+    edges in a deterministic order (ascending relation distance, then tail
+    id, then relation name) so that propagation results never depend on file
+    order.
     """
 
     entities: tuple[Entity, ...]
@@ -109,6 +110,7 @@ class KnowledgeGraph:
     out_index: dict[str, tuple[tuple[RelationType, str], ...]] = field(
         init=False, compare=False, repr=False
     )
+    warnings: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for name in ("entities", "relations", "triples"):
@@ -126,6 +128,7 @@ class KnowledgeGraph:
         }
         object.__setattr__(self, "by_id", {e.id: e for e in self.entities})
         object.__setattr__(self, "out_index", out_index)
+        object.__setattr__(self, "warnings", tuple(report.warnings))
 
     def entity(self, entity_id: str) -> Entity:
         try:
@@ -247,8 +250,9 @@ def save_graph(graph: KnowledgeGraph, path: str | Path) -> None:
 
 def validate(graph: KnowledgeGraph) -> ValidationReport:
     """The invariant report of a graph (see ``_check``). A constructed graph
-    has passed the check, so its ``errors`` are empty; the warnings remain."""
-    return _check(graph.entities, graph.relations, graph.triples)
+    has passed the check, so its ``errors`` are empty; the warnings are the
+    ones its construction found."""
+    return ValidationReport(warnings=list(graph.warnings))
 
 
 def _check(

@@ -8,8 +8,8 @@ received (its accumulated quantity divided by its receipt count), which keeps
 cyclic graphs from blowing up. A per-node initiation cap and a minimum-emission
 threshold stop the ripple.
 
-The whole walk is deterministic: the queue orders items by (priority,
-insertion sequence) and edges are iterated in the graph's canonical order.
+The whole walk is deterministic: nodes leave the queue in (priority,
+insertion) order and edges are iterated in the graph's canonical order.
 """
 
 from __future__ import annotations
@@ -104,44 +104,62 @@ def _run(
     # p_max + 1 receipts leaves results identical and bounds total pops by
     # (p_max + 1) * |entities|.
     p_max = params.p_max
+    out_index = graph.out_index
 
-    heap: list[tuple[int, int, str]] = [(0, 0, source)]
-    seq = 1
+    # The queue is one FIFO bucket per pending priority plus a heap of those
+    # priorities. A bucket leaves ``buckets`` when its draining starts, so a
+    # node queued at the priority being drained opens a new bucket there,
+    # which the heap yields next: offsets are never negative (a graph
+    # invariant), so nodes pop in (priority, insertion) order.
+    buckets = {0: [source]}
+    pending = [0]
     pops = 0
     event = 0
 
-    while heap:
-        priority, _, head = heapq.heappop(heap)
-        pops += 1
-        if trace_sink is not None:
-            trace_sink.append(TraceEvent(seq=event, priority=priority, head=head))
-            event += 1
-        rounds = initiated.get(head, 0) + 1
-        initiated[head] = rounds
-        if rounds > p_max:
-            continue
-        for rel, tail in graph.out_index[head]:
-            delta = quantity[head] / received[head] * factor[rel.name]
-            if delta < threshold:
-                continue
-            total = quantity[tail] = quantity.get(tail, 0.0) + delta
-            receipts = received[tail] = received.get(tail, 0) + 1
-            if receipts <= p_max + 1:
-                heapq.heappush(heap, (priority + rel.priority_offset, seq, tail))
-                seq += 1
+    while pending:
+        priority = heapq.heappop(pending)
+        bucket = buckets.pop(priority)
+        pops += len(bucket)
+        for head in bucket:
             if trace_sink is not None:
-                trace_sink.append(
-                    TraceEvent(
-                        seq=event,
-                        priority=priority,
-                        head=head,
-                        relation=rel.name,
-                        tail=tail,
-                        delta=delta,
-                        total=total,
-                    )
-                )
+                trace_sink.append(TraceEvent(seq=event, priority=priority, head=head))
                 event += 1
+            rounds = initiated.get(head, 0) + 1
+            initiated[head] = rounds
+            if rounds > p_max:
+                continue
+            # The head re-emits the average of its receipts; only a self-loop
+            # emission changes it within this loop.
+            average = quantity[head] / received[head]
+            for rel, tail in out_index[head]:
+                delta = average * factor[rel.name]
+                if delta < threshold:
+                    continue
+                total = quantity[tail] = quantity.get(tail, 0.0) + delta
+                receipts = received[tail] = received.get(tail, 0) + 1
+                if receipts <= p_max + 1:
+                    at = priority + rel.priority_offset
+                    queued = buckets.get(at)
+                    if queued is None:
+                        buckets[at] = [tail]
+                        heapq.heappush(pending, at)
+                    else:
+                        queued.append(tail)
+                if tail == head:
+                    average = total / receipts
+                if trace_sink is not None:
+                    trace_sink.append(
+                        TraceEvent(
+                            seq=event,
+                            priority=priority,
+                            head=head,
+                            relation=rel.name,
+                            tail=tail,
+                            delta=delta,
+                            total=total,
+                        )
+                    )
+                    event += 1
 
     return PropagationResult(quantities=quantity, pops=pops)
 

@@ -27,7 +27,7 @@ from .rfpa import RfpaParams, propagate
 CANDIDATE_KINDS = (EntityKind.VARIABLE, EntityKind.STREAM, EntityKind.DEVICE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankEntry:
     id: str
     kind: str
@@ -57,6 +57,29 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b) / (norm_a * norm_b)
 
 
+#: The last (graph, roster) pair that passed ``_check_roster``. Both objects
+#: are immutable, so the same pair, compared by identity, passes again: a
+#: ranking checks its roster once, not once per candidate. The memo is
+#: replaced whole, so callers in other threads can at worst repeat a check.
+_roster_checked: tuple[KnowledgeGraph | None, tuple[str, ...] | None] = (None, None)
+
+
+def _check_roster(graph: KnowledgeGraph, contributions: ContributionVector) -> None:
+    """Raise ValueError unless the roster is non-empty, without repeats and
+    every id in the graph."""
+    global _roster_checked
+    roster = contributions.roster
+    if _roster_checked[0] is graph and _roster_checked[1] is roster:
+        return
+    if not roster:
+        raise ValueError("contribution roster is empty")
+    position = contributions.positions
+    if len(position) < len(roster) or not position.keys() <= graph.by_id.keys():
+        bad = [r for i, r in enumerate(roster) if r not in graph.by_id or position[r] != i]
+        raise ValueError(f"roster ids repeated or not in the graph: {bad}")
+    _roster_checked = (graph, roster)
+
+
 def root_score(
     graph: KnowledgeGraph,
     params: RfpaParams,
@@ -68,12 +91,8 @@ def root_score(
     The candidate is seeded with one unit: the propagated profile scales
     linearly with the seed, so any positive seed gives the same cosine.
     """
-    if not contributions.roster:
-        raise ValueError("contribution roster is empty")
+    _check_roster(graph, contributions)
     roster, position = contributions.roster, contributions.positions
-    if len(position) < len(roster) or not position.keys() <= graph.by_id.keys():
-        bad = [r for i, r in enumerate(roster) if r not in graph.by_id or position[r] != i]
-        raise ValueError(f"roster ids repeated or not in the graph: {bad}")
     result = propagate(graph, params, candidate)
     profile = np.zeros(len(roster))
     for entity, quantity in result.quantities.items():

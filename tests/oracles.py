@@ -177,8 +177,9 @@ def random_graph_payload(rng: np.random.Generator, max_nodes: int = 200, max_edg
 
 def dense_propagate(graph, params, source: str, s_0: float):
     """Plain transcription of the propagation walk seeded with ``s_0`` at
-    ``source``, every state table dense over all entities; returns
-    (quantities, pops)."""
+    ``source``, every state table dense over all entities, queued through a
+    ``(priority, seq, id)`` heap; returns (quantities, order), ``order`` being
+    the heap's pop sequence as ``(priority, head)`` pairs, one per pop."""
     import heapq
 
     factor = {r.name: math.exp(-params.sigma_r * r.distance) for r in graph.relations}
@@ -192,10 +193,10 @@ def dense_propagate(graph, params, source: str, s_0: float):
     pushed[source] = 1
     heap = [(0, 0, source)]
     seq = 1
-    pops = 0
+    order = []
     while heap:
         priority, _, head = heapq.heappop(heap)
-        pops += 1
+        order.append((priority, head))
         initiated[head] += 1
         if initiated[head] > params.p_max:
             continue
@@ -209,4 +210,4 @@ def dense_propagate(graph, params, source: str, s_0: float):
                 pushed[tail] += 1
                 heapq.heappush(heap, (priority + rel.priority_offset, seq, tail))
                 seq += 1
-    return quantity, pops
+    return quantity, order

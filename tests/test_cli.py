@@ -465,6 +465,35 @@ class TestValidateCommand:
         assert result.exit_code == 0
         assert "warning:" in result.output
 
+    def test_graph_checked_once_per_call(self, tmp_path, runner, monkeypatch):
+        # The warnings come from the check the graph ran when it was built.
+        from importlib.resources import files
+
+        from rootkgd import kgraph
+
+        calls = []
+        check = kgraph._check
+        monkeypatch.setattr(kgraph, "_check", lambda *parts: calls.append(1) or check(*parts))
+        warny = tmp_path / "warny.json"
+        warny.write_text(json.dumps({
+            "entities": [
+                {"id": "a", "kind": "device", "label": "a"},
+                {"id": "v", "kind": "variable", "label": "v"},
+            ],
+            "relations": [{"name": "State", "d": 1, "o": 1}, {"name": "idle", "d": 1, "o": 1}],
+            "triples": [["a", "State", "v"]],
+        }))
+        for path in (files("rootkgd") / "fixtures" / "tep.kg.json", warny):
+            calls.clear()
+            result = runner.invoke(main, ["validate-kg", str(path)])
+            assert result.exit_code == 0, result.output
+            assert len(calls) == 1
+        assert result.output == (
+            "warning: variable 'v' has no column binding\n"
+            "warning: relation 'idle' is never used\n"
+            "ok: 2 entities, 2 relations, 1 triples, 2 warnings\n"
+        )
+
     def test_no_graph_given(self, runner):
         result = runner.invoke(main, ["validate-kg"])
         assert result.exit_code == 2

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 from pathlib import Path
 
@@ -36,15 +37,19 @@ DEFAULTS = RfpaParams(sigma_r=0.1, p_max=3, delta_s_min_ratio=1e-6)
 def assert_matches_dense(graph, params, source):
     """The run from ``source`` equals the dense oracle: every entity's value
     bit for bit (an absent entity holds 0.0), exactly the reached entities as
-    keys, each positive, and the same pops."""
+    keys, each positive, and the same pops in the same (priority, head)
+    order; ``trace`` returns the same result as ``propagate``."""
     result = propagate(graph, params, source)
-    quantities, pops = dense_propagate(graph, params, source, 1.0)
+    quantities, order = dense_propagate(graph, params, source, 1.0)
     assert [result.quantities.get(e.id, 0.0).hex() for e in graph.entities] == [
         quantities[e.id].hex() for e in graph.entities
     ]
     assert set(result.quantities) == {eid for eid, q in quantities.items() if q > 0.0}
     assert all(q > 0.0 for q in result.quantities.values())
-    assert result.pops == pops
+    assert result.pops == len(order)
+    traced, events = trace(graph, params, source)
+    assert traced == result
+    assert [(e.priority, e.head) for e in events if e.relation is None] == order
     return result
 
 
@@ -118,6 +123,23 @@ class TestPropagate:
         _, events = trace(graph, DEFAULTS, "A")
         pops = [e.head for e in events if e.relation is None]
         assert pops == ["A", "B", "D", "C", "E"]
+
+    def test_zero_offset_queues_behind_its_priority(self):
+        # A's zero-offset emission lands at A's own priority, behind C, which
+        # S queued there first: pops follow (priority, insertion).
+        graph = graph_of(
+            ("S", "next", "A"),
+            ("S", "next", "C"),
+            ("A", "same", "B"),
+            relations=[
+                {"name": "next", "d": 1, "o": 1},
+                {"name": "same", "d": 1, "o": 0},
+            ],
+        )
+        assert_matches_dense(graph, DEFAULTS, "S")
+        _, events = trace(graph, DEFAULTS, "S")
+        pops = [(e.priority, e.head) for e in events if e.relation is None]
+        assert pops == [(0, "S"), (1, "A"), (1, "C"), (1, "B")]
 
     def test_threshold_skips_edge_not_remaining(self):
         # The faint edge is skipped while the strong one still propagates,
@@ -208,10 +230,12 @@ class TestInvariants:
 
     def test_matches_dense_transcription(self):
         rng = np.random.default_rng(47)
-        self_loops = unreached = 0
+        self_loops = unreached = zero_offsets = 0
         for _ in range(12):
             payload = random_graph_payload(rng, max_nodes=80, max_edges=320)
             self_loops += sum(h == t for h, _, t in payload["triples"])
+            level = {r["name"] for r in payload["relations"] if r["o"] == 0}
+            zero_offsets += sum(r in level for _, r, _ in payload["triples"])
             graph = graph_from_dict(payload)
             params = RfpaParams(
                 sigma_r=float(rng.uniform(0.05, 1.0)),
@@ -221,7 +245,24 @@ class TestInvariants:
             for source in rng.choice([e.id for e in graph.entities], size=4):
                 result = assert_matches_dense(graph, params, str(source))
                 unreached += len(graph.entities) - len(result.quantities)
-        assert self_loops > 0 and unreached > 0
+        assert self_loops > 0 and unreached > 0 and zero_offsets > 0
+
+    @pytest.mark.parametrize(
+        "fixture, digest",
+        [
+            ("tep_graph", "ccc763db6e5d82f549db0b9bf6de1c55d577b8914cbcd04b8d836ec5b5afcf70"),
+            ("mff_graph", "b1e61e69373b7863c2235ff18c6d2014519b19649ba5c95504f904089bed95a5"),
+        ],
+    )
+    def test_fixture_traces_are_pinned(self, fixture, digest, request):
+        # The sha256 of the trace TSVs from every entity, in declaration
+        # order, under default params: any change to the walk's order or
+        # arithmetic on the bundled graphs changes it.
+        graph = request.getfixturevalue(fixture)
+        h = hashlib.sha256()
+        for e in graph.entities:
+            h.update(format_trace_tsv(trace(graph, RfpaParams(), e.id)[1]).encode())
+        assert h.hexdigest() == digest
 
     def test_attenuation_range(self):
         params = RfpaParams(sigma_r=0.5)

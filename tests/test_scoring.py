@@ -112,6 +112,28 @@ class TestRootScore:
         with pytest.raises(ValueError, match=r"repeated or not in the graph: \['B'\]"):
             root_score(chain_graph, PARAMS, contributions, "A")
 
+    def test_roster_rechecked_for_a_new_roster_or_graph(self):
+        # A ranking checks its roster once; a roster or graph that did not
+        # take part in it is still checked in full afterwards.
+        graph = two_island_graph()
+        good = ContributionVector(np.array([0.5, 0.5]), ("a", "b"))
+        rank_all(graph, PARAMS, good)
+        stray = ContributionVector(np.array([0.5, 0.5]), ("a", "nope"))
+        with pytest.raises(ValueError, match=r"roster ids repeated or not in the graph: \['nope'\]"):
+            root_score(graph, PARAMS, stray, "dev1")
+        without_b = graph_from_dict(
+            {
+                "entities": [
+                    {"id": "dev1", "kind": "device", "label": "Device 1"},
+                    {"id": "a", "kind": "variable", "label": "a", "column": "a"},
+                ],
+                "relations": [{"name": "State", "d": 1, "o": 1}],
+                "triples": [["dev1", "State", "a"]],
+            }
+        )
+        with pytest.raises(ValueError, match=r"roster ids repeated or not in the graph: \['b'\]"):
+            root_score(without_b, PARAMS, good, "dev1")
+
     def test_unrostered_reached_entities_ignored(self, chain_graph):
         # A holds its unit seed, but only B is on the roster.
         contributions = ContributionVector(np.array([1.0]), ("B",))
