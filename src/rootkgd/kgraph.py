@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -96,18 +97,20 @@ class KnowledgeGraph:
 
     Construction checks the parts as ``validate`` does and raises
     ``GraphValidationError`` on any error, so a graph built directly works
-    like a loaded one. ``by_id``, ``out_index`` and the check's ``warnings``
-    are then kept. ``out_index`` groups the triple list by head entity, with
-    edges in a deterministic order (ascending relation distance, then tail
-    id, then relation name) so that propagation results never depend on file
-    order.
+    like a loaded one. ``by_id``, ``position`` (entity id to its index in
+    ``entities``), ``adjacency`` and the check's ``warnings`` are then kept.
+    ``adjacency[i]`` holds the out-edges of ``entities[i]`` as ``(tail
+    position, index in relations, priority offset)`` tuples, in a
+    deterministic order (ascending relation distance, then tail id, then
+    relation name) so that propagation results never depend on file order.
     """
 
     entities: tuple[Entity, ...]
     relations: tuple[RelationType, ...]
     triples: tuple[Triple, ...]
     by_id: dict[str, Entity] = field(init=False, compare=False, repr=False)
-    out_index: dict[str, tuple[tuple[RelationType, str], ...]] = field(
+    position: dict[str, int] = field(init=False, compare=False, repr=False)
+    adjacency: tuple[tuple[tuple[int, int, int], ...], ...] = field(
         init=False, compare=False, repr=False
     )
     warnings: tuple[str, ...] = field(init=False, compare=False, repr=False)
@@ -118,16 +121,17 @@ class KnowledgeGraph:
         report = _check(self.entities, self.relations, self.triples)
         if not report.ok:
             raise GraphValidationError(report)
-        relation = {r.name: r for r in self.relations}
-        grouped: dict[str, list[tuple[RelationType, str]]] = {e.id: [] for e in self.entities}
-        for t in self.triples:
-            grouped[t.head].append((relation[t.relation], t.tail))
-        out_index = {
-            eid: tuple(sorted(edges, key=lambda e: (e[0].distance, e[1], e[0].name)))
-            for eid, edges in grouped.items()
-        }
+        position = {e.id: i for i, e in enumerate(self.entities)}
+        rel = {r.name: (r.distance, i, r.priority_offset) for i, r in enumerate(self.relations)}
+        # One sort of all triples in edge order leaves each head's edges in it.
+        grouped: list[list[tuple[int, int, int]]] = [[] for _ in self.entities]
+        for t in sorted(self.triples, key=lambda t: (rel[t.relation][0], t.tail, t.relation)):
+            _, at, offset = rel[t.relation]
+            grouped[position[t.head]].append((position[t.tail], at, offset))
+        adjacency = tuple(map(tuple, grouped))
         object.__setattr__(self, "by_id", {e.id: e for e in self.entities})
-        object.__setattr__(self, "out_index", out_index)
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "adjacency", adjacency)
         object.__setattr__(self, "warnings", tuple(report.warnings))
 
     def entity(self, entity_id: str) -> Entity:
@@ -153,7 +157,7 @@ def _parse_entity(raw: Any, pos: int) -> Entity:
     for key in ("id", "kind", "label"):
         if key not in raw:
             raise GraphParseError(f"entities[{pos}]: missing required key {key!r}")
-        if not isinstance(raw[key], str):
+        if type(raw[key]) is not str:  # exactly: sys.intern takes no subclass
             raise GraphParseError(f"entities[{pos}]: {key!r} must be a string")
     try:
         kind = EntityKind(raw["kind"])
@@ -165,7 +169,7 @@ def _parse_entity(raw: Any, pos: int) -> Entity:
     column = raw.get("column")
     if column is not None and not isinstance(column, str):
         raise GraphParseError(f"entities[{pos}] ({raw['id']!r}): 'column' must be a string")
-    return Entity(id=raw["id"], kind=kind, label=raw["label"], column=column)
+    return Entity(id=sys.intern(raw["id"]), kind=kind, label=raw["label"], column=column)
 
 
 def _parse_relation(raw: Any, pos: int) -> RelationType:
@@ -188,13 +192,11 @@ def _parse_relation(raw: Any, pos: int) -> RelationType:
 
 
 def _parse_triple(raw: Any, pos: int) -> Triple:
-    if (
-        not isinstance(raw, (list, tuple))
-        or len(raw) != 3
-        or not all(isinstance(x, str) for x in raw)
-    ):
-        raise GraphParseError(f"triples[{pos}]: expected [head, relation, tail] strings")
-    return Triple(head=raw[0], relation=raw[1], tail=raw[2])
+    if isinstance(raw, (list, tuple)) and len(raw) == 3:
+        head, relation, tail = raw
+        if type(head) is str and type(relation) is str and type(tail) is str:
+            return Triple(sys.intern(head), sys.intern(relation), sys.intern(tail))
+    raise GraphParseError(f"triples[{pos}]: expected [head, relation, tail] strings")
 
 
 def graph_from_dict(payload: Any) -> KnowledgeGraph:
@@ -309,13 +311,14 @@ def _check(
                 f"relation {r.name!r} has negative priority offset {r.priority_offset}"
             )
 
-    seen_triples: set[Triple] = set()
+    seen_triples: set[tuple[str, str, str]] = set()  # tuples hash faster than Triples
     touched: set[str] = set()
     used_relations: set[str] = set()
     for t in triples:
-        if t in seen_triples:
+        key = (t.head, t.relation, t.tail)
+        if key in seen_triples:
             report.errors.append(f"duplicate triple {t}")
-        seen_triples.add(t)
+        seen_triples.add(key)
         if t.head not in seen_ids:
             report.errors.append(f"triple {t} references undeclared head entity {t.head!r}")
         if t.tail not in seen_ids:

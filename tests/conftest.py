@@ -49,6 +49,18 @@ def minimal_graph():
     return graph_from_dict(minimal_payload())
 
 
+def out_edges(graph, entity_id: str):
+    """The out-edges of one entity read from ``graph.adjacency`` as
+    ``(RelationType, tail id)`` pairs in adjacency order; each edge's priority
+    offset must be its relation's."""
+    edges = []
+    for tail, rel, offset in graph.adjacency[graph.position[entity_id]]:
+        relation = graph.relations[rel]
+        assert offset == relation.priority_offset
+        edges.append((relation, graph.entities[tail].id))
+    return tuple(edges)
+
+
 def random_model(rng: np.random.Generator, n: int, m: int = 400, r_pc: float | None = None):
     """A PCA model fit on random correlated gaussian data."""
     n_latent = max(1, n // 2)

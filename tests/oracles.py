@@ -179,9 +179,18 @@ def dense_propagate(graph, params, source: str, s_0: float):
     """Plain transcription of the propagation walk seeded with ``s_0`` at
     ``source``, every state table dense over all entities, queued through a
     ``(priority, seq, id)`` heap; returns (quantities, order), ``order`` being
-    the heap's pop sequence as ``(priority, head)`` pairs, one per pop."""
+    the heap's pop sequence as ``(priority, head)`` pairs, one per pop. The
+    out-edges are built here from ``graph.triples``, each head's sorted by the
+    documented rule (ascending distance, then tail id, then relation name),
+    not read from the graph's adjacency."""
     import heapq
 
+    relation = {r.name: r for r in graph.relations}
+    edges = {e.id: [] for e in graph.entities}
+    for t in graph.triples:
+        edges[t.head].append((relation[t.relation], t.tail))
+    for out in edges.values():
+        out.sort(key=lambda edge: (edge[0].distance, edge[1], edge[0].name))
     factor = {r.name: math.exp(-params.sigma_r * r.distance) for r in graph.relations}
     threshold = params.delta_s_min_ratio * s_0
     quantity = {e.id: 0.0 for e in graph.entities}
@@ -200,7 +209,7 @@ def dense_propagate(graph, params, source: str, s_0: float):
         initiated[head] += 1
         if initiated[head] > params.p_max:
             continue
-        for rel, tail in graph.out_index[head]:
+        for rel, tail in edges[head]:
             delta = quantity[head] / received[head] * factor[rel.name]
             if delta < threshold:
                 continue

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_model
+from conftest import out_edges, random_model
 from oracles import dense_projectors, paper_seed_score, random_graph_payload
 from rootkgd.config import DiagnosisConfig
 from rootkgd.features import ContributionVector, contribution_rate, fit_pca
@@ -253,7 +253,7 @@ def test_criterion_7_end_to_end_synthetic_recovery():
         if ranking.variables()[0].id == root:
             variable_hits += 1
         owner_streams = {
-            t for r, t in graph.out_index[owner] if graph.entity(t).kind is EntityKind.STREAM
+            t for r, t in out_edges(graph, owner) if graph.entity(t).kind is EntityKind.STREAM
         } | {
             t.head
             for t in graph.triples

@@ -2,13 +2,18 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from importlib.resources import files
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import rootkgd
 from rootkgd.cli import main
 from rootkgd.config import DiagnosisConfig
 from rootkgd.dataio import read_csv, write_csv
@@ -168,6 +173,42 @@ class TestDiagnoseCommand:
         table_2 = r2.output.rsplit("report written", 1)[0]
         assert table_1 == table_2
         assert j1.read_bytes() == j2.read_bytes()
+
+    def test_report_independent_of_hash_seed(self, tmp_path, runner):
+        # Two interpreters with different string hashing write the same bytes:
+        # no result depends on the iteration order of a set or dict of ids.
+        graph_path = str(files("rootkgd") / "fixtures" / "tep.kg.json")
+        columns = tuple(e.column for e in load_graph(graph_path).variable_roster())
+        rng = np.random.default_rng(7)
+        mixing = rng.normal(size=(8, len(columns)))
+
+        def draw(m):
+            return rng.normal(size=(m, 8)) @ mixing + 0.5 * rng.normal(size=(m, len(columns)))
+
+        fault = draw(200)
+        fault[100:, 3] += 10.0
+        write_csv(DataMatrix(draw(500), columns), tmp_path / "normal.csv")
+        write_csv(DataMatrix(fault, columns), tmp_path / "fault.csv")
+        model = tmp_path / "model.json"
+        fit = runner.invoke(main, ["fit", "--graph", graph_path, "--data",
+                                   str(tmp_path / "normal.csv"), "--model", str(model)])
+        assert fit.exit_code == 0, fit.output
+        src = str(Path(rootkgd.__file__).parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for seed in ("0", "1"):
+            report = tmp_path / f"report{seed}.json"
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+            done = subprocess.run(
+                [sys.executable, "-m", "rootkgd.cli", "diagnose", "--graph", graph_path,
+                 "--model", str(model), "--data", str(tmp_path / "fault.csv"),
+                 "--fault-start", "100", "--json", str(report)],
+                env=env, capture_output=True, text=True, check=False, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append((done.stdout.replace(str(report), "REPORT"), report.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert b'"ranking"' in outputs[0][1]
 
     def test_report_names_the_model_r_pc(self, plant_dir, tmp_path, runner):
         # The config keeps its default r_pc of 0.5; the report must give the

@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from importlib.resources import files
 
 import pytest
 
-from conftest import minimal_payload
+from conftest import minimal_payload, out_edges
 from rootkgd.kgraph import (
     Entity,
     EntityKind,
@@ -114,6 +115,20 @@ class TestLoadGraph:
         with pytest.raises(GraphParseError, match="unknown kind"):
             graph_from_dict(payload)
 
+    @pytest.mark.parametrize("where", ["entity", "triple"])
+    def test_string_subclass_id_is_parse_error(self, where):
+        # Ids are interned, and sys.intern takes only an exact str.
+        class Name(str):
+            pass
+
+        payload = minimal_payload()
+        if where == "entity":
+            payload["entities"][0]["id"] = Name("dev1")
+        else:
+            payload["triples"][0][2] = Name("v11")
+        with pytest.raises(GraphParseError, match="string"):
+            graph_from_dict(payload)
+
     def test_column_bound_by_two_variables(self):
         payload = minimal_payload()
         payload["entities"].append(
@@ -219,7 +234,7 @@ class TestOutEdges:
         )
         payload["triples"].append(["dev1", "State", "v12"])
         graph = graph_from_dict(payload)
-        edges = graph.out_index["dev1"]
+        edges = out_edges(graph, "dev1")
         assert [(r.name, t) for r, t in edges] == [("State", "v11"), ("State", "v12")]
 
     def test_sorted_by_distance(self):
@@ -238,11 +253,12 @@ class TestOutEdges:
             "triples": [["hub", "far", "a"], ["hub", "near", "b"], ["hub", "mid", "c"]],
         }
         graph = graph_from_dict(payload)
-        distances = [r.distance for r, _ in graph.out_index["hub"]]
+        distances = [r.distance for r, _ in out_edges(graph, "hub")]
         assert distances == [1, 3, 5]
 
     def test_leaf_has_no_edges(self, minimal_graph):
-        assert minimal_graph.out_index["v11"] == ()
+        assert out_edges(minimal_graph, "v11") == ()
+        assert minimal_graph.adjacency[minimal_graph.position["v11"]] == ()
 
     def test_unknown_entity(self, minimal_graph):
         with pytest.raises(GraphError, match="unknown entity"):
@@ -252,12 +268,14 @@ class TestOutEdges:
         payload = serialize(tep_graph)
         payload["triples"] = payload["triples"][::-1]
         shuffled = graph_from_dict(payload)
+        assert shuffled.adjacency == tep_graph.adjacency
         for entity in tep_graph.entities:
-            assert shuffled.out_index[entity.id] == tep_graph.out_index[entity.id]
+            assert out_edges(shuffled, entity.id) == out_edges(tep_graph, entity.id)
 
-    def test_out_index_matches_triples(self, tep_graph):
+    def test_adjacency_matches_triples(self, tep_graph):
+        assert len(tep_graph.adjacency) == len(tep_graph.entities)
         for entity in tep_graph.entities:
-            edges = sorted((r.name, t) for r, t in tep_graph.out_index[entity.id])
+            edges = sorted((r.name, t) for r, t in out_edges(tep_graph, entity.id))
             declared = sorted(
                 (t.relation, t.tail) for t in tep_graph.triples if t.head == entity.id
             )
@@ -265,6 +283,16 @@ class TestOutEdges:
 
 
 class TestRoundTrip:
+    def test_loads_of_one_file_share_their_ids(self):
+        path = files("rootkgd") / "fixtures" / "tep.kg.json"
+        first, second = load_graph(path), load_graph(path)
+        assert len(first.entities) == len(second.entities) > 0
+        for a, b in zip(first.entities, second.entities):
+            assert a.id is b.id
+        for a, b in zip(first.triples, second.triples):
+            assert a.head is b.head and a.relation is b.relation and a.tail is b.tail
+            assert a.head is first.by_id[a.head].id
+
     def test_serialize_load_identity(self, tep_graph, tmp_path):
         path = tmp_path / "tep_copy.json"
         save_graph(tep_graph, path)
@@ -282,7 +310,8 @@ class TestRoundTrip:
         assert built == tep_graph
         assert built.entities == tep_graph.entities  # lists are coerced to tuples
         assert built.by_id == tep_graph.by_id
-        assert built.out_index == tep_graph.out_index
+        assert built.position == tep_graph.position
+        assert built.adjacency == tep_graph.adjacency
         params = RfpaParams(sigma_r=0.1, p_max=3, delta_s_min_ratio=1e-4)
         for source in ("x4", "reactor", "s4"):
             a = propagate(built, params, source)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -281,6 +283,23 @@ class TestRankAll:
         first = rank_all(tep_graph, PARAMS, tep_contributions)
         second = rank_all(tep_graph, PARAMS, tep_contributions)
         assert first.entries == second.entries
+
+    def test_one_graph_serves_two_threads(self, tep_graph, tep_contributions):
+        # Propagation state lives for one run, so concurrent rankings on one
+        # graph object cannot see each other's quantities.
+        expected = rank_all(tep_graph, PARAMS, tep_contributions).entries
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside single runs
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                calls = [
+                    pool.submit(rank_all, tep_graph, PARAMS, tep_contributions)
+                    for _ in range(6)
+                ]
+                results = [call.result(timeout=60).entries for call in calls]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(entries == expected for entries in results)
 
 
 @pytest.fixture(scope="module")

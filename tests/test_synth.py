@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import out_edges
 from rootkgd.kgraph import EntityKind, graph_from_dict, serialize, validate
 from rootkgd.synth import FaultInjection, PlantSpec, generate_plant, simulate
 
@@ -53,17 +54,17 @@ class TestGeneratePlant:
         # chain: dev_i -> str_i -> dev_{i+1}
         for i, sid in enumerate(streams):
             assert (sid, "Output") in {
-                (t, r.name) for r, t in graph.out_index[devices[i]]
+                (t, r.name) for r, t in out_edges(graph, devices[i])
             }
-            tails = {t for r, t in graph.out_index[sid]}
+            tails = {t for r, t in out_edges(graph, sid)}
             assert tails == {devices[i + 1]}
         # two variables per device, wired both ways
         for did in devices:
             vars_of = model.var_of_device[did]
             assert len(vars_of) == 2
             for vid in vars_of:
-                assert (vid, "State") in {(t, r.name) for r, t in graph.out_index[did]}
-                assert (did, "State of") in {(t, r.name) for r, t in graph.out_index[vid]}
+                assert (vid, "State") in {(t, r.name) for r, t in out_edges(graph, did)}
+                assert (did, "State of") in {(t, r.name) for r, t in out_edges(graph, vid)}
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="n_devices"):
