@@ -12,25 +12,46 @@ import numpy as np
 from .features import DataMatrix, check_unique
 
 
-def read_csv(path: str | Path) -> DataMatrix:
+def read_csv(path: str | Path, rows: int | None = None) -> DataMatrix:
     """Read a dataset: first row is the column header, one sample per row.
 
-    Parsed in bulk by ``np.loadtxt``, else row by row (see ``_read_bulk``)."""
+    With ``rows``, the header and at most that many data rows are parsed and
+    the rest of the file is not read: the result is the full read's first
+    ``rows`` rows, and a malformed row after them is never seen. Parsed in
+    bulk by ``np.loadtxt``, else row by row (see ``_read_bulk``)."""
+    if rows is not None and rows < 1:
+        raise ValueError(f"rows must be at least 1, got {rows}")
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as fh:
-        return _read_bulk(fh) or _read_rows(path, fh)
+        return _read_bulk(fh, rows) or _read_rows(path, fh, rows)
 
 
-def _read_bulk(fh) -> DataMatrix | None:
+def _head(fh, rows: int | None) -> list[str]:
+    """The lines of ``fh`` through its ``rows``-th data row (all with None),
+    taken lazily: the first line is the header, and a blank or
+    whitespace-only line is no row."""
+    if rows is None:
+        return fh.readlines()
+    lines = [next(fh, "")]
+    for line in fh:
+        lines.append(line)
+        if not line.isspace():
+            rows -= 1
+            if not rows:
+                break
+    return lines
+
+
+def _read_bulk(fh, rows: int | None = None) -> DataMatrix | None:
     """The dataset parsed by ``np.loadtxt``, or None where ``_read_rows``, the
     author of every error message, must read it: on any exception or warning
     (DataMatrix rejects a column-count mismatch and non-finite values), a quote
-    anywhere in the file, or a line longer than the csv field limit. Without
-    quotes, each line is one record to both parsers."""
+    anywhere in the lines read, or a line longer than the csv field limit.
+    Without quotes, each line is one record to both parsers."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            lines = fh.readlines()
+            lines = _head(fh, rows)
             if any('"' in line for line in lines):
                 return None
             columns = [name.strip() for name in next(csv.reader(lines[:1]))]
@@ -41,9 +62,10 @@ def _read_bulk(fh) -> DataMatrix | None:
     return data if max(map(len, lines[1:])) <= csv.field_size_limit() else None
 
 
-def _read_rows(path: Path, fh) -> DataMatrix:
+def _read_rows(path: Path, fh, rows: int | None = None) -> DataMatrix:
     """The dataset parsed row by row from the start of ``fh`` by the strict csv
-    reader, so a quoted field ends at its closing quote."""
+    reader, so a quoted field ends at its closing quote; with ``rows``, it
+    stops after that many data rows."""
     fh.seek(0)
     reader = csv.reader(fh, strict=True)
     line = 0  # the last line of the last complete record
@@ -56,7 +78,7 @@ def _read_rows(path: Path, fh) -> DataMatrix:
             check_unique(columns)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        rows: list[list[float]] = []
+        parsed: list[list[float]] = []
         line = reader.line_num
         for row in reader:
             line = reader.line_num
@@ -72,16 +94,18 @@ def _read_rows(path: Path, fh) -> DataMatrix:
             bad = next((c for c, v in zip(row, values) if not math.isfinite(v)), None)
             if bad is not None:
                 raise ValueError(f"{path}:{line}: not a finite number: {bad!r}")
-            rows.append(values)
+            parsed.append(values)
+            if len(parsed) == rows:
+                break
     except csv.Error as exc:
         if str(exc) == "unexpected end of data":
             raise ValueError(f"{path}:{line + 1}: unclosed quote") from None
         raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     except UnicodeDecodeError:
         raise _decode_error(path) from None
-    if not rows:
+    if not parsed:
         raise ValueError(f"{path}: no data rows")
-    return DataMatrix(np.asarray(rows, dtype=float), columns)
+    return DataMatrix(np.asarray(parsed, dtype=float), columns)
 
 
 def _decode_error(path: Path) -> ValueError:

@@ -4,6 +4,8 @@ A graph is checked when it is built, whether loaded from a JSON file or
 constructed directly, and is then treated as immutable: every graph object
 holds the invariants ``validate`` lists. Downstream modules only ever read it
 (adjacency queries), so a single instance can be shared freely across threads.
+The one mutable part is a free list of zeroed propagation tables, which
+``rfpa`` takes and returns whole with atomic list operations.
 """
 
 from __future__ import annotations
@@ -97,23 +99,27 @@ class KnowledgeGraph:
 
     Construction checks the parts as ``validate`` does and raises
     ``GraphValidationError`` on any error, so a graph built directly works
-    like a loaded one. ``by_id``, ``position`` (entity id to its index in
+    like a loaded one. ``position`` (entity id to its index in
     ``entities``), ``adjacency`` and the check's ``warnings`` are then kept.
     ``adjacency[i]`` holds the out-edges of ``entities[i]`` as ``(tail
     position, index in relations, priority offset)`` tuples, in a
     deterministic order (ascending relation distance, then tail id, then
     relation name) so that propagation results never depend on file order.
+    ``_free_tables`` holds propagation state tables over entity positions,
+    each all zeros, for ``rfpa`` to reuse across runs.
     """
 
     entities: tuple[Entity, ...]
     relations: tuple[RelationType, ...]
     triples: tuple[Triple, ...]
-    by_id: dict[str, Entity] = field(init=False, compare=False, repr=False)
     position: dict[str, int] = field(init=False, compare=False, repr=False)
     adjacency: tuple[tuple[tuple[int, int, int], ...], ...] = field(
         init=False, compare=False, repr=False
     )
     warnings: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    _free_tables: list[tuple[list[float], list[int], list[int]]] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         for name in ("entities", "relations", "triples"):
@@ -129,14 +135,14 @@ class KnowledgeGraph:
             _, at, offset = rel[t.relation]
             grouped[position[t.head]].append((position[t.tail], at, offset))
         adjacency = tuple(map(tuple, grouped))
-        object.__setattr__(self, "by_id", {e.id: e for e in self.entities})
         object.__setattr__(self, "position", position)
         object.__setattr__(self, "adjacency", adjacency)
         object.__setattr__(self, "warnings", tuple(report.warnings))
+        object.__setattr__(self, "_free_tables", [])
 
     def entity(self, entity_id: str) -> Entity:
         try:
-            return self.by_id[entity_id]
+            return self.entities[self.position[entity_id]]
         except KeyError:
             raise GraphError(f"unknown entity id: {entity_id!r}") from None
 

@@ -57,14 +57,14 @@ def run_diagnose(config: DiagnosisConfig) -> RootCauseRanking:
     model = features.load_model(config.model_path)
     bound = bound_columns(model.columns, graph, "model")
     variable_of = {e.column: e.id for e in graph.variable_roster()}
-    fault = dataio.read_csv(config.fault_data_path)
+    end = config.fault_start + config.window
+    fault = dataio.read_csv(config.fault_data_path, rows=end)  # no row after the window
 
     missing = [c for c in model.columns if c not in fault.columns]
     if missing:
         raise ValueError(f"fault dataset is missing model columns: {missing}")
     fault = fault.select(model.columns)
 
-    end = config.fault_start + config.window
     if end > fault.n_samples:
         raise ValueError(
             f"window exceeds dataset: rows [{config.fault_start}, {end}) "

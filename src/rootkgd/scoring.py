@@ -74,8 +74,8 @@ def _check_roster(graph: KnowledgeGraph, contributions: ContributionVector) -> N
     if not roster:
         raise ValueError("contribution roster is empty")
     position = contributions.positions
-    if len(position) < len(roster) or not position.keys() <= graph.by_id.keys():
-        bad = [r for i, r in enumerate(roster) if r not in graph.by_id or position[r] != i]
+    if len(position) < len(roster) or not position.keys() <= graph.position.keys():
+        bad = [r for i, r in enumerate(roster) if r not in graph.position or position[r] != i]
         raise ValueError(f"roster ids repeated or not in the graph: {bad}")
     _roster_checked = (graph, roster)
 

@@ -127,6 +127,21 @@ class TestFitCommand:
             "dataset columns without a variable binding are ignored: ['extra_sensor']"
         ]
 
+    def test_bad_last_row_fails_fit(self, plant_dir, tmp_path, runner):
+        # fit parses the whole file, so its last row is checked.
+        text = (plant_dir["dir"] / "normal.csv").read_text()
+        lines = len(text.splitlines())
+        bad = tmp_path / "normal.csv"
+        bad.write_text(text + "1,2\n")
+        result = runner.invoke(
+            main, ["fit", "--graph", str(plant_dir["dir"] / "graph.json"), "--data", str(bad),
+                   "--model", str(tmp_path / "m.json")]
+        )
+        width = text.splitlines()[0].count(",") + 1
+        assert result.exit_code == 1
+        assert result.stderr == f"error: {bad}:{lines + 1}: expected {width} fields, got 2\n"
+        assert not (tmp_path / "m.json").exists()
+
     def test_no_bound_column_is_usage_error(self, plant_dir, tmp_path, runner):
         data = read_csv(plant_dir["dir"] / "normal.csv")
         renamed = tmp_path / "renamed.csv"
@@ -233,6 +248,43 @@ class TestDiagnoseCommand:
         )
         assert result.exit_code == 1
         assert "window exceeds dataset" in result.stderr
+
+    def test_short_file_names_its_sample_count(self, plant_dir, model_path, tmp_path, runner):
+        lines = (plant_dir["dir"] / "fault.csv").read_text().splitlines(keepends=True)
+        short = tmp_path / "fault.csv"
+        short.write_text("".join(lines[:151]))
+        args = diagnose_args(plant_dir, model_path)
+        args[args.index("--data") + 1] = str(short)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.stderr == (
+            "error: window exceeds dataset: rows [100, 200) requested but only 150 "
+            "samples present\n"
+        )
+
+    @pytest.mark.parametrize("bad_row", ["1,2\n", "x\n", "nan\n", '"1\n'])
+    def test_rows_after_the_window_are_not_read(self, plant_dir, model_path, tmp_path,
+                                                runner, bad_row):
+        # A ragged, non-numeric or unclosed row after the window: the report is
+        # the one of the file cut after the window.
+        lines = (plant_dir["dir"] / "fault.csv").read_text().splitlines(keepends=True)
+        width = lines[0].count(",") + 1
+        if bad_row in ("x\n", "nan\n"):
+            bad_row = ",".join(["0"] * (width - 1) + [bad_row])
+        reports = []
+        for name, text in (("cut", lines[:201]), ("bad", lines[:201] + [bad_row] + lines[201:])):
+            (tmp_path / name).mkdir()
+            fault = tmp_path / name / "fault.csv"
+            fault.write_text("".join(text))
+            args = diagnose_args(plant_dir, model_path, "--json", str(tmp_path / name / "r.json"))
+            args[args.index("--data") + 1] = str(fault)
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+            reports.append((result.stdout.replace(str(tmp_path / name), "DIR"),
+                            (tmp_path / name / "r.json").read_bytes()))
+        assert reports[0] == reports[1]
+        with pytest.raises(ValueError, match=":202: "):
+            read_csv(tmp_path / "bad" / "fault.csv")  # a full read fails
 
     def test_fault_dataset_missing_model_column(self, plant_dir, model_path, tmp_path,
                                                 runner):

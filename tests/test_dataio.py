@@ -4,6 +4,7 @@ and, where there is one, the line."""
 from __future__ import annotations
 
 import csv
+import io
 import tempfile
 import warnings
 from pathlib import Path
@@ -185,6 +186,103 @@ def test_bulk_parse_matches_row_by_row(text):
         assert data.columns == expected.columns
         assert data.values.shape == expected.values.shape
         assert data.values.tobytes() == expected.values.tobytes()
+
+
+def through_row(text: str, k: int) -> str:
+    """``text`` cut after its ``k``-th data record as the strict csv reader
+    splits records (the header is none, nor is a blank or whitespace-only
+    line); all of it when the reader finds fewer or fails first."""
+    lines = io.StringIO(text, newline="").readlines()
+    taken = 0
+
+    def feed():
+        nonlocal taken
+        for line in lines:
+            taken += 1
+            yield line
+
+    reader = csv.reader(feed(), strict=True)
+    try:
+        next(reader, None)
+        for row in reader:
+            if row and not (len(row) == 1 and row[0].isspace()):
+                k -= 1
+                if not k:
+                    return "".join(lines[:taken])
+    except csv.Error:
+        pass
+    return text
+
+
+def outcome(path: Path, rows: int | None = None):
+    """The columns and value bytes of a read, or its error message after the
+    file name."""
+    try:
+        data = read_csv(path, rows=rows)
+    except ValueError as exc:
+        return str(exc).removeprefix(str(path))
+    return data.columns, data.values.shape, data.values.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=csv_texts(), k=st.integers(1, 7))
+def test_bounded_read_is_the_full_read_of_the_first_rows(text, k):
+    """read_csv(p, rows=k) reads the file as if it ended after its k-th data
+    row: the full read's first k rows bit for bit when the full read
+    succeeds, its error when that falls inside those rows, and nothing of
+    what follows them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, cut = Path(tmp) / "data.csv", Path(tmp) / "cut.csv"
+        path.write_bytes(text.encode())
+        cut.write_bytes(through_row(text, k).encode())
+        bounded = outcome(path, k)
+        assert bounded == outcome(cut)
+        full = outcome(path)
+        if not isinstance(full, str):
+            expected = read_csv(path).values[:k]
+            assert bounded == (full[0], expected.shape, expected.tobytes())
+        elif cut.read_bytes() == path.read_bytes():
+            assert bounded == full
+
+
+def test_bounded_read_skips_blank_lines_in_the_window(tmp_path):
+    # Blank and whitespace-only lines among the first k lines are no rows,
+    # for the bulk parse and, with a quote in the window, the row reader.
+    path = tmp_path / "data.csv"
+    for cell in ("2", '"2"'):
+        path.write_text(f"a,b\n\n1,{cell}\n  \n\t\r\n3,4\n \n5,6\n")
+        full = read_csv(path).values
+        for k in (1, 2, 3):
+            data = read_csv(path, rows=k)
+            assert data.values.tobytes() == full[:k].tobytes()
+        assert read_csv(path, rows=2).values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert read_csv(path, rows=9).values.tobytes() == full.tobytes()
+
+
+def test_bounded_read_does_not_see_a_later_quote(tmp_path):
+    # A quote after row k leaves the window to the bulk parse, and an
+    # unclosed one after it does not fail the read.
+    path = tmp_path / "data.csv"
+    for tail, full_error in (('"5",6\n', None), ('"5,6\n', ":4: unclosed quote")):
+        path.write_text("a,b\n1,2\n3,4\n" + tail)
+        with path.open(newline="", encoding="utf-8") as fh:
+            data = _read_bulk(fh, 2)
+        assert data is not None and data.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert read_csv(path, rows=2).values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        if full_error is None:
+            assert read_csv(path).values[:2].tobytes() == data.values.tobytes()
+        else:
+            with pytest.raises(ValueError) as excinfo:
+                read_csv(path)
+            assert str(excinfo.value) == f"{path}{full_error}"
+
+
+def test_bounded_read_needs_a_row(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("a,b\n1,2\n")
+    for rows in (0, -1):
+        with pytest.raises(ValueError, match=f"^rows must be at least 1, got {rows}$"):
+            read_csv(path, rows=rows)
 
 
 def test_bulk_parse_takes_well_formed_files(tmp_path):

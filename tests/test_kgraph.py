@@ -291,7 +291,8 @@ class TestRoundTrip:
             assert a.id is b.id
         for a, b in zip(first.triples, second.triples):
             assert a.head is b.head and a.relation is b.relation and a.tail is b.tail
-            assert a.head is first.by_id[a.head].id
+            assert a.head is first.entity(a.head).id
+            assert a.head is first.entities[first.position[a.head]].id
 
     def test_serialize_load_identity(self, tep_graph, tmp_path):
         path = tmp_path / "tep_copy.json"
@@ -309,8 +310,8 @@ class TestRoundTrip:
         )
         assert built == tep_graph
         assert built.entities == tep_graph.entities  # lists are coerced to tuples
-        assert built.by_id == tep_graph.by_id
         assert built.position == tep_graph.position
+        assert all(built.entity(e.id) == tep_graph.entity(e.id) for e in tep_graph.entities)
         assert built.adjacency == tep_graph.adjacency
         params = RfpaParams(sigma_r=0.1, p_max=3, delta_s_min_ratio=1e-4)
         for source in ("x4", "reactor", "s4"):

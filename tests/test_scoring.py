@@ -285,8 +285,9 @@ class TestRankAll:
         assert first.entries == second.entries
 
     def test_one_graph_serves_two_threads(self, tep_graph, tep_contributions):
-        # Propagation state lives for one run, so concurrent rankings on one
-        # graph object cannot see each other's quantities.
+        # A run holds its state tables alone until it hands them back
+        # zeroed, so concurrent rankings on one graph object cannot see each
+        # other's quantities.
         expected = rank_all(tep_graph, PARAMS, tep_contributions).entries
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # switch threads often, inside single runs
