@@ -26,11 +26,9 @@ from .kgraph import (
     KnowledgeGraph,
     RelationType,
     Triple,
-    ValidationReport,
     load_graph,
     save_graph,
     serialize,
-    validate,
 )
 from .rfpa import PropagationResult, RfpaParams, propagate, trace
 from .scoring import RankEntry, RootCauseRanking, format_report, rank_all, root_score
@@ -59,7 +57,6 @@ __all__ = [
     "RfpaParams",
     "RootCauseRanking",
     "Triple",
-    "ValidationReport",
     "contribution_rate",
     "fit_pca",
     "format_report",
@@ -75,5 +72,4 @@ __all__ = [
     "serialize",
     "simulate",
     "trace",
-    "validate",
 ]

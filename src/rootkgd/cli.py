@@ -21,14 +21,7 @@ import numpy as np
 from . import synth as synthmod
 from .config import ConfigError, DiagnosisConfig, load_config
 from .dataio import write_csv
-from .kgraph import (
-    GraphError,
-    GraphParseError,
-    GraphValidationError,
-    load_graph,
-    save_graph,
-    validate,
-)
+from .kgraph import GraphError, GraphParseError, GraphValidationError, load_graph, save_graph
 from .pipeline import run_diagnose, run_fit, run_trace
 from .scoring import format_report, report_dict
 
@@ -54,7 +47,7 @@ def handle_errors(fn):
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_USAGE)
         except GraphValidationError as exc:
-            for line in exc.report.errors:
+            for line in exc.errors:
                 click.echo(f"error: {line}", err=True)
             sys.exit(EXIT_FAILURE)
         except (GraphError, ValueError, OSError) as exc:
@@ -155,17 +148,16 @@ def validate_kg(graph_file):
     try:
         graph = load_graph(graph_file)
     except GraphValidationError as exc:
-        for line in exc.report.errors:
+        for line in exc.errors:
             click.echo(f"error: {line}")
-        for line in exc.report.warnings:
+        for line in exc.warnings:
             click.echo(f"warning: {line}")
         sys.exit(EXIT_FAILURE)
-    report = validate(graph)
-    for line in report.warnings:
+    for line in graph.warnings:
         click.echo(f"warning: {line}")
     click.echo(
         f"ok: {len(graph.entities)} entities, {len(graph.relations)} relations, "
-        f"{len(graph.triples)} triples, {len(report.warnings)} warnings"
+        f"{len(graph.triples)} triples, {len(graph.warnings)} warnings"
     )
 
 

@@ -2,8 +2,9 @@
 
 A graph is checked when it is built, whether loaded from a JSON file or
 constructed directly, and is then treated as immutable: every graph object
-holds the invariants ``validate`` lists. Downstream modules only ever read it
-(adjacency queries), so a single instance can be shared freely across threads.
+holds the invariants ``_check`` lists, and keeps the warnings and column
+bindings the check found. Downstream modules only ever read it (adjacency
+queries), so a single instance can be shared freely across threads.
 The one mutable part is a free list of zeroed propagation tables, which
 ``rfpa`` takes and returns whole with atomic list operations.
 """
@@ -28,11 +29,16 @@ class GraphParseError(GraphError):
 
 
 class GraphValidationError(GraphError):
-    """The graph's parts, parsed or built directly, violate its invariants."""
+    """The graph's parts, parsed or built directly, violate its invariants.
 
-    def __init__(self, report: "ValidationReport"):
-        super().__init__("; ".join(report.errors))
-        self.report = report
+    ``errors`` are the broken invariants; ``warnings`` are the check's other
+    findings on the same parts.
+    """
+
+    def __init__(self, errors: list[str], warnings: list[str]):
+        super().__init__("; ".join(errors))
+        self.errors = errors
+        self.warnings = warnings
 
 
 class EntityKind(str, Enum):
@@ -81,26 +87,16 @@ class Triple:
         return f"({self.head}, {self.relation}, {self.tail})"
 
 
-@dataclass
-class ValidationReport:
-    """Findings from graph validation; errors are fatal, warnings are not."""
-
-    errors: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-
 @dataclass(frozen=True, eq=True)
 class KnowledgeGraph:
     """Entities, relation types and triples, plus read-only lookup indexes.
 
-    Construction checks the parts as ``validate`` does and raises
+    Construction checks the parts (``_check``) and raises
     ``GraphValidationError`` on any error, so a graph built directly works
     like a loaded one. ``position`` (entity id to its index in
-    ``entities``), ``adjacency`` and the check's ``warnings`` are then kept.
+    ``entities``), ``adjacency`` and the check's ``warnings`` and
+    ``variable_of`` (each bound column to its variable id, in declaration
+    order) are then kept.
     ``adjacency[i]`` holds the out-edges of ``entities[i]`` as ``(tail
     position, index in relations, priority offset)`` tuples, in a
     deterministic order (ascending relation distance, then tail id, then
@@ -117,6 +113,7 @@ class KnowledgeGraph:
         init=False, compare=False, repr=False
     )
     warnings: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    variable_of: dict[str, str] = field(init=False, compare=False, repr=False)
     _free_tables: list[tuple[list[float], list[int], list[int]]] = field(
         init=False, compare=False, repr=False
     )
@@ -124,9 +121,9 @@ class KnowledgeGraph:
     def __post_init__(self):
         for name in ("entities", "relations", "triples"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        report = _check(self.entities, self.relations, self.triples)
-        if not report.ok:
-            raise GraphValidationError(report)
+        errors, warnings, variable_of = _check(self.entities, self.relations, self.triples)
+        if errors:
+            raise GraphValidationError(errors, warnings)
         position = {e.id: i for i, e in enumerate(self.entities)}
         rel = {r.name: (r.distance, i, r.priority_offset) for i, r in enumerate(self.relations)}
         # One sort of all triples in edge order leaves each head's edges in it.
@@ -137,7 +134,8 @@ class KnowledgeGraph:
         adjacency = tuple(map(tuple, grouped))
         object.__setattr__(self, "position", position)
         object.__setattr__(self, "adjacency", adjacency)
-        object.__setattr__(self, "warnings", tuple(report.warnings))
+        object.__setattr__(self, "warnings", tuple(warnings))
+        object.__setattr__(self, "variable_of", variable_of)
         object.__setattr__(self, "_free_tables", [])
 
     def entity(self, entity_id: str) -> Entity:
@@ -149,12 +147,6 @@ class KnowledgeGraph:
     def entities_of_kind(self, *kinds: EntityKind) -> tuple[Entity, ...]:
         wanted = set(kinds)
         return tuple(e for e in self.entities if e.kind in wanted)
-
-    def variable_roster(self) -> tuple[Entity, ...]:
-        """Variable entities bound to a dataset column, in declaration order."""
-        return tuple(
-            e for e in self.entities if e.kind is EntityKind.VARIABLE and e.column is not None
-        )
 
 
 def _parse_entity(raw: Any, pos: int) -> Entity:
@@ -256,19 +248,14 @@ def save_graph(graph: KnowledgeGraph, path: str | Path) -> None:
     Path(path).write_text(json.dumps(serialize(graph), indent=2) + "\n", encoding="utf-8")
 
 
-def validate(graph: KnowledgeGraph) -> ValidationReport:
-    """The invariant report of a graph (see ``_check``). A constructed graph
-    has passed the check, so its ``errors`` are empty; the warnings are the
-    ones its construction found."""
-    return ValidationReport(warnings=list(graph.warnings))
-
-
 def _check(
     entities: tuple[Entity, ...],
     relations: tuple[RelationType, ...],
     triples: tuple[Triple, ...],
-) -> ValidationReport:
-    """Check graph invariants on a graph's parts; returns a report instead of raising.
+) -> tuple[list[str], list[str], dict[str, str]]:
+    """Check graph invariants on a graph's parts; returns ``(errors, warnings,
+    column_owner)`` instead of raising, ``column_owner`` mapping each bound
+    column to its variable id in declaration order.
 
     Errors: no entities, duplicate ids/names/triples, dangling references,
     negative relation parameters or non-finite distances, column bindings on
@@ -276,28 +263,29 @@ def _check(
     Warnings: unbound variables, entities that occur in no triple, relation
     types that are never used.
     """
-    report = ValidationReport()
+    errors: list[str] = []
+    warnings: list[str] = []
+    column_owner: dict[str, str] = {}
 
     if not entities:
-        report.errors.append("no entities declared")
-        return report
+        errors.append("no entities declared")
+        return errors, warnings, column_owner
 
     seen_ids: set[str] = set()
-    column_owner: dict[str, str] = {}
     for e in entities:
         if not e.id:
-            report.errors.append("entity with empty id")
+            errors.append("entity with empty id")
         if e.id in seen_ids:
-            report.errors.append(f"duplicate entity id: {e.id!r}")
+            errors.append(f"duplicate entity id: {e.id!r}")
         seen_ids.add(e.id)
         if e.kind in PHYSICAL_KINDS and e.column is not None:
-            report.errors.append(
+            errors.append(
                 f"entity {e.id!r} has kind {e.kind.value!r} but carries a column binding"
             )
         if e.kind is EntityKind.VARIABLE and e.column is None:
-            report.warnings.append(f"variable {e.id!r} has no column binding")
+            warnings.append(f"variable {e.id!r} has no column binding")
         elif e.kind is EntityKind.VARIABLE and column_owner.get(e.column, e.id) != e.id:
-            report.errors.append(
+            errors.append(
                 f"variables {column_owner[e.column]!r} and {e.id!r} both bind column {e.column!r}"
             )
         elif e.kind is EntityKind.VARIABLE:
@@ -306,14 +294,14 @@ def _check(
     seen_rels: set[str] = set()
     for r in relations:
         if r.name in seen_rels:
-            report.errors.append(f"duplicate relation name: {r.name!r}")
+            errors.append(f"duplicate relation name: {r.name!r}")
         seen_rels.add(r.name)
         if not math.isfinite(r.distance):
-            report.errors.append(f"relation {r.name!r} has non-finite distance {r.distance}")
+            errors.append(f"relation {r.name!r} has non-finite distance {r.distance}")
         elif r.distance < 0:
-            report.errors.append(f"relation {r.name!r} has negative distance {r.distance}")
+            errors.append(f"relation {r.name!r} has negative distance {r.distance}")
         if r.priority_offset < 0:
-            report.errors.append(
+            errors.append(
                 f"relation {r.name!r} has negative priority offset {r.priority_offset}"
             )
 
@@ -323,22 +311,22 @@ def _check(
     for t in triples:
         key = (t.head, t.relation, t.tail)
         if key in seen_triples:
-            report.errors.append(f"duplicate triple {t}")
+            errors.append(f"duplicate triple {t}")
         seen_triples.add(key)
         if t.head not in seen_ids:
-            report.errors.append(f"triple {t} references undeclared head entity {t.head!r}")
+            errors.append(f"triple {t} references undeclared head entity {t.head!r}")
         if t.tail not in seen_ids:
-            report.errors.append(f"triple {t} references undeclared tail entity {t.tail!r}")
+            errors.append(f"triple {t} references undeclared tail entity {t.tail!r}")
         if t.relation not in seen_rels:
-            report.errors.append(f"triple {t} references undeclared relation {t.relation!r}")
+            errors.append(f"triple {t} references undeclared relation {t.relation!r}")
         touched.update((t.head, t.tail))
         used_relations.add(t.relation)
 
     for e in entities:
         if e.id not in touched:
-            report.warnings.append(f"entity {e.id!r} occurs in no triple")
+            warnings.append(f"entity {e.id!r} occurs in no triple")
     for r in relations:
         if r.name not in used_relations:
-            report.warnings.append(f"relation {r.name!r} is never used")
+            warnings.append(f"relation {r.name!r} is never used")
 
-    return report
+    return errors, warnings, column_owner

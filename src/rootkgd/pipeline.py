@@ -19,11 +19,10 @@ logger = logging.getLogger(__name__)
 def bound_columns(columns: Sequence[str], graph: KnowledgeGraph, what: str) -> list[str]:
     """The ``columns`` a graph variable binds, in order; one warning names the
     rest as ``what`` columns, and none bound is a ``ConfigError``."""
-    bound = {e.column for e in graph.variable_roster()}
-    unbound = [c for c in columns if c not in bound]
+    unbound = [c for c in columns if c not in graph.variable_of]
     if unbound:
         logger.warning("%s columns without a variable binding are ignored: %s", what, unbound)
-    kept = [c for c in columns if c in bound]
+    kept = [c for c in columns if c in graph.variable_of]
     if not kept:
         raise ConfigError(f"no {what} columns are bound to graph variables")
     return kept
@@ -56,11 +55,11 @@ def run_diagnose(config: DiagnosisConfig) -> RootCauseRanking:
         raise ConfigError(f"model file not found: {config.model_path}")
     model = features.load_model(config.model_path)
     bound = bound_columns(model.columns, graph, "model")
-    variable_of = {e.column: e.id for e in graph.variable_roster()}
     end = config.fault_start + config.window
     fault = dataio.read_csv(config.fault_data_path, rows=end)  # no row after the window
 
-    missing = [c for c in model.columns if c not in fault.columns]
+    present = set(fault.columns)
+    missing = [c for c in model.columns if c not in present]
     if missing:
         raise ValueError(f"fault dataset is missing model columns: {missing}")
     fault = fault.select(model.columns)
@@ -72,7 +71,7 @@ def run_diagnose(config: DiagnosisConfig) -> RootCauseRanking:
         )
     window = DataMatrix(fault.values[config.fault_start : end], fault.columns)
     rate = features.contribution_rate(model, window)
-    contributions = rate.restrict(bound).relabel(variable_of)
+    contributions = rate.restrict(bound).relabel(graph.variable_of)
 
     params = config.rfpa_params()
     metadata: dict[str, Any] = {

@@ -149,7 +149,7 @@ def test_criterion_4_rfpa_termination_and_bounds():
 
 @pytest.fixture(scope="module")
 def tep_setup(tep_graph):
-    roster = tuple(e.id for e in tep_graph.variable_roster())
+    roster = tuple(tep_graph.variable_of.values())
     rng = np.random.default_rng(123)
     scores = rng.exponential(scale=1.0, size=len(roster))
     scores[roster.index("x4")] = 25.0

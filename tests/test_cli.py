@@ -193,7 +193,7 @@ class TestDiagnoseCommand:
         # Two interpreters with different string hashing write the same bytes:
         # no result depends on the iteration order of a set or dict of ids.
         graph_path = str(files("rootkgd") / "fixtures" / "tep.kg.json")
-        columns = tuple(e.column for e in load_graph(graph_path).variable_roster())
+        columns = tuple(load_graph(graph_path).variable_of)
         rng = np.random.default_rng(7)
         mixing = rng.normal(size=(8, len(columns)))
 
@@ -586,6 +586,30 @@ class TestValidateCommand:
             "warning: relation 'idle' is never used\n"
             "ok: 2 entities, 2 relations, 1 triples, 2 warnings\n"
         )
+
+    def test_errors_then_warnings_on_invalid_graph(self, tmp_path, runner):
+        # The check interleaves its findings; the report lists every error
+        # before any warning.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "entities": [
+                {"id": "a", "kind": "device", "label": "a"},
+                {"id": "v", "kind": "variable", "label": "v"},
+                {"id": "a", "kind": "device", "label": "again"},
+            ],
+            "relations": [{"name": "State", "d": -1, "o": 1}, {"name": "idle", "d": 1, "o": 1}],
+            "triples": [["a", "State", "v"], ["a", "State", "ghost"]],
+        }))
+        result = runner.invoke(main, ["validate-kg", str(path)])
+        assert result.exit_code == 1
+        assert result.stdout == (
+            "error: duplicate entity id: 'a'\n"
+            "error: relation 'State' has negative distance -1.0\n"
+            "error: triple (a, State, ghost) references undeclared tail entity 'ghost'\n"
+            "warning: variable 'v' has no column binding\n"
+            "warning: relation 'idle' is never used\n"
+        )
+        assert result.stderr == ""
 
     def test_no_graph_given(self, runner):
         result = runner.invoke(main, ["validate-kg"])

@@ -21,9 +21,10 @@ README = ROOT / "README.md"
 
 def test_package_exports_resolve():
     """Every name the package exports exists on it, and the removed per-sample
-    SPE and out-edge accessor are not exported."""
+    SPE, out-edge accessor and graph report wrapper are not exported."""
     assert all(hasattr(rootkgd, name) for name in rootkgd.__all__)
-    assert {"spe", "out_edges"}.isdisjoint(rootkgd.__all__)
+    assert {"spe", "out_edges", "validate", "ValidationReport"}.isdisjoint(rootkgd.__all__)
+    assert not hasattr(rootkgd, "validate") and not hasattr(rootkgd, "ValidationReport")
 
 
 def test_benchmark_traced_functions_resolve(monkeypatch):

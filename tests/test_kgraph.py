@@ -20,9 +20,19 @@ from rootkgd.kgraph import (
     load_graph,
     save_graph,
     serialize,
-    validate,
 )
 from rootkgd.rfpa import RfpaParams, propagate
+
+
+def parts(payload):
+    """A graph document's entities, relations and triples as dataclass values."""
+    entities = [
+        Entity(e["id"], EntityKind(e["kind"]), e["label"], e.get("column"))
+        for e in payload["entities"]
+    ]
+    relations = [RelationType(r["name"], float(r["d"]), r["o"]) for r in payload["relations"]]
+    triples = [Triple(*t) for t in payload["triples"]]
+    return entities, relations, triples
 
 
 def kind_counts(graph):
@@ -137,7 +147,7 @@ class TestLoadGraph:
         payload["triples"].append(["dev1", "State", "v12"])
         with pytest.raises(GraphValidationError) as excinfo:
             graph_from_dict(payload)
-        assert excinfo.value.report.errors == [
+        assert excinfo.value.errors == [
             "variables 'v11' and 'v12' both bind column 'v11'"
         ]
 
@@ -164,18 +174,11 @@ class TestLoadGraph:
             )
         with pytest.raises(GraphValidationError) as loaded:
             graph_from_dict(payload)
-        entities = [
-            Entity(e["id"], EntityKind(e["kind"]), e["label"], e.get("column"))
-            for e in payload["entities"]
-        ]
-        relations = [
-            RelationType(r["name"], float(r["d"]), r["o"]) for r in payload["relations"]
-        ]
-        triples = [Triple(*t) for t in payload["triples"]]
         with pytest.raises(GraphValidationError) as built:
-            KnowledgeGraph(entities, relations, triples)
-        assert built.value.report.errors == loaded.value.report.errors
-        assert built.value.report.errors
+            KnowledgeGraph(*parts(payload))
+        assert built.value.errors == loaded.value.errors
+        assert built.value.warnings == loaded.value.warnings
+        assert built.value.errors
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -195,9 +198,7 @@ class TestLoadGraph:
 class TestValidate:
     def test_fixtures_are_clean(self, tep_graph, mff_graph):
         for graph in (tep_graph, mff_graph):
-            report = validate(graph)
-            assert report.errors == []
-            assert report.warnings == []
+            assert graph.warnings == ()
 
     def test_missing_inverses_warn_only(self):
         # A declared inverse relation with no triples is a warning, never an
@@ -205,9 +206,7 @@ class TestValidate:
         payload = minimal_payload()
         payload["relations"].append({"name": "State of", "d": 1, "o": 1})
         graph = graph_from_dict(payload)
-        report = validate(graph)
-        assert report.errors == []
-        assert any("State of" in w and "never used" in w for w in report.warnings)
+        assert any("State of" in w and "never used" in w for w in graph.warnings)
 
     def test_empty_graph(self):
         with pytest.raises(GraphValidationError, match="no entities"):
@@ -216,14 +215,14 @@ class TestValidate:
     def test_unbound_variable_warns(self):
         payload = minimal_payload()
         del payload["entities"][1]["column"]
-        report = validate(graph_from_dict(payload))
-        assert any("no column binding" in w for w in report.warnings)
+        graph = graph_from_dict(payload)
+        assert any("no column binding" in w for w in graph.warnings)
 
     def test_isolated_entity_warns(self):
         payload = minimal_payload()
         payload["entities"].append({"id": "lonely", "kind": "device", "label": "Lonely"})
-        report = validate(graph_from_dict(payload))
-        assert any("lonely" in w and "no triple" in w for w in report.warnings)
+        graph = graph_from_dict(payload)
+        assert any("lonely" in w and "no triple" in w for w in graph.warnings)
 
 
 class TestOutEdges:
@@ -328,7 +327,26 @@ class TestImmutability:
         with pytest.raises(dataclasses.FrozenInstanceError):
             minimal_graph.triples = ()
 
-    def test_variable_roster(self, tep_graph):
-        roster = tep_graph.variable_roster()
-        assert len(roster) == 51
-        assert all(e.kind is EntityKind.VARIABLE and e.column for e in roster)
+    def test_variable_of(self, tep_graph):
+        assert len(tep_graph.variable_of) == 51
+        for column, variable in tep_graph.variable_of.items():
+            entity = tep_graph.entity(variable)
+            assert entity.kind is EntityKind.VARIABLE and entity.column == column
+
+    def test_variable_of_skips_unbound_in_declaration_order(self):
+        payload = minimal_payload()
+        # Neither the ids nor the columns are declared in sorted order.
+        payload["entities"][1:1] = [
+            {"id": "v13", "kind": "variable", "label": "Variable 13", "column": "c13"},
+            {"id": "v12", "kind": "variable", "label": "Variable 12"},
+        ]
+        payload["entities"].append(
+            {"id": "v10", "kind": "variable", "label": "Variable 10", "column": "a10"}
+        )
+        payload["triples"] += [["dev1", "State", v] for v in ("v13", "v12", "v10")]
+        expected = [("c13", "v13"), ("v11", "v11"), ("a10", "v10")]
+        loaded = graph_from_dict(payload)
+        built = KnowledgeGraph(*parts(payload))
+        assert list(loaded.variable_of.items()) == expected
+        assert list(built.variable_of.items()) == expected
+        assert loaded.warnings == built.warnings == ("variable 'v12' has no column binding",)

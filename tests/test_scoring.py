@@ -35,7 +35,7 @@ def two_island_graph():
 @pytest.fixture(scope="module")
 def tep_contributions(tep_graph):
     """A deterministic synthetic contribution-rate vector over the TEP roster."""
-    roster = tuple(e.id for e in tep_graph.variable_roster())
+    roster = tuple(tep_graph.variable_of.values())
     rng = np.random.default_rng(123)
     scores = rng.exponential(scale=1.0, size=len(roster))
     scores[roster.index("x4")] = 25.0
@@ -57,7 +57,7 @@ class TestCosine:
 
 class TestRootScore:
     def test_parallel_profile_scores_one(self, tep_graph):
-        roster = tuple(e.id for e in tep_graph.variable_roster())
+        roster = tuple(tep_graph.variable_of.values())
         result = propagate(tep_graph, PARAMS, "s4")
         profile = np.array([result.quantities.get(r, 0.0) for r in roster])
         contributions = ContributionVector(profile / profile.sum(), roster)
@@ -89,7 +89,7 @@ class TestRootScore:
         assert root_score(graph, PARAMS, contributions, "v") == 1.0
 
     def test_zero_contribution_variable_still_scores(self, tep_graph):
-        roster = tuple(e.id for e in tep_graph.variable_roster())
+        roster = tuple(tep_graph.variable_of.values())
         scores = np.zeros(len(roster))
         scores[roster.index("x4")] = 1.0
         contributions = ContributionVector(scores, roster)
@@ -221,7 +221,7 @@ class TestRankAll:
         own_seeded = constant_seeded = 0
         for _ in range(25):
             graph = graph_from_dict(random_graph_payload(rng, max_nodes=60, max_edges=240))
-            roster = tuple(e.id for e in graph.variable_roster())
+            roster = tuple(graph.variable_of.values())
             if not roster:
                 continue
             params = RfpaParams(
@@ -258,7 +258,7 @@ class TestRankAll:
         scored = 0
         for _ in range(15):
             graph = graph_from_dict(random_graph_payload(rng, max_nodes=60, max_edges=240))
-            roster = tuple(e.id for e in graph.variable_roster())
+            roster = tuple(graph.variable_of.values())
             if not roster:
                 continue
             params = RfpaParams(
