@@ -12,7 +12,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import click
@@ -166,52 +166,30 @@ def validate_kg(graph_file):
               help="Output directory.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--devices", type=int, default=3, show_default=True)
-@click.option("--normal-samples", type=int, default=2000, show_default=True)
-@click.option("--fault-samples", type=int, default=400, show_default=True)
-@click.option("--fault-start", type=int, default=100, show_default=True)
-@click.option("--fault-duration", type=int, default=100, show_default=True)
-@click.option("--fault-kind", type=click.Choice(synthmod.FAULT_KINDS), default="step",
-              show_default=True)
-@click.option("--magnitude", type=float, default=10.0, show_default=True,
-              help="Fault size in units of the target's normal sigma.")
-@click.option("--root", "root_id", default=None,
-              help="Entity to perturb (default: a random variable).")
 @handle_errors
-def synth(out_dir, seed, devices, normal_samples, fault_samples, fault_start, fault_duration,
-          fault_kind, magnitude, root_id):
-    """Generate a synthetic plant: graph, normal/fault data, truth manifest."""
-    spec = synthmod.PlantSpec(n_devices=devices, seed=seed)
-    graph, model = synthmod.generate_plant(spec)
-    if root_id is None:
-        rng = np.random.default_rng(seed)
-        root_id = model.columns[int(rng.integers(len(model.columns)))]
-    injection = synthmod.FaultInjection(
-        root=root_id,
-        kind=fault_kind,
-        magnitude=magnitude,
-        start=fault_start,
-        duration=fault_duration,
-    )
-    normal = synthmod.simulate(model, normal_samples, seed=seed + 1)
-    faulty = synthmod.simulate(model, fault_samples, injection=injection, seed=seed + 2)
+def synth(out_dir, seed, devices):
+    """Generate a synthetic plant: graph, normal/fault data, truth manifest.
+
+    The episode is fixed: 2,000 normal rows, and 400 fault rows with a
+    10-sigma step on a seeded random variable over rows 100-199.
+    """
+    graph, model = synthmod.generate_plant(synthmod.PlantSpec(n_devices=devices, seed=seed))
+    root_id = model.columns[int(np.random.default_rng(seed).integers(len(model.columns)))]
+    injection = synthmod.FaultInjection(root=root_id, start=100)
+    normal = synthmod.simulate(model, 2000, seed=seed + 1)
+    faulty = synthmod.simulate(model, 400, injection=injection, seed=seed + 2)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_graph(graph, out / "graph.json")
     write_csv(normal, out / "normal.csv")
     write_csv(faulty, out / "fault.csv")
-    root_kind = "device" if root_id in model.device_ids else "variable"
     manifest = {
         "seed": seed,
         "root": root_id,
-        "root_kind": root_kind,
-        "owner_device": model.owner_device(root_id) if root_kind == "variable" else root_id,
-        "fault": {
-            "kind": fault_kind,
-            "magnitude": magnitude,
-            "start": fault_start,
-            "duration": fault_duration,
-        },
+        "root_kind": "variable",
+        "owner_device": model.owner_device(root_id),
+        "fault": {k: v for k, v in asdict(injection).items() if k != "root"},
         "columns": list(model.columns),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")

@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 
 class GraphError(Exception):
@@ -182,11 +182,15 @@ def _parse_relation(raw: Any, pos: int) -> RelationType:
         raise GraphParseError(f"relations[{pos}] ({raw['name']!r}): 'd' must be a number")
     if not isinstance(raw["o"], int) or isinstance(raw["o"], bool):
         raise GraphParseError(f"relations[{pos}] ({raw['name']!r}): 'o' must be an integer")
+    return RelationType(name=raw["name"], distance=_real(raw["d"]), priority_offset=raw["o"])
+
+
+def _real(number: int | float) -> float:
+    """``number`` as a float; an integer too large for one is as infinite as 1e400."""
     try:
-        distance = float(raw["d"])
-    except OverflowError:  # an integer too large for a float is as infinite as 1e400
-        distance = math.inf if raw["d"] > 0 else -math.inf
-    return RelationType(name=raw["name"], distance=distance, priority_offset=raw["o"])
+        return float(number)
+    except OverflowError:
+        return math.inf if number > 0 else -math.inf
 
 
 def _parse_triple(raw: Any, pos: int) -> Triple:
@@ -248,6 +252,31 @@ def save_graph(graph: KnowledgeGraph, path: str | Path) -> None:
     Path(path).write_text(json.dumps(serialize(graph), indent=2) + "\n", encoding="utf-8")
 
 
+#: The loader's type rules: the types each field of a graph part accepts.
+_FIELD_TYPES = {
+    Entity: {"id": (str,), "kind": (EntityKind,), "label": (str,), "column": (str, type(None))},
+    RelationType: {"name": (str,), "distance": (int, float), "priority_offset": (int,)},
+    Triple: {"head": (str,), "relation": (str,), "tail": (str,)},
+}
+
+
+def _typed(parts: tuple, cls: type, key: str, errors: list[str]) -> Iterator:
+    """Yield the parts that keep the loader's type rules; each other part is an error line."""
+    fields = _FIELD_TYPES[cls].items()
+    for i, part in enumerate(parts):
+        if not isinstance(part, cls):
+            errors.append(f"{key}[{i}]: expected {cls.__name__}, got {type(part).__name__}")
+            continue
+        for name, types in fields:
+            value = getattr(part, name)
+            if not isinstance(value, types) or isinstance(value, bool):
+                expected = " or ".join(t.__name__ for t in types)
+                errors.append(f"{key}[{i}]: {name} must be {expected}, got {type(value).__name__}")
+                break
+        else:
+            yield part
+
+
 def _check(
     entities: tuple[Entity, ...],
     relations: tuple[RelationType, ...],
@@ -257,9 +286,10 @@ def _check(
     column_owner)`` instead of raising, ``column_owner`` mapping each bound
     column to its variable id in declaration order.
 
-    Errors: no entities, duplicate ids/names/triples, dangling references,
-    negative relation parameters or non-finite distances, column bindings on
-    physical entities, a column bound by two variables.
+    Errors: no entities, parts of a type the loader refuses (which are then
+    skipped), duplicate ids/names/triples, dangling references, negative
+    relation parameters or non-finite distances, column bindings on physical
+    entities, a column bound by two variables.
     Warnings: unbound variables, entities that occur in no triple, relation
     types that are never used.
     """
@@ -272,6 +302,7 @@ def _check(
         return errors, warnings, column_owner
 
     seen_ids: set[str] = set()
+    entities = list(_typed(entities, Entity, "entities", errors))
     for e in entities:
         if not e.id:
             errors.append("entity with empty id")
@@ -292,14 +323,16 @@ def _check(
             column_owner[e.column] = e.id
 
     seen_rels: set[str] = set()
+    relations = list(_typed(relations, RelationType, "relations", errors))
     for r in relations:
         if r.name in seen_rels:
             errors.append(f"duplicate relation name: {r.name!r}")
         seen_rels.add(r.name)
-        if not math.isfinite(r.distance):
-            errors.append(f"relation {r.name!r} has non-finite distance {r.distance}")
-        elif r.distance < 0:
-            errors.append(f"relation {r.name!r} has negative distance {r.distance}")
+        distance = _real(r.distance)
+        if not math.isfinite(distance):
+            errors.append(f"relation {r.name!r} has non-finite distance {distance}")
+        elif distance < 0:
+            errors.append(f"relation {r.name!r} has negative distance {distance}")
         if r.priority_offset < 0:
             errors.append(
                 f"relation {r.name!r} has negative priority offset {r.priority_offset}"
@@ -308,7 +341,7 @@ def _check(
     seen_triples: set[tuple[str, str, str]] = set()  # tuples hash faster than Triples
     touched: set[str] = set()
     used_relations: set[str] = set()
-    for t in triples:
+    for t in _typed(triples, Triple, "triples", errors):
         key = (t.head, t.relation, t.tail)
         if key in seen_triples:
             errors.append(f"duplicate triple {t}")

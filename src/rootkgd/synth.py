@@ -25,6 +25,10 @@ RELATION_PARAMS: dict[str, tuple[float, int]] = {
     "Output": (3.0, 5),
 }
 
+#: Sensor noise sigma on every variable, in units of a device's latent state.
+#: A study of other noise sets ``PlantModel.noise_scale`` by ``dataclasses.replace``.
+NOISE_SCALE = 0.3
+
 
 @dataclass(frozen=True)
 class PlantSpec:
@@ -33,21 +37,15 @@ class PlantSpec:
     n_devices: int
     streams_per_device: tuple[int, int] = (1, 1)
     variables_per_device: tuple[int, int] = (2, 2)
-    noise_scale: float = 0.3
     seed: int = 0
 
     def __post_init__(self):
         if self.n_devices < 1:
             raise ValueError(f"n_devices must be at least 1, got {self.n_devices}")
-        for name, bounds in (
-            ("streams_per_device", self.streams_per_device),
-            ("variables_per_device", self.variables_per_device),
-        ):
-            lo, hi = bounds
+        for name in ("streams_per_device", "variables_per_device"):
+            lo, hi = bounds = getattr(self, name)
             if not 1 <= lo <= hi:
                 raise ValueError(f"{name} bounds must satisfy 1 <= lo <= hi, got {bounds}")
-        if self.noise_scale <= 0:
-            raise ValueError(f"noise_scale must be positive, got {self.noise_scale}")
 
 
 @dataclass(frozen=True)
@@ -76,11 +74,10 @@ class PlantModel:
     device_ids: tuple[str, ...]
     columns: tuple[str, ...]
     var_device: tuple[int, ...]
-    var_of_device: dict[str, tuple[str, ...]]
     chain_coeff: np.ndarray
     loadings: np.ndarray
     baseline: np.ndarray
-    noise_scale: float
+    noise_scale: float = NOISE_SCALE
 
     def latent_variance(self) -> np.ndarray:
         var = np.empty(len(self.device_ids))
@@ -119,7 +116,6 @@ def generate_plant(spec: PlantSpec) -> tuple[KnowledgeGraph, PlantModel]:
 
     columns: list[str] = []
     var_device: list[int] = []
-    var_of_device: dict[str, list[str]] = {d: [] for d in device_ids}
     var_count = 0
     for i, did in enumerate(device_ids):
         lo, hi = spec.variables_per_device
@@ -132,7 +128,6 @@ def generate_plant(spec: PlantSpec) -> tuple[KnowledgeGraph, PlantModel]:
             triples.append(Triple(vid, "State of", did))
             columns.append(vid)
             var_device.append(i)
-            var_of_device[did].append(vid)
 
     relations = [RelationType(name, d, o) for name, (d, o) in RELATION_PARAMS.items()]
     graph = KnowledgeGraph(entities, relations, triples)
@@ -142,21 +137,20 @@ def generate_plant(spec: PlantSpec) -> tuple[KnowledgeGraph, PlantModel]:
         device_ids=device_ids,
         columns=tuple(columns),
         var_device=tuple(var_device),
-        var_of_device={d: tuple(v) for d, v in var_of_device.items()},
         chain_coeff=rng.uniform(0.6, 0.95, size=spec.n_devices),
         loadings=rng.uniform(0.7, 1.4, size=n_vars),
         baseline=rng.uniform(-5.0, 5.0, size=n_vars),
-        noise_scale=spec.noise_scale,
     )
     return graph, model
 
 
-def _fault_shape(kind: str, magnitude: float, sigma: float, duration: int, rng) -> np.ndarray:
-    if kind == "step":
-        return np.full(duration, magnitude * sigma)
-    if kind == "drift":
-        return np.linspace(0.0, magnitude * sigma, duration)
-    return rng.normal(0.0, magnitude * sigma, size=duration)
+def _fault_shape(injection: FaultInjection, sigma: float, rng) -> np.ndarray:
+    amplitude, duration = injection.magnitude * sigma, injection.duration
+    if injection.kind == "step":
+        return np.full(duration, amplitude)
+    if injection.kind == "drift":
+        return np.linspace(0.0, amplitude, duration)
+    return rng.normal(0.0, amplitude, size=duration)
 
 
 def simulate(
@@ -182,9 +176,7 @@ def simulate(
     rng = np.random.default_rng(seed)
     n_dev = len(model.device_ids)
     n_vars = len(model.columns)
-    window = None
-    if injection is not None:
-        window = slice(injection.start, injection.start + injection.duration)
+    window = slice(injection.start, injection.start + injection.duration) if injection else None
 
     shocks = rng.standard_normal((m, n_dev))
     sensor_noise = rng.standard_normal((m, n_vars)) * model.noise_scale
@@ -193,9 +185,7 @@ def simulate(
     if injection is not None and injection.root in model.device_ids:
         i = model.device_ids.index(injection.root)
         sigma = float(np.sqrt(model.latent_variance()[i]))
-        device_fault[window, i] = _fault_shape(
-            injection.kind, injection.magnitude, sigma, injection.duration, rng
-        )
+        device_fault[window, i] = _fault_shape(injection, sigma, rng)
 
     latent = np.empty((m, n_dev))
     latent[:, 0] = shocks[:, 0] + device_fault[:, 0]
@@ -209,9 +199,7 @@ def simulate(
     if injection is not None and injection.root in model.columns:
         j = model.columns.index(injection.root)
         sigma = float(model.variable_std()[j])
-        values[window, j] += _fault_shape(
-            injection.kind, injection.magnitude, sigma, injection.duration, rng
-        )
+        values[window, j] += _fault_shape(injection, sigma, rng)
     elif injection is not None and injection.root not in model.device_ids:
         raise ValueError(f"injection root {injection.root!r} is not a variable or device")
 

@@ -91,9 +91,7 @@ def test_criterion_3_single_variable_fault_identification():
     hits = 0
     trials = 50
     for seed in range(trials):
-        spec = PlantSpec(
-            n_devices=5, variables_per_device=(2, 2), noise_scale=0.3, seed=1000 + seed
-        )
+        spec = PlantSpec(n_devices=5, variables_per_device=(2, 2), seed=1000 + seed)
         _, model = generate_plant(spec)
         assert len(model.columns) == 10
         rng = np.random.default_rng(2000 + seed)
@@ -234,7 +232,6 @@ def test_criterion_7_end_to_end_synthetic_recovery():
             n_devices=3 + seed % 4,
             streams_per_device=(1, 2),
             variables_per_device=(2, 4),
-            noise_scale=0.3,
             seed=500 + seed,
         )
         graph, model = generate_plant(spec)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -41,8 +42,7 @@ def plant_dir(tmp_path_factory, runner):
     out = tmp_path_factory.mktemp("plant")
     result = runner.invoke(
         main,
-        ["synth", "--out", str(out), "--seed", "5", "--devices", "4",
-         "--fault-start", "100", "--fault-duration", "150"],
+        ["synth", "--out", str(out), "--seed", "5", "--devices", "4"],
     )
     assert result.exit_code == 0, result.output
     manifest = json.loads((out / "manifest.json").read_text())
@@ -81,17 +81,43 @@ class TestSynthCommand:
         manifest = plant_dir["manifest"]
         assert manifest["root"] in manifest["columns"]
         assert manifest["root_kind"] == "variable"
-        assert manifest["fault"]["kind"] == "step"
+        assert manifest["fault"] == {"kind": "step", "magnitude": 10.0, "start": 100,
+                                     "duration": 100}
+        assert len(read_csv(plant_dir["dir"] / "normal.csv").values) == 2000
+        assert len(read_csv(plant_dir["dir"] / "fault.csv").values) == 400
 
     def test_deterministic_regeneration(self, plant_dir, tmp_path, runner):
         result = runner.invoke(
             main,
-            ["synth", "--out", str(tmp_path), "--seed", "5", "--devices", "4",
-             "--fault-start", "100", "--fault-duration", "150"],
+            ["synth", "--out", str(tmp_path), "--seed", "5", "--devices", "4"],
         )
         assert result.exit_code == 0
         for name in ("graph.json", "normal.csv", "fault.csv", "manifest.json"):
             assert (tmp_path / name).read_bytes() == (plant_dir["dir"] / name).read_bytes()
+
+    def test_output_bytes_are_pinned(self, plant_dir):
+        """The generator's bytes for `synth --seed 5 --devices 4`, not only their
+        agreement between two runs: a change that moves any of them is seen."""
+        digests = {
+            "graph.json": "963e53efb4dbe42aa5433e7f7bbb260bd12a92ba3dee46f3c8a431d0d8db39ea",
+            "normal.csv": "d57c0599eae861acacb41afbb99aea23cc6c39f3ea6a22431e14532e43199438",
+            "fault.csv": "1c4c50486dc2ea2efd37d65eb3aaf0e528cb9a2f36daac762208888cab333a7c",
+            "manifest.json": "755a512a8428da30cb7491c0f25967a80ac93a498d950048be544d63e961fa40",
+        }
+        for name, digest in digests.items():
+            assert hashlib.sha256((plant_dir["dir"] / name).read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--normal-samples", "50"), ("--fault-samples", "50"), ("--fault-start", "10"),
+         ("--fault-duration", "10"), ("--fault-kind", "drift"), ("--magnitude", "5"),
+         ("--root", "x1")],
+    )
+    def test_removed_flag_is_usage_error(self, flag, value, tmp_path, runner):
+        result = runner.invoke(main, ["synth", "--out", str(tmp_path), flag, value])
+        assert result.exit_code == 2
+        assert "No such option" in result.output and flag in result.output
+        assert not any(tmp_path.iterdir())
 
     def test_generated_graph_passes_validation(self, plant_dir, runner):
         result = runner.invoke(main, ["validate-kg", str(plant_dir["dir"] / "graph.json")])

@@ -97,7 +97,7 @@ def test_diagnose_on_malformed_csv_is_named_error(tmp_path):
     runner = CliRunner()
     graph, model = tmp_path / "graph.json", tmp_path / "model.json"
     for args in (
-        ["synth", "--out", str(tmp_path), "--devices", "2", "--normal-samples", "50"],
+        ["synth", "--out", str(tmp_path), "--devices", "2"],
         ["fit", "--graph", str(graph), "--data", str(tmp_path / "normal.csv"),
          "--model", str(model)],
     ):

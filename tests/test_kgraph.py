@@ -180,6 +180,39 @@ class TestLoadGraph:
         assert built.value.warnings == loaded.value.warnings
         assert built.value.errors
 
+    @pytest.mark.parametrize(
+        "at, part, message",
+        [
+            ("entities", Entity("v11", "variable", "V", column="v11"),
+             "entities[1]: kind must be EntityKind, got str"),
+            ("entities", Entity("v11", EntityKind.VARIABLE, "V", column=5),
+             "entities[1]: column must be str or NoneType, got int"),
+            ("entities", Entity(["v11"], EntityKind.VARIABLE, "V"),
+             "entities[1]: id must be str, got list"),
+            ("relations", RelationType("State", "1", 1),
+             "relations[0]: distance must be int or float, got str"),
+            ("relations", RelationType("State", 10**400, 1),
+             "relation 'State' has non-finite distance inf"),
+            ("relations", RelationType("State", 1.0, 1.5),
+             "relations[0]: priority_offset must be int, got float"),
+            ("entities", {"id": "v11", "kind": "variable", "label": "V"},
+             "entities[1]: expected Entity, got dict"),
+            ("triples", Triple(["dev1"], "State", "v11"),
+             "triples[0]: head must be str, got list"),
+        ],
+        ids=["kind_str", "column_int", "id_list", "distance_str", "distance_huge_int",
+             "offset_float", "entity_dict", "triple_head_list"],
+    )
+    def test_direct_construction_checks_types(self, at, part, message):
+        """A part the loader would refuse for its type is a named error, not a
+        TypeError, OverflowError or AttributeError from the check or later."""
+        entities, relations, triples = parts(minimal_payload())
+        lists = {"entities": entities, "relations": relations, "triples": triples}
+        lists[at][-1] = part
+        with pytest.raises(GraphValidationError) as excinfo:
+            KnowledgeGraph(entities, relations, triples)
+        assert excinfo.value.errors[0] == message
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
