@@ -1,8 +1,9 @@
 """Diagnosis configuration: defaults and JSON config files.
 
-Every propagation and contribution parameter used anywhere in the pipeline
-lives here, so a config file plus the input paths fully determines a run.
-The command line overlays its flags on a config (see ``cli``).
+A config names the input files and sets the fault window, the report length,
+the retained-variance ratio ``r_pc`` and the ripple parameters, whose
+defaults and checks are ``RfpaParams``'s. The command line overlays its
+flags on a config (see ``cli``).
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
-from .rfpa import RfpaParams, finite_real
+from .features import check_r_pc
+from .rfpa import RfpaParams
 
 
 class ConfigError(Exception):
@@ -20,8 +22,8 @@ class ConfigError(Exception):
 
 
 _PATH_FIELDS = ("graph_path", "model_path", "normal_data_path", "fault_data_path")
-_INT_FIELDS = ("p_max", "fault_start", "window", "top_k")
-_REAL_FIELDS = ("r_pc", "sigma_r", "delta_s_min_ratio")
+#: The integer fields and the least value each may take.
+_INT_FIELDS = {"fault_start": 0, "window": 1, "top_k": 1}
 
 
 @dataclass(frozen=True)
@@ -31,9 +33,9 @@ class DiagnosisConfig:
     normal_data_path: str | None = None
     fault_data_path: str | None = None
     r_pc: float = 0.5
-    sigma_r: float = 0.1
-    p_max: int = 3
-    delta_s_min_ratio: float = 1e-4
+    sigma_r: float = RfpaParams.sigma_r
+    p_max: int = RfpaParams.p_max
+    delta_s_min_ratio: float = RfpaParams.delta_s_min_ratio
     fault_start: int = 0
     window: int = 100
     top_k: int = 10
@@ -43,23 +45,14 @@ class DiagnosisConfig:
             value = getattr(self, name)
             if not (value is None or isinstance(value, str)):
                 raise ConfigError(f"{name} must be a string or null, got {value!r}")
-        for name in _INT_FIELDS:
+        for name, least in _INT_FIELDS.items():
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        for name in _REAL_FIELDS:
-            value = getattr(self, name)
-            if not finite_real(value):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
-        if self.fault_start < 0:
-            raise ConfigError(f"fault_start must be >= 0, got {self.fault_start}")
-        if self.window < 1:
-            raise ConfigError(f"window must be >= 1, got {self.window}")
-        if self.top_k < 1:
-            raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
-        if not 0 < self.r_pc <= 1:
-            raise ConfigError(f"r_pc must be in (0, 1], got {self.r_pc}")
+            if value < least:
+                raise ConfigError(f"{name} must be >= {least}, got {value}")
         try:
+            check_r_pc(self.r_pc)
             self.rfpa_params()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -34,6 +33,13 @@ def check_unique(columns: Sequence[str]) -> None:
         if name in seen:
             raise ValueError(f"duplicate column name {name!r}")
         seen.add(name)
+
+
+def check_r_pc(value: object) -> float:
+    """``value``, an int or float (not a bool) in (0, 1], as a float; else ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value <= 1:
+        raise ValueError(f"r_pc must be a finite number in (0, 1], got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -108,11 +114,7 @@ class PcaModel:
         n, k = len(self.columns), self.n_pc
         if isinstance(k, bool) or not isinstance(k, int):
             raise ValueError(f"n_pc must be an integer, got {k!r}")
-        r = self.r_pc
-        if (isinstance(r, bool) or not isinstance(r, (int, float))
-                or not math.isfinite(r) or not 0 < r <= 1):
-            raise ValueError(f"r_pc must be a finite number in (0, 1], got {r!r}")
-        object.__setattr__(self, "r_pc", float(r))
+        object.__setattr__(self, "r_pc", check_r_pc(self.r_pc))
         if not 1 <= k <= n:
             raise ValueError(f"n_pc must be in [1, {n}], got {k}")
         shapes = {
@@ -199,8 +201,7 @@ def fit_pca(normal_data: DataMatrix, r_pc: float) -> PcaModel:
     largest-magnitude entry of each column is positive, making repeated fits
     byte-identical.
     """
-    if not 0 < r_pc <= 1:
-        raise ValueError(f"r_pc must be in (0, 1], got {r_pc}")
+    r_pc = check_r_pc(r_pc)
     X = normal_data.values
     m, n = X.shape
     if m < 2:
@@ -243,7 +244,7 @@ def fit_pca(normal_data: DataMatrix, r_pc: float) -> PcaModel:
         eig_principal=evals[:k].copy(),
         eig_residual=evals[k:].copy(),
         n_pc=k,
-        r_pc=float(r_pc),
+        r_pc=r_pc,
     )
 
 
@@ -278,10 +279,15 @@ def contribution_rate(model: PcaModel, fault_window: DataMatrix) -> Contribution
 
     Each sample's raw contributions are normalized before averaging, so no
     single large-error sample dominates. Rows whose contributions are
-    identically zero are skipped.
+    identically zero are skipped; the first row that overflows is a ``ValueError``.
     """
-    raw = rbc_spe(model, fault_window)
-    row_sums = raw.sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = rbc_spe(model, fault_window)
+        row_sums = raw.sum(axis=1)
+    # Contributions are never negative: a finite row sum means a finite row.
+    overflow = np.flatnonzero(~np.isfinite(row_sums))
+    if overflow.size:
+        raise ValueError(f"contributions of window row {overflow[0]} are not finite")
     live = row_sums > 0
     if not live.any():
         raise ValueError("every sample in the window has zero contribution")

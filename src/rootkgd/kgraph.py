@@ -149,14 +149,23 @@ class KnowledgeGraph:
         return tuple(e for e in self.entities if e.kind in wanted)
 
 
-def _parse_entity(raw: Any, pos: int) -> Entity:
+def _object_with(raw: Any, key: str, pos: int, required: tuple[str, ...]) -> dict:
+    """``raw`` as an object holding the ``required`` keys, else a parse error."""
     if not isinstance(raw, dict):
-        raise GraphParseError(f"entities[{pos}]: expected an object, got {type(raw).__name__}")
-    for key in ("id", "kind", "label"):
-        if key not in raw:
-            raise GraphParseError(f"entities[{pos}]: missing required key {key!r}")
-        if type(raw[key]) is not str:  # exactly: sys.intern takes no subclass
-            raise GraphParseError(f"entities[{pos}]: {key!r} must be a string")
+        raise GraphParseError(f"{key}[{pos}]: expected an object, got {type(raw).__name__}")
+    for name in required:
+        if name not in raw:
+            raise GraphParseError(f"{key}[{pos}]: missing required key {name!r}")
+    return raw
+
+
+def _intern(value: Any) -> Any:
+    """An exact ``str`` interned (``sys.intern`` takes no subclass), else ``value``."""
+    return sys.intern(value) if type(value) is str else value
+
+
+def _parse_entity(raw: Any, pos: int) -> Entity:
+    raw = _object_with(raw, "entities", pos, ("id", "kind", "label"))
     try:
         kind = EntityKind(raw["kind"])
     except ValueError:
@@ -164,25 +173,13 @@ def _parse_entity(raw: Any, pos: int) -> Entity:
             f"entities[{pos}] ({raw['id']!r}): unknown kind {raw['kind']!r}; "
             f"expected one of {[k.value for k in EntityKind]}"
         ) from None
-    column = raw.get("column")
-    if column is not None and not isinstance(column, str):
-        raise GraphParseError(f"entities[{pos}] ({raw['id']!r}): 'column' must be a string")
-    return Entity(id=sys.intern(raw["id"]), kind=kind, label=raw["label"], column=column)
+    return Entity(_intern(raw["id"]), kind, raw["label"], raw.get("column"))
 
 
 def _parse_relation(raw: Any, pos: int) -> RelationType:
-    if not isinstance(raw, dict):
-        raise GraphParseError(f"relations[{pos}]: expected an object, got {type(raw).__name__}")
-    for key in ("name", "d", "o"):
-        if key not in raw:
-            raise GraphParseError(f"relations[{pos}]: missing required key {key!r}")
-    if not isinstance(raw["name"], str):
-        raise GraphParseError(f"relations[{pos}]: 'name' must be a string")
-    if not isinstance(raw["d"], (int, float)) or isinstance(raw["d"], bool):
-        raise GraphParseError(f"relations[{pos}] ({raw['name']!r}): 'd' must be a number")
-    if not isinstance(raw["o"], int) or isinstance(raw["o"], bool):
-        raise GraphParseError(f"relations[{pos}] ({raw['name']!r}): 'o' must be an integer")
-    return RelationType(name=raw["name"], distance=_real(raw["d"]), priority_offset=raw["o"])
+    raw = _object_with(raw, "relations", pos, ("name", "d", "o"))
+    d = raw["d"]
+    return RelationType(raw["name"], _real(d) if type(d) in (int, float) else d, raw["o"])
 
 
 def _real(number: int | float) -> float:
@@ -194,18 +191,16 @@ def _real(number: int | float) -> float:
 
 
 def _parse_triple(raw: Any, pos: int) -> Triple:
-    if isinstance(raw, (list, tuple)) and len(raw) == 3:
-        head, relation, tail = raw
-        if type(head) is str and type(relation) is str and type(tail) is str:
-            return Triple(sys.intern(head), sys.intern(relation), sys.intern(tail))
-    raise GraphParseError(f"triples[{pos}]: expected [head, relation, tail] strings")
+    if not (isinstance(raw, (list, tuple)) and len(raw) == 3):
+        raise GraphParseError(f"triples[{pos}]: expected a [head, relation, tail] array")
+    return Triple(*map(_intern, raw))
 
 
 def graph_from_dict(payload: Any) -> KnowledgeGraph:
     """Build and validate a graph from a parsed JSON document.
 
-    Raises GraphParseError for structural problems and GraphValidationError
-    when the document parses but breaks graph invariants.
+    Raises GraphParseError for structural problems and GraphValidationError,
+    as a direct build does, for every other one: field types are ``_check``'s.
     """
     if not isinstance(payload, dict):
         raise GraphParseError("graph document must be a JSON object")
@@ -252,7 +247,7 @@ def save_graph(graph: KnowledgeGraph, path: str | Path) -> None:
     Path(path).write_text(json.dumps(serialize(graph), indent=2) + "\n", encoding="utf-8")
 
 
-#: The loader's type rules: the types each field of a graph part accepts.
+#: The exact types each field of a graph part accepts: no bool, no str subclass.
 _FIELD_TYPES = {
     Entity: {"id": (str,), "kind": (EntityKind,), "label": (str,), "column": (str, type(None))},
     RelationType: {"name": (str,), "distance": (int, float), "priority_offset": (int,)},
@@ -261,7 +256,7 @@ _FIELD_TYPES = {
 
 
 def _typed(parts: tuple, cls: type, key: str, errors: list[str]) -> Iterator:
-    """Yield the parts that keep the loader's type rules; each other part is an error line."""
+    """Yield the parts whose fields have the ``_FIELD_TYPES``; each other part is an error line."""
     fields = _FIELD_TYPES[cls].items()
     for i, part in enumerate(parts):
         if not isinstance(part, cls):
@@ -269,7 +264,7 @@ def _typed(parts: tuple, cls: type, key: str, errors: list[str]) -> Iterator:
             continue
         for name, types in fields:
             value = getattr(part, name)
-            if not isinstance(value, types) or isinstance(value, bool):
+            if type(value) not in types:
                 expected = " or ".join(t.__name__ for t in types)
                 errors.append(f"{key}[{i}]: {name} must be {expected}, got {type(value).__name__}")
                 break
@@ -286,10 +281,10 @@ def _check(
     column_owner)`` instead of raising, ``column_owner`` mapping each bound
     column to its variable id in declaration order.
 
-    Errors: no entities, parts of a type the loader refuses (which are then
-    skipped), duplicate ids/names/triples, dangling references, negative
-    relation parameters or non-finite distances, column bindings on physical
-    entities, a column bound by two variables.
+    Errors: no entities, parts or fields of a type ``_FIELD_TYPES`` refuses
+    (those parts are then skipped), duplicate ids/names/triples, dangling
+    references, negative relation parameters or non-finite distances, column
+    bindings on physical entities, a column bound by two variables.
     Warnings: unbound variables, entities that occur in no triple, relation
     types that are never used.
     """

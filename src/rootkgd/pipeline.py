@@ -70,7 +70,10 @@ def run_diagnose(config: DiagnosisConfig) -> RootCauseRanking:
             f"requested but only {fault.n_samples} samples present"
         )
     window = DataMatrix(fault.values[config.fault_start : end], fault.columns)
-    rate = features.contribution_rate(model, window)
+    try:
+        rate = features.contribution_rate(model, window)
+    except ValueError as exc:
+        raise ValueError(f"{config.fault_data_path}: {exc}") from None
     contributions = rate.restrict(bound).relabel(graph.variable_of)
 
     params = config.rfpa_params()

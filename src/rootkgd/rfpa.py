@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .kgraph import KnowledgeGraph
 
 
-def finite_real(value: object) -> bool:
+def _finite_real(value: object) -> bool:
     """An int or float, not a bool, finite as a float (so not 10**400)."""
     return (not isinstance(value, bool) and isinstance(value, (int, float))
             and abs(value) <= sys.float_info.max)
@@ -42,13 +42,13 @@ class RfpaParams:
     delta_s_min_ratio: float = 1e-4
 
     def __post_init__(self):
-        if not (finite_real(self.sigma_r) and self.sigma_r > 0):
+        if not (_finite_real(self.sigma_r) and self.sigma_r > 0):
             raise ValueError(f"sigma_r must be positive and finite, got {self.sigma_r!r}")
         if isinstance(self.p_max, bool) or not isinstance(self.p_max, int):
             raise ValueError(f"p_max must be an integer, got {self.p_max!r}")
         if self.p_max < 1:
             raise ValueError(f"p_max must be at least 1, got {self.p_max}")
-        if not (finite_real(self.delta_s_min_ratio) and 0 < self.delta_s_min_ratio < 1):
+        if not (_finite_real(self.delta_s_min_ratio) and 0 < self.delta_s_min_ratio < 1):
             raise ValueError(
                 f"delta_s_min_ratio must be in (0, 1), got {self.delta_s_min_ratio!r}"
             )

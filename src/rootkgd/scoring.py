@@ -36,7 +36,8 @@ class RankEntry:
 
 @dataclass(frozen=True)
 class RootCauseRanking:
-    """Scored candidates, sorted by descending score (ties: ascending id)."""
+    """Scored candidates by descending score; only bit-equal scores are ordered
+    by ascending id (proportional profiles' scores may differ in the last bit)."""
 
     entries: tuple[RankEntry, ...]
     metadata: dict[str, Any]

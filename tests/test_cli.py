@@ -25,7 +25,7 @@ from rootkgd.pipeline import bound_columns, run_diagnose, run_fit
 FIXTURES = Path(__file__).parent / "fixtures"
 
 #: Config keys that once existed and were removed; each must now fail as an
-#: unknown key, and README must name each of them.
+#: unknown key.
 REMOVED_CONFIG_KEYS = (
     "jobs", "constant_s0", "init_mode", "rbc_statistic", "normalization_order",
     "candidate_filter", "column_bindings",
@@ -288,6 +288,24 @@ class TestDiagnoseCommand:
             "samples present\n"
         )
 
+    def test_overflowing_window_names_file_and_row(self, plant_dir, model_path, tmp_path,
+                                                    runner):
+        # 1e308 is a finite cell, but its contributions overflow: a named
+        # error, with no numpy warning on the way (pytest makes one an error).
+        lines = (plant_dir["dir"] / "fault.csv").read_text().splitlines(keepends=True)
+        cells = lines[151].split(",")  # data row 150, window row 50
+        cells[0] = "1e308"
+        lines[151] = ",".join(cells)
+        path = tmp_path / "overflow.csv"
+        path.write_text("".join(lines))
+        args = diagnose_args(plant_dir, model_path)
+        args[args.index("--data") + 1] = str(path)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # handled: no traceback
+        assert result.stdout == ""
+        assert result.stderr == f"error: {path}: contributions of window row 50 are not finite\n"
+
     @pytest.mark.parametrize("bad_row", ["1,2\n", "x\n", "nan\n", '"1\n'])
     def test_rows_after_the_window_are_not_read(self, plant_dir, model_path, tmp_path,
                                                 runner, bad_row):
@@ -436,10 +454,14 @@ class TestDiagnoseCommand:
 #: Config files whose values have the wrong type or lie out of range, the
 #: command they are given to, and the message each must produce.
 BAD_CONFIGS = {
-    "sigma_r_string": ("diagnose", '{"sigma_r": "abc"}', "sigma_r must be a finite number"),
-    "sigma_r_nan": ("diagnose", '{"sigma_r": NaN}', "sigma_r must be a finite number"),
+    "sigma_r_string": (
+        "diagnose", '{"sigma_r": "abc"}', "sigma_r must be positive and finite, got 'abc'"
+    ),
+    "sigma_r_nan": (
+        "diagnose", '{"sigma_r": NaN}', "sigma_r must be positive and finite, got nan"
+    ),
     "sigma_r_huge_int": (
-        "diagnose", '{"sigma_r": 1%s}' % ("0" * 400), "sigma_r must be a finite number"
+        "diagnose", '{"sigma_r": 1%s}' % ("0" * 400), "sigma_r must be positive and finite, got 10"
     ),
     "ratio_null": ("diagnose", '{"delta_s_min_ratio": null}', "delta_s_min_ratio must be"),
     "top_k_overflow": ("diagnose", '{"top_k": 1e400}', "top_k must be an integer"),
@@ -450,8 +472,10 @@ BAD_CONFIGS = {
     "p_max_zero": ("diagnose", '{"p_max": 0}', "p_max must be at least 1, got 0"),
     "sigma_r_negative": ("diagnose", '{"sigma_r": -1}', "sigma_r must be positive"),
     "ratio_above_one": ("diagnose", '{"delta_s_min_ratio": 2}', "delta_s_min_ratio must be in"),
-    "r_pc_above_one": ("diagnose", '{"r_pc": 1.5}', "r_pc must be in (0, 1], got 1.5"),
-    "fit_r_pc_zero": ("fit", '{"r_pc": 0}', "r_pc must be in (0, 1], got 0"),
+    "r_pc_above_one": (
+        "diagnose", '{"r_pc": 1.5}', "r_pc must be a finite number in (0, 1], got 1.5"
+    ),
+    "fit_r_pc_zero": ("fit", '{"r_pc": 0}', "r_pc must be a finite number in (0, 1], got 0"),
 }
 
 
@@ -636,6 +660,23 @@ class TestValidateCommand:
             "warning: relation 'idle' is never used\n"
         )
         assert result.stderr == ""
+
+    def test_field_type_error_is_listed_with_other_errors(self, tmp_path, runner):
+        # A wrong-typed field is a validation error, as in a direct build,
+        # not a parse error that would hide the graph's other errors.
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps({
+            "entities": [{"id": "a", "kind": "device", "label": "a"}],
+            "relations": [{"name": "State", "d": "1", "o": 1}],
+            "triples": [["a", "State", "ghost"]],
+        }))
+        result = runner.invoke(main, ["validate-kg", str(path)])
+        assert result.exit_code == 1
+        assert result.stdout == (
+            "error: relations[0]: distance must be int or float, got str\n"
+            "error: triple (a, State, ghost) references undeclared tail entity 'ghost'\n"
+            "error: triple (a, State, ghost) references undeclared relation 'State'\n"
+        )
 
     def test_no_graph_given(self, runner):
         result = runner.invoke(main, ["validate-kg"])

@@ -13,7 +13,6 @@ import rootkgd
 from rootkgd.cli import main
 from rootkgd.config import DiagnosisConfig
 from rootkgd.rfpa import RfpaParams
-from test_cli import REMOVED_CONFIG_KEYS
 
 ROOT = Path(__file__).parent.parent
 README = ROOT / "README.md"
@@ -52,15 +51,6 @@ def test_readme_config_table_lists_every_field_in_order():
     section = text.split("### Config keys and defaults", 1)[1].split("\n#", 1)[0]
     documented = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
     assert documented == [f.name for f in fields(DiagnosisConfig)]
-
-
-def test_readme_names_every_removed_config_key():
-    """README's "Config keys and defaults" section names each removed key,
-    so a reader of an old config file learns why it is now rejected."""
-    text = README.read_text(encoding="utf-8")
-    section = text.split("### Config keys and defaults", 1)[1].split("\n#", 1)[0]
-    missing = [k for k in REMOVED_CONFIG_KEYS if f"`{k}`" not in section]
-    assert missing == []
 
 
 def test_readme_report_params_match_config():

@@ -69,6 +69,9 @@ CORRUPTIONS = {
     ),
     "r_pc_above_one": (lambda m: m.update(r_pc=7.0), r"r_pc .* got 7\.0"),
     "r_pc_string": (lambda m: m.update(r_pc="0.5"), r"r_pc .* got '0\.5'"),
+    "r_pc_huge_int": (
+        lambda m: m.update(r_pc=10**400), r"r_pc must be a finite number in \(0, 1\], got 10+\)$"
+    ),
     "n_pc_fraction": (lambda m: m.update(n_pc=2.5), "n_pc must be an integer, got 2.5"),
     "repeated_column": (
         lambda m: m["columns"].__setitem__(3, "v1"), r"\(duplicate column name 'v1'\)$"
@@ -180,7 +183,7 @@ class TestFitPca:
 
     def test_bad_r_pc(self):
         data = DataMatrix(np.random.default_rng(0).normal(size=(10, 3)), ("a", "b", "c"))
-        for r_pc in (0.0, -0.2, 1.5):
+        for r_pc in (0.0, -0.2, 1.5, "x", None):
             with pytest.raises(ValueError, match="r_pc"):
                 fit_pca(data, r_pc)
 

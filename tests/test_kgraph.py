@@ -49,6 +49,44 @@ def relation_counts(graph):
     return counts
 
 
+#: A graph part with a field of the wrong type, the same breakage as a
+#: graph document's part, and the first error each must give. A document
+#: cannot hold two of them (None): the loader parses every kind string to its
+#: EntityKind and every entity object to an Entity.
+TYPE_BREAKAGES = {
+    "kind_str": ("entities", Entity("v11", "variable", "V", column="v11"), None,
+                 "entities[1]: kind must be EntityKind, got str"),
+    "column_int": ("entities", Entity("v11", EntityKind.VARIABLE, "V", column=5),
+                   {"id": "v11", "kind": "variable", "label": "V", "column": 5},
+                   "entities[1]: column must be str or NoneType, got int"),
+    "id_list": ("entities", Entity(["v11"], EntityKind.VARIABLE, "V"),
+                {"id": ["v11"], "kind": "variable", "label": "V"},
+                "entities[1]: id must be str, got list"),
+    "label_null": ("entities", Entity("v11", EntityKind.VARIABLE, None, column="v11"),
+                   {"id": "v11", "kind": "variable", "label": None, "column": "v11"},
+                   "entities[1]: label must be str, got NoneType"),
+    "distance_str": ("relations", RelationType("State", "1", 1),
+                     {"name": "State", "d": "1", "o": 1},
+                     "relations[0]: distance must be int or float, got str"),
+    "distance_bool": ("relations", RelationType("State", True, 1),
+                      {"name": "State", "d": True, "o": 1},
+                      "relations[0]: distance must be int or float, got bool"),
+    "distance_huge_int": ("relations", RelationType("State", 10**400, 1),
+                          {"name": "State", "d": 10**400, "o": 1},
+                          "relation 'State' has non-finite distance inf"),
+    "offset_float": ("relations", RelationType("State", 1.0, 1.5),
+                     {"name": "State", "d": 1, "o": 1.5},
+                     "relations[0]: priority_offset must be int, got float"),
+    "name_int": ("relations", RelationType(5, 1.0, 1), {"name": 5, "d": 1, "o": 1},
+                 "relations[0]: name must be str, got int"),
+    "entity_dict": ("entities", {"id": "v11", "kind": "variable", "label": "V"}, None,
+                    "entities[1]: expected Entity, got dict"),
+    "triple_head_list": ("triples", Triple(["dev1"], "State", "v11"),
+                         [["dev1"], "State", "v11"],
+                         "triples[0]: head must be str, got list"),
+}
+
+
 class TestLoadGraph:
     def test_minimal_graph(self, minimal_graph):
         assert len(minimal_graph.entities) == 2
@@ -126,18 +164,22 @@ class TestLoadGraph:
             graph_from_dict(payload)
 
     @pytest.mark.parametrize("where", ["entity", "triple"])
-    def test_string_subclass_id_is_parse_error(self, where):
-        # Ids are interned, and sys.intern takes only an exact str.
+    def test_string_subclass_id_is_type_error(self, where):
+        # Ids are interned, and sys.intern takes only an exact str: the
+        # loader passes a subclass on, and the check refuses it by name.
         class Name(str):
             pass
 
         payload = minimal_payload()
         if where == "entity":
             payload["entities"][0]["id"] = Name("dev1")
+            message = "entities[0]: id must be str, got Name"
         else:
             payload["triples"][0][2] = Name("v11")
-        with pytest.raises(GraphParseError, match="string"):
+            message = "triples[0]: tail must be str, got Name"
+        with pytest.raises(GraphValidationError) as excinfo:
             graph_from_dict(payload)
+        assert excinfo.value.errors[0] == message
 
     def test_column_bound_by_two_variables(self):
         payload = minimal_payload()
@@ -180,38 +222,26 @@ class TestLoadGraph:
         assert built.value.warnings == loaded.value.warnings
         assert built.value.errors
 
-    @pytest.mark.parametrize(
-        "at, part, message",
-        [
-            ("entities", Entity("v11", "variable", "V", column="v11"),
-             "entities[1]: kind must be EntityKind, got str"),
-            ("entities", Entity("v11", EntityKind.VARIABLE, "V", column=5),
-             "entities[1]: column must be str or NoneType, got int"),
-            ("entities", Entity(["v11"], EntityKind.VARIABLE, "V"),
-             "entities[1]: id must be str, got list"),
-            ("relations", RelationType("State", "1", 1),
-             "relations[0]: distance must be int or float, got str"),
-            ("relations", RelationType("State", 10**400, 1),
-             "relation 'State' has non-finite distance inf"),
-            ("relations", RelationType("State", 1.0, 1.5),
-             "relations[0]: priority_offset must be int, got float"),
-            ("entities", {"id": "v11", "kind": "variable", "label": "V"},
-             "entities[1]: expected Entity, got dict"),
-            ("triples", Triple(["dev1"], "State", "v11"),
-             "triples[0]: head must be str, got list"),
-        ],
-        ids=["kind_str", "column_int", "id_list", "distance_str", "distance_huge_int",
-             "offset_float", "entity_dict", "triple_head_list"],
-    )
-    def test_direct_construction_checks_types(self, at, part, message):
-        """A part the loader would refuse for its type is a named error, not a
-        TypeError, OverflowError or AttributeError from the check or later."""
+    @pytest.mark.parametrize("case", list(TYPE_BREAKAGES))
+    def test_direct_construction_checks_types(self, case):
+        """A part of a type the check refuses is a named error, not a
+        TypeError, OverflowError or AttributeError from the check or later;
+        the same breakage in a graph document gives the same errors."""
+        at, part, raw, message = TYPE_BREAKAGES[case]
         entities, relations, triples = parts(minimal_payload())
         lists = {"entities": entities, "relations": relations, "triples": triples}
         lists[at][-1] = part
-        with pytest.raises(GraphValidationError) as excinfo:
+        with pytest.raises(GraphValidationError) as built:
             KnowledgeGraph(entities, relations, triples)
-        assert excinfo.value.errors[0] == message
+        assert built.value.errors[0] == message
+        if raw is None:
+            return
+        payload = minimal_payload()
+        payload[at][-1] = raw
+        with pytest.raises(GraphValidationError) as loaded:
+            graph_from_dict(json.loads(json.dumps(payload)))
+        assert loaded.value.errors == built.value.errors
+        assert loaded.value.warnings == built.value.warnings
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
