@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
-from .features import check_r_pc
+from .features import check_share
 from .rfpa import RfpaParams
 
 
@@ -52,7 +52,7 @@ class DiagnosisConfig:
             if value < least:
                 raise ConfigError(f"{name} must be >= {least}, got {value}")
         try:
-            check_r_pc(self.r_pc)
+            check_share("r_pc", self.r_pc)
             self.rfpa_params()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc

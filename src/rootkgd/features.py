@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
@@ -35,10 +36,10 @@ def check_unique(columns: Sequence[str]) -> None:
         seen.add(name)
 
 
-def check_r_pc(value: object) -> float:
+def check_share(name: str, value: object) -> float:
     """``value``, an int or float (not a bool) in (0, 1], as a float; else ``ValueError``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value <= 1:
-        raise ValueError(f"r_pc must be a finite number in (0, 1], got {value!r}")
+        raise ValueError(f"{name} must be a finite number in (0, 1], got {value!r}")
     return float(value)
 
 
@@ -81,50 +82,35 @@ class DataMatrix:
 
 @dataclass(frozen=True)
 class PcaModel:
-    """Fitted PCA decomposition: the principal subspace and every eigenvalue.
-
-    The model is what the fit produces and nothing more: the training
-    mean/std, the orthonormal principal loadings ``P`` (n x n_pc) and the
-    eigenvalues on either side of ``n_pc``. The SPE and its contributions
-    are computed from ``P``. Repeated column names, inconsistent shapes,
-    non-positive std or principal eigenvalues, non-finite entries, a
-    non-integer ``n_pc`` and an ``r_pc`` that is not a finite number in
-    (0, 1] raise ``ValueError``.
+    """Fitted PCA model: the training mean/std, the orthonormal principal
+    loadings ``P`` (n x n_pc, so ``n_pc`` is its column count) from which the
+    SPE contributions are computed, the ``r_pc`` it was fitted with and the
+    share of the training variance ``P`` retains. Repeated column names,
+    inconsistent shapes, non-positive std, non-finite entries and an ``r_pc``
+    or ``retained_variance`` that is not a number in (0, 1] raise ``ValueError``.
     """
 
     columns: tuple[str, ...]
     mean: np.ndarray
     std: np.ndarray
     loadings_principal: np.ndarray
-    eig_principal: np.ndarray
-    eig_residual: np.ndarray
-    n_pc: int
     r_pc: float
+    retained_variance: float
 
     def __post_init__(self):
         object.__setattr__(self, "columns", tuple(self.columns))
-        for name in ("mean", "std", "eig_principal", "eig_residual"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        # A contiguous copy, so contributions computed after a save/load
+        # Contiguous copies, so contributions computed after a save/load
         # round trip are bit-identical to the ones computed at fit time.
-        P = np.array(self.loadings_principal, dtype=float, order="C")
-        object.__setattr__(self, "loadings_principal", P)
+        for name in ("mean", "std", "loadings_principal"):
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float, order="C"))
 
         check_unique(self.columns)
-        n, k = len(self.columns), self.n_pc
-        if isinstance(k, bool) or not isinstance(k, int):
-            raise ValueError(f"n_pc must be an integer, got {k!r}")
-        object.__setattr__(self, "r_pc", check_r_pc(self.r_pc))
-        if not 1 <= k <= n:
-            raise ValueError(f"n_pc must be in [1, {n}], got {k}")
-        shapes = {
-            "mean": (n,),
-            "std": (n,),
-            "loadings_principal": (n, k),
-            "eig_principal": (k,),
-            "eig_residual": (n - k,),
-        }
-        for name, shape in shapes.items():
+        for name in ("r_pc", "retained_variance"):
+            object.__setattr__(self, name, check_share(name, getattr(self, name)))
+        n, P = len(self.columns), self.loadings_principal
+        if P.ndim != 2 or not 1 <= P.shape[1] <= n:
+            raise ValueError(f"loadings_principal has shape {P.shape}, expected ({n}, 1..{n})")
+        for name, shape in (("mean", (n,)), ("std", (n,)), ("loadings_principal", (n, self.n_pc))):
             values = getattr(self, name)
             if values.shape != shape:
                 raise ValueError(f"{name} has shape {values.shape}, expected {shape}")
@@ -132,18 +118,14 @@ class PcaModel:
                 raise ValueError(f"{name} contains non-finite entries")
         if (self.std <= 0).any():
             raise ValueError("std must be positive")
-        if (self.eig_principal <= 0).any():
-            raise ValueError("eig_principal must be positive")
 
     @property
     def n_variables(self) -> int:
         return len(self.columns)
 
     @property
-    def retained_variance(self) -> float:
-        """Share of the training variance held by the principal components."""
-        principal = float(self.eig_principal.sum())
-        return principal / float(principal + self.eig_residual.sum())
+    def n_pc(self) -> int:
+        return self.loadings_principal.shape[1]
 
     def standardize_matrix(self, data: DataMatrix) -> np.ndarray:
         if data.columns != self.columns:
@@ -201,7 +183,7 @@ def fit_pca(normal_data: DataMatrix, r_pc: float) -> PcaModel:
     largest-magnitude entry of each column is positive, making repeated fits
     byte-identical.
     """
-    r_pc = check_r_pc(r_pc)
+    r_pc = check_share("r_pc", r_pc)
     X = normal_data.values
     m, n = X.shape
     if m < 2:
@@ -236,15 +218,15 @@ def fit_pca(normal_data: DataMatrix, r_pc: float) -> PcaModel:
             "collinear columns"
         )
 
+    principal = float(evals[:k].copy().sum())  # contiguous copies: summed as ever
+    share = principal / float(principal + evals[k:].copy().sum())
     return PcaModel(
         columns=normal_data.columns,
         mean=mean,
         std=std,
         loadings_principal=evecs[:, :k],
-        eig_principal=evals[:k].copy(),
-        eig_residual=evals[k:].copy(),
-        n_pc=k,
         r_pc=r_pc,
+        retained_variance=min(share, 1.0),  # residual eigenvalues can round below 0
     )
 
 
@@ -297,48 +279,58 @@ def contribution_rate(model: PcaModel, fault_window: DataMatrix) -> Contribution
 
 
 def save_model(model: PcaModel, path: str | Path) -> None:
-    """Persist a model as JSON (row-major loadings with explicit dimensions)."""
-    n = model.n_variables
-    payload = {
-        "columns": list(model.columns),
-        "mean": model.mean.tolist(),
-        "std": model.std.tolist(),
-        "eig_principal": model.eig_principal.tolist(),
-        "eig_residual": model.eig_residual.tolist(),
-        "loadings_principal": {
-            "rows": n,
-            "cols": model.n_pc,
-            "data": model.loadings_principal.reshape(-1).tolist(),
-        },
-        "n_pc": model.n_pc,
-        "r_pc": model.r_pc,
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
+    """Persist a model as JSON: one key per field, the loadings as a list of rows."""
+    payload = {field.name: getattr(model, field.name) for field in fields(model)}
+    text = json.dumps(payload, sort_keys=True, default=np.ndarray.tolist)
+    Path(path).write_text(text + "\n", encoding="utf-8")
+
+
+def _array(values: object, field: str, types: set, what: str) -> list:
+    """``values``, a JSON array of ``types``; else ``ValueError`` naming its first bad entry."""
+    if type(values) is not list:
+        raise ValueError(f"{field} must be an array, got {type(values).__name__}")
+    if not set(map(type, values)) <= types:
+        i = next(i for i, value in enumerate(values) if type(value) not in types)
+        raise ValueError(f"{field}[{i}] must be {what}, got {type(values[i]).__name__}")
+    return values
+
+
+def _numbers(values: object, field: str) -> np.ndarray:
+    """``values``, a JSON array of numbers (never ``bool``), as a float array."""
+    values = _array(values, field, {int, float}, "a number")
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:
+        i = next(i for i, value in enumerate(values) if abs(value) > sys.float_info.max)
+        raise ValueError(f"{field}[{i}] is an integer beyond the float range") from None
 
 
 def load_model(path: str | Path) -> PcaModel:
-    """Load a model saved by save_model.
-
-    Files written by earlier versions, which also stored the residual
-    loadings, load the same way: those are never read. Any missing,
-    malformed or inconsistent entry raises ``ValueError`` naming the file.
-    """
+    """Load a model saved by ``save_model``: its keys are the ``PcaModel``
+    fields, so a file of an earlier version is refused with the advice to
+    re-run ``rootkgd fit``. Any other missing, mistyped or inconsistent entry
+    raises ``ValueError`` naming the file; a wrong JSON type also names the
+    field and its first bad entry."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSON and UTF-8 errors are ValueErrors
         raise ValueError(f"{path}: invalid model file: {exc}") from exc
     try:
-        lp = payload["loadings_principal"]
-        P = np.asarray(lp["data"], dtype=float).reshape(lp["rows"], lp["cols"])
-        return PcaModel(
-            columns=payload["columns"],
-            mean=payload["mean"],
-            std=payload["std"],
+        keys = [field.name for field in fields(PcaModel)]
+        if type(payload) is not dict or set(payload) != set(keys):
+            raise ValueError(f"keys must be {', '.join(keys)}; a model written by an earlier "
+                             "version must be refitted: re-run `rootkgd fit`")
+        rows = _array(payload["loadings_principal"], "loadings_principal", {list}, "an array")
+        P = [_numbers(row, f"loadings_principal[{i}]") for i, row in enumerate(rows)]
+        for i, row in enumerate(P):
+            if len(row) != len(P[0]):
+                raise ValueError(f"loadings_principal[{i}] has length {len(row)}, not {len(P[0])}")
+        payload.update(
+            columns=_array(payload["columns"], "columns", {str}, "a string"),
+            mean=_numbers(payload["mean"], "mean"),
+            std=_numbers(payload["std"], "std"),
             loadings_principal=P,
-            eig_principal=payload["eig_principal"],
-            eig_residual=payload["eig_residual"],
-            n_pc=payload["n_pc"],
-            r_pc=payload["r_pc"],
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        return PcaModel(**payload)
+    except ValueError as exc:
         raise ValueError(f"{path}: malformed model file ({exc})") from exc

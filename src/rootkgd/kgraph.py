@@ -282,9 +282,10 @@ def _check(
     column to its variable id in declaration order.
 
     Errors: no entities, parts or fields of a type ``_FIELD_TYPES`` refuses
-    (those parts are then skipped), duplicate ids/names/triples, dangling
-    references, negative relation parameters or non-finite distances, column
-    bindings on physical entities, a column bound by two variables.
+    (those parts are then skipped, but still declare their ids and names),
+    duplicate ids/names/triples, dangling references, negative relation
+    parameters or non-finite distances, column bindings on physical entities,
+    a column bound by two variables.
     Warnings: unbound variables, entities that occur in no triple, relation
     types that are never used.
     """
@@ -296,6 +297,10 @@ def _check(
         errors.append("no entities declared")
         return errors, warnings, column_owner
 
+    # A part skipped for a mistyped field still declares a str id or name, so
+    # a triple naming it is not also reported as undeclared.
+    entity_ids = {e.id for e in entities if isinstance(e, Entity) and type(e.id) is str}
+    rel_names = {r.name for r in relations if isinstance(r, RelationType) and type(r.name) is str}
     seen_ids: set[str] = set()
     entities = list(_typed(entities, Entity, "entities", errors))
     for e in entities:
@@ -341,11 +346,11 @@ def _check(
         if key in seen_triples:
             errors.append(f"duplicate triple {t}")
         seen_triples.add(key)
-        if t.head not in seen_ids:
+        if t.head not in entity_ids:
             errors.append(f"triple {t} references undeclared head entity {t.head!r}")
-        if t.tail not in seen_ids:
+        if t.tail not in entity_ids:
             errors.append(f"triple {t} references undeclared tail entity {t.tail!r}")
-        if t.relation not in seen_rels:
+        if t.relation not in rel_names:
             errors.append(f"triple {t} references undeclared relation {t.relation!r}")
         touched.update((t.head, t.tail))
         used_relations.add(t.relation)

@@ -61,13 +61,18 @@ def out_edges(graph, entity_id: str):
     return tuple(edges)
 
 
-def random_model(rng: np.random.Generator, n: int, m: int = 400, r_pc: float | None = None):
-    """A PCA model fit on random correlated gaussian data."""
+def random_data(rng: np.random.Generator, n: int, m: int = 400) -> DataMatrix:
+    """Random correlated gaussian data, ``m`` samples of ``n`` variables."""
     n_latent = max(1, n // 2)
     mixing = rng.normal(size=(n_latent, n))
     latent = rng.normal(size=(m, n_latent))
     data = latent @ mixing + 0.5 * rng.normal(size=(m, n)) + rng.uniform(-2, 2, size=n)
-    columns = tuple(f"v{i + 1}" for i in range(n))
+    return DataMatrix(data, tuple(f"v{i + 1}" for i in range(n)))
+
+
+def random_model(rng: np.random.Generator, n: int, m: int = 400, r_pc: float | None = None):
+    """A PCA model fit on ``random_data``."""
+    data = random_data(rng, n, m)
     if r_pc is None:
         r_pc = float(rng.uniform(0.3, 0.9))
-    return fit_pca(DataMatrix(data, columns), r_pc)
+    return fit_pca(data, r_pc)

@@ -99,8 +99,10 @@ def model_payload(tmp_path_factory):
 @given(data=st.data(), value=JSON_VALUES)
 def test_load_model_accepts_or_names_the_error(model_payload, tmp_path, data, value):
     payload = json.loads(json.dumps(model_payload))
+    rows = payload["loadings_principal"]
     entries = [(payload, key) for key in payload]
-    entries += [(payload["loadings_principal"], key) for key in payload["loadings_principal"]]
+    entries += [(rows, i) for i in range(len(rows))]
+    entries += [(row, j) for row in rows for j in range(len(row))]
     holder, key = data.draw(st.sampled_from(entries))
     holder[key] = value
     path = tmp_path / "model.json"

@@ -367,7 +367,7 @@ class TestDiagnoseCommand:
 
     def test_inconsistent_model_is_named_error(self, plant_dir, model_path, tmp_path, runner):
         payload = json.loads(model_path.read_text())
-        payload["eig_principal"][0] = 0.0
+        payload["std"][0] = 0.0
         bad = tmp_path / "bad_model.json"
         bad.write_text(json.dumps(payload))
         result = runner.invoke(main, diagnose_args(plant_dir, bad))
@@ -375,7 +375,20 @@ class TestDiagnoseCommand:
         assert isinstance(result.exception, SystemExit)  # handled: no traceback
         assert result.stdout == ""
         assert f"error: {bad}: malformed model file" in result.stderr
-        assert "eig_principal must be positive" in result.stderr
+        assert "std must be positive" in result.stderr
+
+    def test_earlier_version_model_is_named_error(self, plant_dir, model_path, tmp_path,
+                                                  runner):
+        payload = json.loads(model_path.read_text())
+        payload["n_pc"] = len(payload["loadings_principal"][0])
+        old = tmp_path / "old_model.json"
+        old.write_text(json.dumps(payload))
+        result = runner.invoke(main, diagnose_args(plant_dir, old))
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # handled: no traceback
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"error: {old}: malformed model file (")
+        assert result.stderr.endswith("re-run `rootkgd fit`)\n")
 
     def test_nan_r_pc_model_is_named_error(self, plant_dir, model_path, tmp_path, runner):
         payload = json.loads(model_path.read_text())
@@ -663,7 +676,8 @@ class TestValidateCommand:
 
     def test_field_type_error_is_listed_with_other_errors(self, tmp_path, runner):
         # A wrong-typed field is a validation error, as in a direct build,
-        # not a parse error that would hide the graph's other errors.
+        # not a parse error that would hide the graph's other errors. The
+        # mistyped relation is still declared: only the dangling tail is.
         path = tmp_path / "typed.json"
         path.write_text(json.dumps({
             "entities": [{"id": "a", "kind": "device", "label": "a"}],
@@ -675,7 +689,6 @@ class TestValidateCommand:
         assert result.stdout == (
             "error: relations[0]: distance must be int or float, got str\n"
             "error: triple (a, State, ghost) references undeclared tail entity 'ghost'\n"
-            "error: triple (a, State, ghost) references undeclared relation 'State'\n"
         )
 
     def test_no_graph_given(self, runner):

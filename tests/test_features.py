@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, random_model
+from conftest import random_data, random_model
 from oracles import (
     dense_contribution_rate,
     dense_contributions,
@@ -29,7 +29,11 @@ from rootkgd.features import (
 )
 
 
-def make_model(P: np.ndarray, eig_p: np.ndarray, eig_r: np.ndarray) -> PcaModel:
+#: The keys of a model file, in ``PcaModel`` field order.
+KEYS = ("columns", "mean", "std", "loadings_principal", "r_pc", "retained_variance")
+
+
+def make_model(P: np.ndarray) -> PcaModel:
     """Assemble a model from explicit principal loadings (mean 0, std 1)."""
     n = P.shape[0]
     return PcaModel(
@@ -37,32 +41,32 @@ def make_model(P: np.ndarray, eig_p: np.ndarray, eig_r: np.ndarray) -> PcaModel:
         mean=np.zeros(n),
         std=np.ones(n),
         loadings_principal=P,
-        eig_principal=eig_p,
-        eig_residual=eig_r,
-        n_pc=P.shape[1],
         r_pc=0.5,
+        retained_variance=0.5,
     )
 
 
-#: Edits that make a saved 6-variable, 2-component model inconsistent, and
-#: the error each must name.
+#: Edits that make a saved 6-variable, 2-component model inconsistent or
+#: mistyped, and the error each must name.
 CORRUPTIONS = {
-    "zero_eigenvalue": (
-        lambda m: m["eig_principal"].__setitem__(0, 0.0), "eig_principal must be positive"
-    ),
-    "negative_eigenvalue": (
-        lambda m: m["eig_principal"].__setitem__(0, -1.0), "eig_principal must be positive"
-    ),
-    "n_pc_off_by_5": (lambda m: m.update(n_pc=m["n_pc"] + 5), r"n_pc must be in \[1, 6\]"),
     "zero_std": (lambda m: m["std"].__setitem__(0, 0.0), "std must be positive"),
     "nan_mean": (lambda m: m["mean"].__setitem__(0, float("nan")), "mean contains non-finite"),
     "short_mean": (lambda m: m["mean"].pop(), r"mean has shape \(5,\)"),
-    "extra_residual_eigenvalue": (
-        lambda m: m["eig_residual"].append(0.1), r"eig_residual has shape \(5,\)"
-    ),
     "infinite_loading": (
-        lambda m: m["loadings_principal"]["data"].__setitem__(0, float("inf")),
+        lambda m: m["loadings_principal"][0].__setitem__(0, float("inf")),
         "loadings_principal contains non-finite",
+    ),
+    "ragged_row": (
+        lambda m: m["loadings_principal"][3].pop(),
+        r"\(loadings_principal\[3\] has length 1, not 2\)$",
+    ),
+    "zero_columns": (
+        lambda m: m.update(loadings_principal=[[] for _ in range(6)]),
+        r"loadings_principal has shape \(6, 0\), expected \(6, 1\.\.6\)",
+    ),
+    "too_many_columns": (
+        lambda m: m.update(loadings_principal=[[0.1] * 7 for _ in range(6)]),
+        r"loadings_principal has shape \(6, 7\), expected \(6, 1\.\.6\)",
     ),
     "r_pc_nan": (
         lambda m: m.update(r_pc=float("nan")), r"r_pc must be a finite number in \(0, 1\]"
@@ -72,16 +76,54 @@ CORRUPTIONS = {
     "r_pc_huge_int": (
         lambda m: m.update(r_pc=10**400), r"r_pc must be a finite number in \(0, 1\], got 10+\)$"
     ),
-    "n_pc_fraction": (lambda m: m.update(n_pc=2.5), "n_pc must be an integer, got 2.5"),
+    "retained_variance_zero": (
+        lambda m: m.update(retained_variance=0), r"retained_variance must .* \(0, 1\], got 0\)$"
+    ),
+    "retained_variance_above_one": (
+        lambda m: m.update(retained_variance=1.5), r"retained_variance .* got 1\.5\)$"
+    ),
+    "retained_variance_nan": (
+        lambda m: m.update(retained_variance=float("nan")), r"retained_variance .* got nan\)$"
+    ),
+    "retained_variance_string": (
+        lambda m: m.update(retained_variance="0.5"), r"retained_variance .* got '0\.5'\)$"
+    ),
+    # A stored n_pc is a field of earlier versions' files, which are refused.
+    "n_pc_fraction": (lambda m: m.update(n_pc=2.5), r"re-run `rootkgd fit`\)$"),
     "repeated_column": (
         lambda m: m["columns"].__setitem__(3, "v1"), r"\(duplicate column name 'v1'\)$"
+    ),
+    "numeric_column": (
+        lambda m: m["columns"].__setitem__(2, 3), r"\(columns\[2\] must be a string, got int\)$"
+    ),
+    "string_mean": (
+        lambda m: m["mean"].__setitem__(1, "1.5"), r"\(mean\[1\] must be a number, got str\)$"
+    ),
+    "bool_std": (
+        lambda m: m["std"].__setitem__(0, True), r"\(std\[0\] must be a number, got bool\)$"
+    ),
+    "string_loading": (
+        lambda m: m["loadings_principal"][4].__setitem__(1, "0.5"),
+        r"\(loadings_principal\[4\]\[1\] must be a number, got str\)$",
+    ),
+    "loading_row_not_array": (
+        lambda m: m["loadings_principal"].__setitem__(2, 0.5),
+        r"\(loadings_principal\[2\] must be an array, got float\)$",
+    ),
+    "huge_int_mean": (
+        lambda m: m["mean"].__setitem__(2, 10**400),
+        r"\(mean\[2\] is an integer beyond the float range\)$",
+    ),
+    "huge_int_loading": (
+        lambda m: m["loadings_principal"][5].__setitem__(0, -(10**400)),
+        r"\(loadings_principal\[5\]\[0\] is an integer beyond the float range\)$",
     ),
 }
 
 
 def axis_model() -> PcaModel:
     """2-variable model whose principal subspace is exactly the first axis."""
-    return make_model(np.array([[1.0], [0.0]]), np.array([2.0]), np.array([1.0]))
+    return make_model(np.array([[1.0], [0.0]]))
 
 
 def rbc_row(model: PcaModel, row: np.ndarray) -> np.ndarray:
@@ -116,6 +158,16 @@ def rbc_spe_oracle(model: PcaModel, sample: np.ndarray):
     return np.array(scores), base
 
 
+def assert_share_matches_oracle(model: PcaModel, values: np.ndarray) -> None:
+    """``n_pc`` is the least count of components whose Jacobi-oracle
+    eigenvalue share reaches ``r_pc``, and ``retained_variance`` is that share."""
+    z = (values - values.mean(axis=0)) / values.std(axis=0, ddof=1)
+    evals, _ = jacobi_eigh(z.T @ z / (len(z) - 1))
+    share = np.cumsum(evals) / evals.sum()
+    assert model.n_pc == np.flatnonzero(share >= model.r_pc)[0] + 1
+    assert abs(model.retained_variance - share[model.n_pc - 1]) <= 1e-12
+
+
 class TestFitPca:
     def test_two_independent_variables_half_variance(self):
         rng = np.random.default_rng(0)
@@ -136,8 +188,7 @@ class TestFitPca:
             cov = standardized.T @ standardized / (len(data) - 1)
             evals, evecs = jacobi_eigh(cov)
 
-            all_eigs = np.concatenate([model.eig_principal, model.eig_residual])
-            assert np.abs(all_eigs - evals).max() <= 1e-7
+            assert_share_matches_oracle(model, data)
             for j in range(model.n_pc):
                 column = model.loadings_principal[:, j]
                 diff_same = np.abs(column - evecs[:, j]).max()
@@ -149,7 +200,8 @@ class TestFitPca:
     @pytest.mark.parametrize("seed", range(6))
     def test_projection_identities(self, seed):
         rng = np.random.default_rng(seed)
-        model = random_model(rng, n=int(rng.integers(3, 12)))
+        data = random_data(rng, n=int(rng.integers(3, 12)))
+        model = fit_pca(data, float(rng.uniform(0.3, 0.9)))
         n = model.n_variables
         C, C_res = dense_projectors(model)
         assert np.abs(C + C_res - np.eye(n)).max() <= 1e-8
@@ -157,8 +209,7 @@ class TestFitPca:
         assert np.abs(C_res @ C_res - C_res).max() <= 1e-8
         P = model.loadings_principal
         assert np.abs(P.T @ P - np.eye(model.n_pc)).max() <= 1e-8
-        assert (np.diff(model.eig_principal) <= 1e-12).all()
-        assert model.eig_residual.min() >= -1e-10
+        assert_share_matches_oracle(model, data.values)
 
     def test_sign_convention(self):
         rng = np.random.default_rng(3)
@@ -191,8 +242,22 @@ class TestFitPca:
         rng = np.random.default_rng(5)
         model = random_model(rng, n=4, r_pc=1.0)
         assert model.n_pc == 4
-        assert model.eig_residual.shape == (0,)
+        assert model.retained_variance == 1.0
         assert np.abs(dense_projectors(model).proj_res).max() <= 1e-12
+
+    def test_rank_deficient_share_is_at_most_one(self, tmp_path):
+        # Two columns repeat mixtures of the first three, so two eigenvalues
+        # are zero up to rounding. On these seeds their sum comes out
+        # negative, which put the share at 1.0000000000000002 (or ...04).
+        shares = []
+        for seed in (4, 8, 9, 24, 212):
+            rng = np.random.default_rng(seed)
+            base = rng.normal(size=(50, 3))
+            values = np.column_stack([base, base @ rng.normal(size=(3, 2))])
+            model = fit_pca(DataMatrix(values, tuple("abcde")), 1.0)
+            save_model(model, tmp_path / "model.json")
+            shares.append(load_model(tmp_path / "model.json").retained_variance)
+        assert shares == [1.0] * 5
 
     def test_fit_deterministic_bytes(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -291,8 +356,7 @@ class TestRbc:
 def random_subspace_model(rng: np.random.Generator, n: int, n_res: int) -> PcaModel:
     """Model with random orthonormal loadings and ``n_res`` residual dimensions."""
     Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    eigs = np.sort(rng.uniform(0.05, 5.0, size=n))[::-1]
-    return make_model(Q[:, : n - n_res], eigs[: n - n_res], eigs[n - n_res :])
+    return make_model(Q[:, : n - n_res])
 
 
 class TestDenseReference:
@@ -351,7 +415,7 @@ class TestContributionRate:
 
     def test_normalization_orders_differ_on_mixed_scales(self):
         P = np.array([[1.0], [0.0], [0.0]])
-        model = make_model(P, np.array([2.0]), np.array([1.0, 0.5]))
+        model = make_model(P)
         window = DataMatrix(np.array([[0.0, 1.0, 1.0], [0.0, 10.0, 0.0]]), model.columns)
         per_sample = contribution_rate(model, window)
         # Each row counts once, so the large second row does not dominate, as
@@ -432,8 +496,14 @@ class TestModelPersistence:
         model = random_model(rng, n=6)
         path = tmp_path / "model.json"
         save_model(model, path)
+        payload = json.loads(path.read_text())
+        assert sorted(payload) == sorted(KEYS)
+        assert payload["loadings_principal"] == model.loadings_principal.tolist()
         again = load_model(path)
         assert again.columns == model.columns
+        for name in ("mean", "std", "loadings_principal"):
+            assert getattr(again, name).tobytes() == getattr(model, name).tobytes()
+        assert (again.r_pc, again.retained_variance) == (model.r_pc, model.retained_variance)
         sample = model.mean + model.std * rng.normal(size=6)
         assert np.array_equal(rbc_row(again, sample), rbc_row(model, sample))
 
@@ -449,21 +519,31 @@ class TestModelPersistence:
             load_model(path)
         assert str(excinfo.value).startswith(f"{path}: malformed model file")
 
-    def test_file_with_residual_loadings_loads(self, tmp_path):
-        # Written by an earlier version, which also stored the residual
-        # loadings. That block is ignored: the model loaded from it equals
-        # the same model saved today, bit for bit.
-        old_path = FIXTURES / "model_residual_loadings.json"
-        old = load_model(old_path)
-        new_path = tmp_path / "model.json"
-        save_model(old, new_path)
-        assert "loadings_residual" not in json.loads(new_path.read_text())
-        new = load_model(new_path)
-        for name in ("loadings_principal", "eig_principal", "eig_residual", "mean", "std"):
-            assert np.array_equal(getattr(old, name), getattr(new, name))
-        block = json.loads(old_path.read_text())["loadings_residual"]
-        P_res = np.array(block["data"]).reshape(block["rows"], block["cols"])
-        assert np.abs(dense_projectors(old).proj_res - P_res @ P_res.T).max() <= 1e-12
+    def test_earlier_version_file_is_named_error(self, tmp_path):
+        # Earlier versions stored the eigenvalues, n_pc and the loadings as
+        # {rows, cols, data}, some also the residual loadings: such a file
+        # must be refitted, and the error says so.
+        model = random_model(np.random.default_rng(41), n=5)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text())
+        del payload["retained_variance"]
+        payload.update(
+            eig_principal=[2.0] * model.n_pc,
+            eig_residual=[0.5] * (5 - model.n_pc),
+            loadings_principal={
+                "rows": 5, "cols": model.n_pc, "data": model.loadings_principal.ravel().tolist()
+            },
+            n_pc=model.n_pc,
+        )
+        for extra in ({}, {"loadings_residual": {"rows": 5, "cols": 0, "data": []}}):
+            path.write_text(json.dumps({**payload, **extra}))
+            with pytest.raises(ValueError) as excinfo:
+                load_model(path)
+            assert str(excinfo.value) == (
+                f"{path}: malformed model file (keys must be {', '.join(KEYS)}; a model "
+                "written by an earlier version must be refitted: re-run `rootkgd fit`)"
+            )
 
     def test_malformed_model_file(self, tmp_path):
         path = tmp_path / "bad.json"

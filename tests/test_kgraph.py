@@ -243,6 +243,27 @@ class TestLoadGraph:
         assert loaded.value.errors == built.value.errors
         assert loaded.value.warnings == built.value.warnings
 
+    def test_mistyped_part_still_declares_its_id(self):
+        """A part skipped for a mistyped field is one error line: the triples
+        naming its id or name are not reported as undeclared as well."""
+        payload = minimal_payload()
+        payload["entities"][1]["label"] = None
+        payload["relations"].append({"name": "Flow", "d": "1", "o": 1})
+        payload["triples"].append(["dev1", "Flow", "v11"])
+        with pytest.raises(GraphValidationError) as loaded:
+            graph_from_dict(payload)
+        assert loaded.value.errors == [
+            "entities[1]: label must be str, got NoneType",
+            "relations[1]: distance must be int or float, got str",
+        ]
+        entities, relations, triples = parts(minimal_payload())
+        entities[1] = Entity("v11", EntityKind.VARIABLE, None, column="v11")
+        relations.append(RelationType("Flow", "1", 1))
+        triples.append(Triple("dev1", "Flow", "v11"))
+        with pytest.raises(GraphValidationError) as built:
+            KnowledgeGraph(entities, relations, triples)
+        assert built.value.errors == loaded.value.errors
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
