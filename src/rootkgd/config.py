@@ -81,7 +81,7 @@ def config_from_dict(payload: dict[str, Any]) -> DiagnosisConfig:
 def load_config(path: str | Path) -> DiagnosisConfig:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSON and UTF-8 errors are ValueErrors
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: config must be a JSON object")

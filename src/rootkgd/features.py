@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import json
 import logging
-import sys
-from dataclasses import dataclass, fields
+import zipfile
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
@@ -278,59 +278,66 @@ def contribution_rate(model: PcaModel, fault_window: DataMatrix) -> Contribution
     return ContributionVector(mean / mean.sum(), model.columns)
 
 
+#: A model file's members, one ``.npy`` array per ``PcaModel`` field in field
+#: order, each with its array type and number of dimensions.
+_MEMBERS = {"columns": (np.str_, 1), "mean": (np.float64, 1), "std": (np.float64, 1),
+            "loadings_principal": (np.float64, 2), "r_pc": (np.float64, 0),
+            "retained_variance": (np.float64, 0)}
+
+
 def save_model(model: PcaModel, path: str | Path) -> None:
-    """Persist a model as JSON: one key per field, the loadings as a list of rows."""
-    payload = {field.name: getattr(model, field.name) for field in fields(model)}
-    text = json.dumps(payload, sort_keys=True, default=np.ndarray.tolist)
-    Path(path).write_text(text + "\n", encoding="utf-8")
-
-
-def _array(values: object, field: str, types: set, what: str) -> list:
-    """``values``, a JSON array of ``types``; else ``ValueError`` naming its first bad entry."""
-    if type(values) is not list:
-        raise ValueError(f"{field} must be an array, got {type(values).__name__}")
-    if not set(map(type, values)) <= types:
-        i = next(i for i, value in enumerate(values) if type(value) not in types)
-        raise ValueError(f"{field}[{i}] must be {what}, got {type(values[i]).__name__}")
-    return values
-
-
-def _numbers(values: object, field: str) -> np.ndarray:
-    """``values``, a JSON array of numbers (never ``bool``), as a float array."""
-    values = _array(values, field, {int, float}, "a number")
-    try:
-        return np.array(values, dtype=float)
-    except OverflowError:
-        i = next(i for i, value in enumerate(values) if abs(value) > sys.float_info.max)
-        raise ValueError(f"{field}[{i}] is an integer beyond the float range") from None
+    """Write a model to ``path`` (no suffix added) as an uncompressed zip of one
+    ``.npy`` member per field, in field order with a fixed date: the same model
+    gives the same bytes. A column name ending in NUL, which ``.npy`` drops, is
+    a ``ValueError``."""
+    columns = np.array(model.columns)
+    if columns.tolist() != list(model.columns):
+        raise ValueError(f"{path}: column names ending in NUL cannot be saved")
+    with zipfile.ZipFile(path, "w") as archive:
+        for name in _MEMBERS:
+            with archive.open(zipfile.ZipInfo(f"{name}.npy"), "w") as fh:
+                value = columns if name == "columns" else np.asarray(getattr(model, name))
+                np.lib.format.write_array(fh, value, allow_pickle=False)
 
 
 def load_model(path: str | Path) -> PcaModel:
-    """Load a model saved by ``save_model``: its keys are the ``PcaModel``
-    fields, so a file of an earlier version is refused with the advice to
-    re-run ``rootkgd fit``. Any other missing, mistyped or inconsistent entry
-    raises ``ValueError`` naming the file; a wrong JSON type also names the
-    field and its first bad entry."""
+    """Load a model written by ``save_model``, whatever the file's name. A file
+    that is not such a zip, holds other members, a member of another type or
+    number of dimensions, an array that only unpickling reads, or values
+    ``PcaModel`` refuses raises ``ValueError`` naming the file; a JSON model,
+    which earlier versions wrote, gets the advice to re-run ``rootkgd fit``."""
+    names = [f"{name}.npy" for name in _MEMBERS]
+    with open(path, "rb") as fh:
+        try:
+            with zipfile.ZipFile(fh) as archive:
+                found = archive.namelist()
+                same = sorted(found) == sorted(names)
+                arrays = [_read_member(archive, name) for name in names] if same else []
+        except Exception as exc:  # zipfile and numpy raise many types on corrupt bytes
+            fh.seek(0)
+            try:
+                json.loads(fh.read())
+            except (ValueError, RecursionError):  # JSON and UTF-8 errors are ValueErrors
+                raise ValueError(f"{path}: invalid model file: {exc}") from exc
+            raise ValueError(f"{path}: malformed model file (a JSON model was written by an "
+                             "earlier version and must be refitted: re-run `rootkgd fit`)")
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as exc:  # JSON and UTF-8 errors are ValueErrors
-        raise ValueError(f"{path}: invalid model file: {exc}") from exc
-    try:
-        keys = [field.name for field in fields(PcaModel)]
-        if type(payload) is not dict or set(payload) != set(keys):
-            raise ValueError(f"keys must be {', '.join(keys)}; a model written by an earlier "
-                             "version must be refitted: re-run `rootkgd fit`")
-        rows = _array(payload["loadings_principal"], "loadings_principal", {list}, "an array")
-        P = [_numbers(row, f"loadings_principal[{i}]") for i, row in enumerate(rows)]
-        for i, row in enumerate(P):
-            if len(row) != len(P[0]):
-                raise ValueError(f"loadings_principal[{i}] has length {len(row)}, not {len(P[0])}")
-        payload.update(
-            columns=_array(payload["columns"], "columns", {str}, "a string"),
-            mean=_numbers(payload["mean"], "mean"),
-            std=_numbers(payload["std"], "std"),
-            loadings_principal=P,
-        )
-        return PcaModel(**payload)
+        if not arrays:
+            raise ValueError(f"members must be {', '.join(names)}, got {', '.join(found)}")
+        for (name, (kind, ndim)), value in zip(_MEMBERS.items(), arrays):
+            if value.dtype.type is not kind or value.ndim != ndim:
+                raise ValueError(f"{name} must be a {ndim}-D {kind.__name__} array, "
+                                 f"got a {value.ndim}-D {value.dtype} array")
+        columns, mean, std, loadings, r_pc, share = arrays
+        return PcaModel(tuple(columns.tolist()), mean, std, loadings, r_pc.item(), share.item())
     except ValueError as exc:
         raise ValueError(f"{path}: malformed model file ({exc})") from exc
+
+
+def _read_member(archive: zipfile.ZipFile, name: str) -> np.ndarray:
+    """A member's array; bytes after it are refused, so its checksum is read."""
+    with archive.open(name) as fh:
+        value = np.lib.format.read_array(fh, allow_pickle=False)
+        if fh.read(1):
+            raise ValueError(f"{name} holds bytes after its array")
+    return value

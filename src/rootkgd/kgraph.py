@@ -221,7 +221,7 @@ def load_graph(path: str | Path) -> KnowledgeGraph:
     """Load, parse, and validate a graph file (see graph_from_dict)."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSON and UTF-8 errors are ValueErrors
         raise GraphParseError(f"{path}: invalid JSON: {exc}") from exc
     return graph_from_dict(payload)
 

@@ -9,7 +9,7 @@ from typing import Any, Sequence
 
 from . import dataio, features, rfpa, scoring
 from .config import ConfigError, DiagnosisConfig
-from .features import DataMatrix, PcaModel
+from .features import PcaModel
 from .kgraph import KnowledgeGraph, load_graph
 from .scoring import RootCauseRanking
 
@@ -55,23 +55,13 @@ def run_diagnose(config: DiagnosisConfig) -> RootCauseRanking:
         raise ConfigError(f"model file not found: {config.model_path}")
     model = features.load_model(config.model_path)
     bound = bound_columns(model.columns, graph, "model")
-    end = config.fault_start + config.window
-    fault = dataio.read_csv(config.fault_data_path, rows=end)  # no row after the window
-
+    fault = dataio.read_csv(config.fault_data_path, rows=config.window, skip=config.fault_start)
     present = set(fault.columns)
     missing = [c for c in model.columns if c not in present]
     if missing:
         raise ValueError(f"fault dataset is missing model columns: {missing}")
-    fault = fault.select(model.columns)
-
-    if end > fault.n_samples:
-        raise ValueError(
-            f"window exceeds dataset: rows [{config.fault_start}, {end}) "
-            f"requested but only {fault.n_samples} samples present"
-        )
-    window = DataMatrix(fault.values[config.fault_start : end], fault.columns)
     try:
-        rate = features.contribution_rate(model, window)
+        rate = features.contribution_rate(model, fault.select(model.columns))
     except ValueError as exc:
         raise ValueError(f"{config.fault_data_path}: {exc}") from None
     contributions = rate.restrict(bound).relabel(graph.variable_of)

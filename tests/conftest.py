@@ -61,6 +61,18 @@ def out_edges(graph, entity_id: str):
     return tuple(edges)
 
 
+def read_members(path) -> dict[str, np.ndarray]:
+    """The arrays of a model file by field name, in the file's order."""
+    with np.load(path) as archive:
+        return {name: archive[name] for name in archive.files}
+
+
+def write_members(path, members: dict) -> None:
+    """A model file of ``members``, one ``.npy`` each (object arrays pickled)."""
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)
+
+
 def random_data(rng: np.random.Generator, n: int, m: int = 400) -> DataMatrix:
     """Random correlated gaussian data, ``m`` samples of ``n`` variables."""
     n_latent = max(1, n // 2)

@@ -297,7 +297,7 @@ def test_criterion_8_tep_benchmark_rank_order(tmp_path):
 
     start = time.perf_counter()
     graph_path = str(files("rootkgd") / "fixtures" / "tep.kg.json")
-    model_path = str(tmp_path / "model.json")
+    model_path = str(tmp_path / "model.npz")
     # Fitted without the graph, so x35 (no graph entity) stays in the model.
     run_fit(
         DiagnosisConfig(

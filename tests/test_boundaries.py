@@ -8,7 +8,6 @@ error handler as a traceback.
 
 from __future__ import annotations
 
-import json
 from dataclasses import fields
 
 import numpy as np
@@ -88,29 +87,29 @@ def test_graph_from_dict_accepts_or_names_the_error(payload):
 
 
 @pytest.fixture(scope="module")
-def model_payload(tmp_path_factory):
+def model_bytes(tmp_path_factory):
     rng = np.random.default_rng(0)
-    path = tmp_path_factory.mktemp("model") / "model.json"
+    path = tmp_path_factory.mktemp("model") / "model.npz"
     save_model(fit_pca(DataMatrix(rng.normal(size=(40, 4)), ("a", "b", "c", "d")), 0.5), path)
-    return json.loads(path.read_text())
+    return path.read_bytes()
 
 
 @FUZZ
-@given(data=st.data(), value=JSON_VALUES)
-def test_load_model_accepts_or_names_the_error(model_payload, tmp_path, data, value):
-    payload = json.loads(json.dumps(model_payload))
-    rows = payload["loadings_principal"]
-    entries = [(payload, key) for key in payload]
-    entries += [(rows, i) for i in range(len(rows))]
-    entries += [(row, j) for row in rows for j in range(len(row))]
-    holder, key = data.draw(st.sampled_from(entries))
-    holder[key] = value
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps(payload))
+@given(data=st.data())
+def test_load_model_accepts_or_names_the_error(model_bytes, tmp_path, data):
+    """Byte edits and truncations of a real model file: each loads or raises a
+    ``ValueError`` that names the file."""
+    raw = bytearray(model_bytes)
+    edits = st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 255))
+    for position, value in data.draw(st.lists(edits, max_size=4)):
+        raw[position] = value
+    raw = raw[: data.draw(st.none() | st.integers(0, len(raw)))]  # None: whole
+    path = tmp_path / "model.npz"
+    path.write_bytes(raw)
     try:
         load_model(path)
-    except ValueError:
-        pass
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}: ")
 
 
 @FUZZ

@@ -22,6 +22,8 @@ from rootkgd.features import DataMatrix, load_model
 from rootkgd.kgraph import load_graph
 from rootkgd.pipeline import bound_columns, run_diagnose, run_fit
 
+from conftest import read_members, write_members
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 #: Config keys that once existed and were removed; each must now fail as an
@@ -51,7 +53,7 @@ def plant_dir(tmp_path_factory, runner):
 
 @pytest.fixture(scope="module")
 def model_path(plant_dir, tmp_path_factory, runner):
-    path = tmp_path_factory.mktemp("model") / "model.json"
+    path = tmp_path_factory.mktemp("model") / "model.npz"
     result = runner.invoke(
         main,
         ["fit", "--graph", str(plant_dir["dir"] / "graph.json"),
@@ -135,7 +137,7 @@ class TestFitCommand:
             main,
             ["fit", "--graph", str(plant_dir["dir"] / "graph.json"),
              "--data", str(plant_dir["dir"] / "normal.csv"),
-             "--model", str(tmp_path / "m.json")],
+             "--model", str(tmp_path / "m.npz")],
         )
         assert result.exit_code == 0
         n = len(plant_dir["manifest"]["columns"])
@@ -161,12 +163,12 @@ class TestFitCommand:
         bad.write_text(text + "1,2\n")
         result = runner.invoke(
             main, ["fit", "--graph", str(plant_dir["dir"] / "graph.json"), "--data", str(bad),
-                   "--model", str(tmp_path / "m.json")]
+                   "--model", str(tmp_path / "m.npz")]
         )
         width = text.splitlines()[0].count(",") + 1
         assert result.exit_code == 1
         assert result.stderr == f"error: {bad}:{lines + 1}: expected {width} fields, got 2\n"
-        assert not (tmp_path / "m.json").exists()
+        assert not (tmp_path / "m.npz").exists()
 
     def test_no_bound_column_is_usage_error(self, plant_dir, tmp_path, runner):
         data = read_csv(plant_dir["dir"] / "normal.csv")
@@ -215,6 +217,24 @@ class TestDiagnoseCommand:
         assert table_1 == table_2
         assert j1.read_bytes() == j2.read_bytes()
 
+    def test_quickstart_bytes_are_pinned(self, plant_dir, tmp_path, runner):
+        """The README Quickstart's model file and JSON report, pinned like the
+        synth outputs: a change that moves a model byte or a score is seen.
+        The 4-device plant fits to the same bytes at one and two BLAS threads."""
+        model, report = tmp_path / "model.npz", tmp_path / "report.json"
+        result = runner.invoke(main, ["fit", "--graph", str(plant_dir["dir"] / "graph.json"),
+                                      "--data", str(plant_dir["dir"] / "normal.csv"),
+                                      "--model", str(model)])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, diagnose_args(plant_dir, model, "--json", str(report)))
+        assert result.exit_code == 0, result.output
+        digests = {
+            model: "e34b3773328c605b2b18ea2ffc02e228fddcb5a2dd13024630d2108caf52d3aa",
+            report: "080ffac3b28d4908000f306d5b2caa900294f76bf5d061e770cbc94d238f4d75",
+        }
+        for path, digest in digests.items():
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_report_independent_of_hash_seed(self, tmp_path, runner):
         # Two interpreters with different string hashing write the same bytes:
         # no result depends on the iteration order of a set or dict of ids.
@@ -230,7 +250,7 @@ class TestDiagnoseCommand:
         fault[100:, 3] += 10.0
         write_csv(DataMatrix(draw(500), columns), tmp_path / "normal.csv")
         write_csv(DataMatrix(fault, columns), tmp_path / "fault.csv")
-        model = tmp_path / "model.json"
+        model = tmp_path / "model.npz"
         fit = runner.invoke(main, ["fit", "--graph", graph_path, "--data",
                                    str(tmp_path / "normal.csv"), "--model", str(model)])
         assert fit.exit_code == 0, fit.output
@@ -254,7 +274,7 @@ class TestDiagnoseCommand:
     def test_report_names_the_model_r_pc(self, plant_dir, tmp_path, runner):
         # The config keeps its default r_pc of 0.5; the report must give the
         # 0.8 the loaded model was fitted with.
-        model = tmp_path / "model.json"
+        model = tmp_path / "model.npz"
         result = runner.invoke(
             main,
             ["fit", "--graph", str(plant_dir["dir"] / "graph.json"),
@@ -345,7 +365,7 @@ class TestDiagnoseCommand:
 
     def test_model_with_no_bound_column_is_usage_error(self, plant_dir, tmp_path, runner):
         # A model fitted without a graph on columns no variable binds.
-        model = tmp_path / "model.json"
+        model = tmp_path / "model.npz"
         for name in ("normal", "fault"):
             data = read_csv(plant_dir["dir"] / f"{name}.csv")
             columns = tuple(f"z{c}" for c in data.columns)
@@ -366,23 +386,26 @@ class TestDiagnoseCommand:
             )
 
     def test_inconsistent_model_is_named_error(self, plant_dir, model_path, tmp_path, runner):
-        payload = json.loads(model_path.read_text())
-        payload["std"][0] = 0.0
-        bad = tmp_path / "bad_model.json"
-        bad.write_text(json.dumps(payload))
+        members = read_members(model_path)
+        members["std"][0] = 0.0
+        bad = tmp_path / "bad_model.npz"
+        write_members(bad, members)
         result = runner.invoke(main, diagnose_args(plant_dir, bad))
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # handled: no traceback
         assert result.stdout == ""
-        assert f"error: {bad}: malformed model file" in result.stderr
-        assert "std must be positive" in result.stderr
+        assert result.stderr == f"error: {bad}: malformed model file (std must be positive)\n"
 
     def test_earlier_version_model_is_named_error(self, plant_dir, model_path, tmp_path,
                                                   runner):
-        payload = json.loads(model_path.read_text())
-        payload["n_pc"] = len(payload["loadings_principal"][0])
+        # Earlier versions wrote the model as JSON, one key per field.
+        model = load_model(model_path)
         old = tmp_path / "old_model.json"
-        old.write_text(json.dumps(payload))
+        old.write_text(json.dumps({
+            "columns": list(model.columns), "mean": model.mean.tolist(),
+            "std": model.std.tolist(), "loadings_principal": model.loadings_principal.tolist(),
+            "r_pc": model.r_pc, "retained_variance": model.retained_variance,
+        }))
         result = runner.invoke(main, diagnose_args(plant_dir, old))
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # handled: no traceback
@@ -391,10 +414,10 @@ class TestDiagnoseCommand:
         assert result.stderr.endswith("re-run `rootkgd fit`)\n")
 
     def test_nan_r_pc_model_is_named_error(self, plant_dir, model_path, tmp_path, runner):
-        payload = json.loads(model_path.read_text())
-        payload["r_pc"] = float("nan")
-        bad = tmp_path / "nan_model.json"
-        bad.write_text(json.dumps(payload))
+        members = read_members(model_path)
+        members["r_pc"] = np.array(np.nan)
+        bad = tmp_path / "nan_model.npz"
+        write_members(bad, members)
         report = tmp_path / "report.json"
         result = runner.invoke(main, diagnose_args(plant_dir, bad, "--json", str(report)))
         assert result.exit_code == 1
@@ -504,9 +527,13 @@ class TestConfigTypes:
         assert result.stderr.startswith(f"error: {message}")
 
 
-#: JSON files no loader can read: bytes that are not UTF-8, and nesting too
-#: deep for the parser.
-UNREADABLE_JSON = {"non_utf8": b'{"graph_path": "\xff"}', "deep": b"[" * 200_000}
+#: JSON files no loader can read: bytes that are not UTF-8, nesting too deep
+#: for the parser, and an integer past Python's 4,300-digit conversion limit.
+UNREADABLE_JSON = {
+    "non_utf8": b'{"graph_path": "\xff"}',
+    "deep": b"[" * 200_000,
+    "huge_int": b'{"window": 1' + b"0" * 5000 + b"}",
+}
 
 
 @pytest.mark.parametrize("content", list(UNREADABLE_JSON))
@@ -753,7 +780,7 @@ class TestPipelineRoster:
     def diagnose_config(self, plant_dir, tmp_path) -> DiagnosisConfig:
         return DiagnosisConfig(
             graph_path=str(plant_dir["dir"] / "graph.json"),
-            model_path=str(tmp_path / "model.json"),
+            model_path=str(tmp_path / "model.npz"),
             normal_data_path=str(tmp_path / "normal.csv"),
             fault_data_path=str(tmp_path / "fault.csv"),
             fault_start=100,

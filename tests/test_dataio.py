@@ -95,7 +95,7 @@ def test_byte_order_mark_is_skipped(tmp_path):
 
 def test_diagnose_on_malformed_csv_is_named_error(tmp_path):
     runner = CliRunner()
-    graph, model = tmp_path / "graph.json", tmp_path / "model.json"
+    graph, model = tmp_path / "graph.json", tmp_path / "model.npz"
     for args in (
         ["synth", "--out", str(tmp_path), "--devices", "2"],
         ["fit", "--graph", str(graph), "--data", str(tmp_path / "normal.csv"),
@@ -119,7 +119,7 @@ def test_diagnose_on_malformed_csv_is_named_error(tmp_path):
 
 def read_rows(path: Path):
     """The row-by-row reader alone, bypassing the bulk parse."""
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open("rb") as fh:
         return _read_rows(path, fh)
 
 
@@ -214,11 +214,11 @@ def through_row(text: str, k: int) -> str:
     return text
 
 
-def outcome(path: Path, rows: int | None = None):
+def outcome(path: Path, rows: int | None = None, skip: int | None = None):
     """The columns and value bytes of a read, or its error message after the
     file name."""
     try:
-        data = read_csv(path, rows=rows)
+        data = read_csv(path, rows=rows, skip=skip)
     except ValueError as exc:
         return str(exc).removeprefix(str(path))
     return data.columns, data.values.shape, data.values.tobytes()
@@ -245,6 +245,57 @@ def test_bounded_read_is_the_full_read_of_the_first_rows(text, k):
             assert bounded == full
 
 
+@settings(max_examples=300, deadline=None)
+@given(text=csv_texts(), k=st.integers(1, 4), skip=st.integers(0, 4))
+def test_window_read_is_the_bounded_read_after_the_skipped_rows(text, k, skip):
+    """read_csv(p, rows=k, skip=s) is rows [s, s + k) of read_csv(p, rows=s + k)
+    bit for bit when that succeeds, and names the row count when it holds
+    fewer; with nothing skipped, it fails as that read does."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_bytes(text.encode())
+        bounded = outcome(path, skip + k)
+        window = outcome(path, k, skip)
+        if isinstance(bounded, str):
+            assert skip or window == bounded
+            return
+        expected = read_csv(path, rows=skip + k).values[skip:]
+        if len(expected) == k:
+            assert window == (bounded[0], expected.shape, expected.tobytes())
+        else:
+            assert window == (f"window exceeds dataset: rows [{skip}, {skip + k}) requested "
+                              f"but only {bounded[1][0]} samples present")
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("cell", ["4", '"4"'])  # the bulk parse, or the csv reader
+def test_skipped_rows_are_not_decoded_or_parsed(tmp_path, ending, cell):
+    # A ragged, non-numeric or non-UTF-8 row before the window does not fail
+    # the read; the window's rows, blank lines passed over, are the result.
+    path = tmp_path / "data.csv"
+    rows = [b"a,b", b"1,2,3", b"", b"x,\xff", b" ", b"5,6", f"3,{cell}".encode(), b"7,8"]
+    path.write_bytes(ending.encode().join(rows) + ending.encode())
+    assert read_csv(path, rows=2, skip=2).values.tolist() == [[5.0, 6.0], [3.0, 4.0]]
+    assert read_csv(path, rows=1, skip=4).values.tolist() == [[7.0, 8.0]]
+    for rows, skip in ((2, 4), (1, 5), (1, 50)):
+        with pytest.raises(ValueError) as excinfo:
+            read_csv(path, rows=rows, skip=skip)
+        assert str(excinfo.value) == (f"window exceeds dataset: rows [{skip}, {skip + rows}) "
+                                      "requested but only 5 samples present")
+    with pytest.raises(ValueError, match=r":2: expected 2 fields, got 3$"):
+        read_csv(path, rows=2, skip=0)
+    with pytest.raises(ValueError, match=r":4: not UTF-8: .* position \d+: invalid start byte$"):
+        read_csv(path, rows=1, skip=1)
+
+
+def test_window_read_of_a_header_only_file(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("a,b\n\n")
+    for skip in (0, 3):
+        with pytest.raises(ValueError, match=": no data rows$"):
+            read_csv(path, rows=1, skip=skip)
+
+
 def test_bounded_read_skips_blank_lines_in_the_window(tmp_path):
     # Blank and whitespace-only lines among the first k lines are no rows,
     # for the bulk parse and, with a quote in the window, the row reader.
@@ -265,7 +316,7 @@ def test_bounded_read_does_not_see_a_later_quote(tmp_path):
     path = tmp_path / "data.csv"
     for tail, full_error in (('"5",6\n', None), ('"5,6\n', ":4: unclosed quote")):
         path.write_text("a,b\n1,2\n3,4\n" + tail)
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open("rb") as fh:
             data = _read_bulk(fh, 2)
         assert data is not None and data.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
         assert read_csv(path, rows=2).values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
@@ -283,12 +334,15 @@ def test_bounded_read_needs_a_row(tmp_path):
     for rows in (0, -1):
         with pytest.raises(ValueError, match=f"^rows must be at least 1, got {rows}$"):
             read_csv(path, rows=rows)
+    for rows, skip in ((None, 0), (1, -1)):
+        with pytest.raises(ValueError, match=f"^skip must be .* with rows, got {skip}$"):
+            read_csv(path, rows=rows, skip=skip)
 
 
 def test_bulk_parse_takes_well_formed_files(tmp_path):
     path = tmp_path / "data.csv"
     path.write_bytes(b'a,b\r\n1.5, 2\r\n\r\n3 ,-4e1\r\n')
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open("rb") as fh:
         data = _read_bulk(fh)
     assert data is not None and data.columns == ("a", "b")
     assert data.values.tobytes() == read_rows(path).values.tobytes()
@@ -296,7 +350,7 @@ def test_bulk_parse_takes_well_formed_files(tmp_path):
     # to the row-by-row reader.
     for text in (b'a,b\n1.5,"2"\n', b'"a",b\n1.5,2\n'):
         path.write_bytes(text)
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open("rb") as fh:
             assert _read_bulk(fh) is None
         assert read_csv(path).values.tolist() == [[1.5, 2.0]]
 

@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import json
 import logging
+import zipfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_data, random_model
+from conftest import random_data, random_model, read_members, write_members
 from oracles import (
     dense_contribution_rate,
     dense_contributions,
@@ -46,78 +48,133 @@ def make_model(P: np.ndarray) -> PcaModel:
     )
 
 
-#: Edits that make a saved 6-variable, 2-component model inconsistent or
-#: mistyped, and the error each must name.
+#: Edits of the members of a saved 6-variable, 2-component model that make
+#: it inconsistent, mistyped or unreadable, and the error each must name
+#: after the file name.
 CORRUPTIONS = {
-    "zero_std": (lambda m: m["std"].__setitem__(0, 0.0), "std must be positive"),
-    "nan_mean": (lambda m: m["mean"].__setitem__(0, float("nan")), "mean contains non-finite"),
-    "short_mean": (lambda m: m["mean"].pop(), r"mean has shape \(5,\)"),
+    "zero_std": (lambda m: m["std"].__setitem__(0, 0.0), r"\(std must be positive\)$"),
+    "nan_mean": (lambda m: m["mean"].__setitem__(0, np.nan), r"\(mean contains non-finite"),
+    "short_mean": (lambda m: m.update(mean=m["mean"][:5]), r"\(mean has shape \(5,\)"),
     "infinite_loading": (
-        lambda m: m["loadings_principal"][0].__setitem__(0, float("inf")),
-        "loadings_principal contains non-finite",
+        lambda m: m["loadings_principal"].__setitem__((0, 0), np.inf),
+        r"\(loadings_principal contains non-finite",
     ),
+    # A ragged matrix, or one with a row that is no array, is an object array.
     "ragged_row": (
-        lambda m: m["loadings_principal"][3].pop(),
-        r"\(loadings_principal\[3\] has length 1, not 2\)$",
+        lambda m: m.update(loadings_principal=np.array(
+            [list(row) for row in m["loadings_principal"][:3]] + [[0.5]]
+            + [list(row) for row in m["loadings_principal"][4:]], dtype=object)),
+        r": invalid model file: Object arrays cannot be loaded when allow_pickle=False$",
+    ),
+    "loading_row_not_array": (
+        lambda m: m.update(loadings_principal=np.array(
+            [list(row) for row in m["loadings_principal"][:2]] + [0.5]
+            + [list(row) for row in m["loadings_principal"][3:]], dtype=object)),
+        r": invalid model file: Object arrays cannot be loaded when allow_pickle=False$",
+    ),
+    "loadings_1d": (
+        lambda m: m.update(loadings_principal=m["loadings_principal"].ravel()),
+        r"\(loadings_principal must be a 2-D float64 array, got a 1-D float64 array\)$",
     ),
     "zero_columns": (
-        lambda m: m.update(loadings_principal=[[] for _ in range(6)]),
+        lambda m: m.update(loadings_principal=np.zeros((6, 0))),
         r"loadings_principal has shape \(6, 0\), expected \(6, 1\.\.6\)",
     ),
     "too_many_columns": (
-        lambda m: m.update(loadings_principal=[[0.1] * 7 for _ in range(6)]),
+        lambda m: m.update(loadings_principal=np.full((6, 7), 0.1)),
         r"loadings_principal has shape \(6, 7\), expected \(6, 1\.\.6\)",
     ),
     "r_pc_nan": (
-        lambda m: m.update(r_pc=float("nan")), r"r_pc must be a finite number in \(0, 1\]"
+        lambda m: m.update(r_pc=np.array(np.nan)), r"r_pc must be a finite number in \(0, 1\]"
     ),
-    "r_pc_above_one": (lambda m: m.update(r_pc=7.0), r"r_pc .* got 7\.0"),
-    "r_pc_string": (lambda m: m.update(r_pc="0.5"), r"r_pc .* got '0\.5'"),
+    "r_pc_above_one": (lambda m: m.update(r_pc=np.array(7.0)), r"r_pc .* got 7\.0\)$"),
+    "r_pc_string": (
+        lambda m: m.update(r_pc=np.array("0.5")),
+        r"\(r_pc must be a 0-D float64 array, got a 0-D <U3 array\)$",
+    ),
+    "r_pc_1d": (
+        lambda m: m.update(r_pc=m["r_pc"].reshape(1)),
+        r"\(r_pc must be a 0-D float64 array, got a 1-D float64 array\)$",
+    ),
     "r_pc_huge_int": (
-        lambda m: m.update(r_pc=10**400), r"r_pc must be a finite number in \(0, 1\], got 10+\)$"
+        lambda m: m.update(r_pc=np.array(10**400, dtype=object)),
+        r": invalid model file: Object arrays cannot be loaded when allow_pickle=False$",
     ),
     "retained_variance_zero": (
-        lambda m: m.update(retained_variance=0), r"retained_variance must .* \(0, 1\], got 0\)$"
+        lambda m: m.update(retained_variance=np.array(0.0)),
+        r"retained_variance must .* \(0, 1\], got 0\.0\)$",
     ),
     "retained_variance_above_one": (
-        lambda m: m.update(retained_variance=1.5), r"retained_variance .* got 1\.5\)$"
+        lambda m: m.update(retained_variance=np.array(1.5)), r"retained_variance .* got 1\.5\)$"
     ),
     "retained_variance_nan": (
-        lambda m: m.update(retained_variance=float("nan")), r"retained_variance .* got nan\)$"
+        lambda m: m.update(retained_variance=np.array(np.nan)),
+        r"retained_variance .* got nan\)$",
     ),
     "retained_variance_string": (
-        lambda m: m.update(retained_variance="0.5"), r"retained_variance .* got '0\.5'\)$"
+        lambda m: m.update(retained_variance=np.array("0.5")),
+        r"\(retained_variance must be a 0-D float64 array, got a 0-D <U3 array\)$",
     ),
-    # A stored n_pc is a field of earlier versions' files, which are refused.
-    "n_pc_fraction": (lambda m: m.update(n_pc=2.5), r"re-run `rootkgd fit`\)$"),
+    # A stored n_pc is a member of no model file: an extra member is refused.
+    "n_pc_fraction": (
+        lambda m: m.update(n_pc=np.array(2.5)),
+        r"\(members must be columns\.npy, .*, retained_variance\.npy, got columns\.npy, "
+        r".*, n_pc\.npy\)$",
+    ),
+    "missing_member": (
+        lambda m: m.pop("retained_variance"),
+        r"\(members must be .*, got columns\.npy, mean\.npy, std\.npy, "
+        r"loadings_principal\.npy, r_pc\.npy\)$",
+    ),
     "repeated_column": (
         lambda m: m["columns"].__setitem__(3, "v1"), r"\(duplicate column name 'v1'\)$"
     ),
     "numeric_column": (
-        lambda m: m["columns"].__setitem__(2, 3), r"\(columns\[2\] must be a string, got int\)$"
+        lambda m: m.update(columns=np.arange(6)),
+        r"\(columns must be a 1-D str_ array, got a 1-D int64 array\)$",
+    ),
+    "object_columns": (
+        lambda m: m.update(columns=m["columns"].astype(object)),
+        r": invalid model file: Object arrays cannot be loaded when allow_pickle=False$",
     ),
     "string_mean": (
-        lambda m: m["mean"].__setitem__(1, "1.5"), r"\(mean\[1\] must be a number, got str\)$"
+        lambda m: m.update(mean=m["mean"].astype(str)),
+        r"\(mean must be a 1-D float64 array, got a 1-D <U\d+ array\)$",
+    ),
+    "int_mean": (
+        lambda m: m.update(mean=m["mean"].astype(np.int64)),
+        r"\(mean must be a 1-D float64 array, got a 1-D int64 array\)$",
     ),
     "bool_std": (
-        lambda m: m["std"].__setitem__(0, True), r"\(std\[0\] must be a number, got bool\)$"
+        lambda m: m.update(std=m["std"].astype(bool)),
+        r"\(std must be a 1-D float64 array, got a 1-D bool array\)$",
     ),
     "string_loading": (
-        lambda m: m["loadings_principal"][4].__setitem__(1, "0.5"),
-        r"\(loadings_principal\[4\]\[1\] must be a number, got str\)$",
-    ),
-    "loading_row_not_array": (
-        lambda m: m["loadings_principal"].__setitem__(2, 0.5),
-        r"\(loadings_principal\[2\] must be an array, got float\)$",
+        lambda m: m.update(loadings_principal=m["loadings_principal"].astype(str)),
+        r"\(loadings_principal must be a 2-D float64 array, got a 2-D <U\d+ array\)$",
     ),
     "huge_int_mean": (
-        lambda m: m["mean"].__setitem__(2, 10**400),
-        r"\(mean\[2\] is an integer beyond the float range\)$",
+        lambda m: m.update(mean=np.array([10**400] * 6, dtype=object)),
+        r": invalid model file: Object arrays cannot be loaded when allow_pickle=False$",
     ),
     "huge_int_loading": (
-        lambda m: m["loadings_principal"][5].__setitem__(0, -(10**400)),
-        r"\(loadings_principal\[5\]\[0\] is an integer beyond the float range\)$",
+        lambda m: m.update(loadings_principal=m["loadings_principal"].astype(object)),
+        r": invalid model file: Object arrays cannot be loaded when allow_pickle=False$",
     ),
+}
+
+#: Damage to the bytes of a saved model file, and the error each must name
+#: after the file name.
+DAMAGE = {
+    "truncated": (
+        lambda raw: raw[: len(raw) // 2], ": invalid model file: File is not a zip file"
+    ),
+    "empty": (lambda raw: b"", ": invalid model file: File is not a zip file"),
+    "bad_crc": (
+        lambda raw: raw.replace(b"'descr': '<f8'", b"'descr': '>f8'", 1),
+        r": invalid model file: Bad CRC-32 for file 'mean\.npy'",
+    ),
+    "not_a_zip": (lambda raw: b"not json", ": invalid model file: File is not a zip file"),
 }
 
 
@@ -255,8 +312,8 @@ class TestFitPca:
             base = rng.normal(size=(50, 3))
             values = np.column_stack([base, base @ rng.normal(size=(3, 2))])
             model = fit_pca(DataMatrix(values, tuple("abcde")), 1.0)
-            save_model(model, tmp_path / "model.json")
-            shares.append(load_model(tmp_path / "model.json").retained_variance)
+            save_model(model, tmp_path / "model.npz")
+            shares.append(load_model(tmp_path / "model.npz").retained_variance)
         assert shares == [1.0] * 5
 
     def test_fit_deterministic_bytes(self, tmp_path):
@@ -494,13 +551,21 @@ class TestModelPersistence:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(40)
         model = random_model(rng, n=6)
-        path = tmp_path / "model.json"
+        path = tmp_path / "model.json"  # the file is a zip whatever its name
         save_model(model, path)
-        payload = json.loads(path.read_text())
-        assert sorted(payload) == sorted(KEYS)
-        assert payload["loadings_principal"] == model.loadings_principal.tolist()
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+        with zipfile.ZipFile(path) as archive:
+            infos = archive.infolist()
+        assert [info.filename for info in infos] == [f"{key}.npy" for key in KEYS]
+        assert {(info.date_time, info.compress_type) for info in infos} == {
+            ((1980, 1, 1, 0, 0, 0), zipfile.ZIP_STORED)
+        }
+        members = read_members(path)
+        assert members["columns"].dtype == np.dtype("<U2")
+        assert [members[key].shape for key in KEYS[1:]] == [(6,), (6,), (6, model.n_pc), (), ()]
         again = load_model(path)
         assert again.columns == model.columns
+        assert all(type(name) is str for name in again.columns)
         for name in ("mean", "std", "loadings_principal"):
             assert getattr(again, name).tobytes() == getattr(model, name).tobytes()
         assert (again.r_pc, again.retained_variance) == (model.r_pc, model.retained_variance)
@@ -510,39 +575,63 @@ class TestModelPersistence:
     @pytest.mark.parametrize("case", list(CORRUPTIONS))
     def test_inconsistent_model_rejected(self, tmp_path, case):
         edit, message = CORRUPTIONS[case]
-        path = tmp_path / "model.json"
+        path = tmp_path / "model.npz"
         save_model(random_model(np.random.default_rng(42), n=6), path)
-        payload = json.loads(path.read_text())
-        edit(payload)
-        path.write_text(json.dumps(payload))
+        members = read_members(path)
+        edit(members)
+        write_members(path, members)
         with pytest.raises(ValueError, match=message) as excinfo:
             load_model(path)
-        assert str(excinfo.value).startswith(f"{path}: malformed model file")
+        assert str(excinfo.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("case", list(DAMAGE))
+    def test_damaged_file_is_named_error(self, tmp_path, case):
+        damage, message = DAMAGE[case]
+        path = tmp_path / "model.npz"
+        save_model(random_model(np.random.default_rng(43), n=6), path)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ValueError, match=message) as excinfo:
+            load_model(path)
+        assert str(excinfo.value).startswith(f"{path}: ")
+
+    def test_column_name_ending_in_nul_is_refused_on_save(self, tmp_path):
+        # A .npy string array drops trailing NULs, so "v1\0" would load as "v1".
+        model = random_model(np.random.default_rng(44), n=3)
+        for columns in (("v1\0", "v2", "v3"), ("v1", "v2", "\0")):
+            path = tmp_path / "model.npz"
+            with pytest.raises(ValueError, match="column names ending in NUL cannot be saved"):
+                save_model(replace(model, columns=columns), path)
+            assert not path.exists()
+        inner = replace(model, columns=("v\x001", "v2", "v3"))  # an inner NUL is kept
+        save_model(inner, tmp_path / "inner.npz")
+        assert load_model(tmp_path / "inner.npz").columns == inner.columns
 
     def test_earlier_version_file_is_named_error(self, tmp_path):
-        # Earlier versions stored the eigenvalues, n_pc and the loadings as
-        # {rows, cols, data}, some also the residual loadings: such a file
-        # must be refitted, and the error says so.
+        # Earlier versions wrote JSON: the fields as keys, some with the
+        # eigenvalues, n_pc and the loadings as {rows, cols, data}. Such a
+        # file must be refitted, and the error says so.
         model = random_model(np.random.default_rng(41), n=5)
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        payload = json.loads(path.read_text())
-        del payload["retained_variance"]
-        payload.update(
-            eig_principal=[2.0] * model.n_pc,
-            eig_residual=[0.5] * (5 - model.n_pc),
-            loadings_principal={
+        last = {
+            "columns": list(model.columns), "mean": model.mean.tolist(),
+            "std": model.std.tolist(), "loadings_principal": model.loadings_principal.tolist(),
+            "r_pc": model.r_pc, "retained_variance": model.retained_variance,
+        }
+        earlier = {
+            **last,
+            "eig_principal": [2.0] * model.n_pc,
+            "loadings_principal": {
                 "rows": 5, "cols": model.n_pc, "data": model.loadings_principal.ravel().tolist()
             },
-            n_pc=model.n_pc,
-        )
-        for extra in ({}, {"loadings_residual": {"rows": 5, "cols": 0, "data": []}}):
-            path.write_text(json.dumps({**payload, **extra}))
+            "n_pc": model.n_pc,
+        }
+        path = tmp_path / "model.json"
+        for payload in (last, earlier, {}):
+            path.write_text(json.dumps(payload))
             with pytest.raises(ValueError) as excinfo:
                 load_model(path)
             assert str(excinfo.value) == (
-                f"{path}: malformed model file (keys must be {', '.join(KEYS)}; a model "
-                "written by an earlier version must be refitted: re-run `rootkgd fit`)"
+                f"{path}: malformed model file (a JSON model was written by an earlier "
+                "version and must be refitted: re-run `rootkgd fit`)"
             )
 
     def test_malformed_model_file(self, tmp_path):
@@ -550,9 +639,10 @@ class TestModelPersistence:
         path.write_text("{}")
         with pytest.raises(ValueError, match="malformed"):
             load_model(path)
-        path.write_text("not json")
-        with pytest.raises(ValueError, match="invalid"):
-            load_model(path)
+        for text in ("not json", '{"a": 1'):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="invalid"):
+                load_model(path)
 
 
 class TestContributionVector:
