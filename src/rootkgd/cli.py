@@ -164,8 +164,8 @@ def validate_kg(graph_file):
 @main.command()
 @click.option("--out", "out_dir", type=click.Path(), default="plant", show_default=True,
               help="Output directory.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--devices", type=int, default=3, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
+@click.option("--devices", type=click.IntRange(min=1), default=3, show_default=True)
 @handle_errors
 def synth(out_dir, seed, devices):
     """Generate a synthetic plant: graph, normal/fault data, truth manifest.

@@ -127,11 +127,6 @@ class PcaModel:
     def n_pc(self) -> int:
         return self.loadings_principal.shape[1]
 
-    def standardize_matrix(self, data: DataMatrix) -> np.ndarray:
-        if data.columns != self.columns:
-            raise ValueError("data columns do not match the model's training columns")
-        return np.asfortranarray((data.values - self.mean) / self.std)
-
 
 @dataclass(frozen=True)
 class ContributionVector:
@@ -237,31 +232,33 @@ def rbc_spe(model: PcaModel, data: DataMatrix) -> np.ndarray:
     The score of variable i is the SPE's drop when the sample is optimally
     corrected along coordinate axis i. Variables whose reconstruction
     denominator is near zero score 0, with a warning. Data whose columns
-    differ from the model's raise ``ValueError``.
+    differ from the model's raise ``ValueError``; ``data`` is not written.
     """
-    # The residuals Z (I - P Pᵀ) and diag(I - P Pᵀ), in O(n * n_pc) per
-    # sample, with no n x n matrix formed.
-    Z = model.standardize_matrix(data)
+    if data.columns != model.columns:
+        raise ValueError("data columns do not match the model's training columns")
     P = model.loadings_principal
-    mapped, diag = Z - (Z @ P) @ P.T, 1.0 - (P * P).sum(axis=1)
+    diag = 1.0 - (P * P).sum(axis=1)
     usable = diag > RESIDUAL_DIAG_FLOOR
     if not usable.all():
-        flagged = [model.columns[i] for i in np.flatnonzero(~usable)]
-        logger.warning(
-            "variables with near-zero reconstruction denominator scored as 0: %s", flagged
-        )
-    # Fortran-ordered, as Z always is: the row sums' rounding depends on the layout.
-    raw = np.zeros_like(Z)
-    raw[:, usable] = mapped[:, usable] ** 2 / diag[usable]
-    return raw
+        logger.warning("variables with near-zero reconstruction denominator scored as 0: %s",
+                       [model.columns[i] for i in np.flatnonzero(~usable)])
+    # One Fortran-ordered array (the row sums' rounding depends on the layout) holds the
+    # standardized window, its residuals and the contributions, each step in place.
+    Z = np.subtract(data.values, model.mean, out=np.empty(data.values.shape, order="F"))
+    Z /= model.std
+    Z -= (Z @ P) @ P.T  # Z (I - P Pᵀ), with no n x n matrix formed
+    Z[:, ~usable], diag[~usable] = 0.0, 1.0  # zeroed before squaring: no overflow
+    Z **= 2
+    Z /= diag
+    return Z
 
 
 def contribution_rate(model: PcaModel, fault_window: DataMatrix) -> ContributionVector:
     """Average contribution over a fault window, normalized to sum 1.
 
-    Each sample's raw contributions are normalized before averaging, so no
-    single large-error sample dominates. Rows whose contributions are
-    identically zero are skipped; the first row that overflows is a ``ValueError``.
+    Each sample's raw contributions are normalized before averaging, so no single
+    large-error sample dominates. Rows whose contributions are identically zero are
+    skipped; the first row that overflows is a ``ValueError``. The window is not written.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         raw = rbc_spe(model, fault_window)
@@ -274,7 +271,9 @@ def contribution_rate(model: PcaModel, fault_window: DataMatrix) -> Contribution
     if not live.any():
         raise ValueError("every sample in the window has zero contribution")
 
-    mean = (raw[live] / row_sums[live, None]).mean(axis=0)
+    rates = raw[live]  # a C-ordered copy: the mean's rounding depends on the layout
+    rates /= row_sums[live, None]
+    mean = rates.mean(axis=0)
     return ContributionVector(mean / mean.sum(), model.columns)
 
 

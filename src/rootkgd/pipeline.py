@@ -60,8 +60,9 @@ def run_diagnose(config: DiagnosisConfig) -> RootCauseRanking:
     missing = [c for c in model.columns if c not in present]
     if missing:
         raise ValueError(f"fault dataset is missing model columns: {missing}")
+    window = fault if fault.columns == model.columns else fault.select(model.columns)
     try:
-        rate = features.contribution_rate(model, fault.select(model.columns))
+        rate = features.contribution_rate(model, window)
     except ValueError as exc:
         raise ValueError(f"{config.fault_data_path}: {exc}") from None
     contributions = rate.restrict(bound).relabel(graph.variable_of)

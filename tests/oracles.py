@@ -2,7 +2,9 @@
 
 These deliberately avoid the code paths they check: the eigensolver is a
 hand-rolled cyclic Jacobi iteration (not numpy.linalg), and the reconstruction
-minimizer is a plain golden-section search.
+minimizer is a plain golden-section search. The ``copying_*`` functions keep
+the out-of-place form of the contribution path, one new array per step, as the
+bit-exact reference for its in-place form.
 """
 
 from __future__ import annotations
@@ -93,6 +95,44 @@ def dense_contribution_rate(model, rows: np.ndarray):
     live = row_sums > 0
     if not live.any():
         return None
+    mean = (raw[live] / row_sums[live, None]).mean(axis=0)
+    return mean / mean.sum()
+
+
+def copying_standardize(model, data) -> np.ndarray:
+    """The window ``data`` z-scored by the model's mean and std, as a new
+    Fortran-ordered array."""
+    if data.columns != model.columns:
+        raise ValueError("data columns do not match the model's training columns")
+    return np.asfortranarray((data.values - model.mean) / model.std)
+
+
+def copying_rbc_spe(model, data) -> np.ndarray:
+    """Raw SPE reconstruction contributions of each window row, every step
+    into a new array, and 0 where the residual diagonal is at or below the
+    floor (logging nothing)."""
+    Z = copying_standardize(model, data)
+    P = model.loadings_principal
+    mapped, diag = Z - (Z @ P) @ P.T, 1.0 - (P * P).sum(axis=1)
+    usable = diag > RESIDUAL_DIAG_FLOOR
+    raw = np.zeros_like(Z)
+    raw[:, usable] = mapped[:, usable] ** 2 / diag[usable]
+    return raw
+
+
+def copying_contribution_rate(model, window) -> np.ndarray:
+    """The windowed contribution rate's scores from ``copying_rbc_spe``, each
+    live row normalized before averaging; raises the same ``ValueError`` as
+    ``contribution_rate`` on an overflowing or all-zero window."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = copying_rbc_spe(model, window)
+        row_sums = raw.sum(axis=1)
+    overflow = np.flatnonzero(~np.isfinite(row_sums))
+    if overflow.size:
+        raise ValueError(f"contributions of window row {overflow[0]} are not finite")
+    live = row_sums > 0
+    if not live.any():
+        raise ValueError("every sample in the window has zero contribution")
     mean = (raw[live] / row_sums[live, None]).mean(axis=0)
     return mean / mean.sum()
 

@@ -121,6 +121,17 @@ class TestSynthCommand:
         assert "No such option" in result.output and flag in result.output
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "flag, value, rule",
+        [("--devices", "0", "x>=1"), ("--devices", "-3", "x>=1"), ("--seed", "-1", "x>=0")],
+    )
+    def test_out_of_range_value_is_usage_error(self, flag, value, rule, tmp_path, runner):
+        out = tmp_path / "plant"
+        result = runner.invoke(main, ["synth", "--out", str(out), flag, value])
+        assert result.exit_code == 2
+        assert f"Invalid value for '{flag}': {value} is not in the range {rule}" in result.output
+        assert not out.exists()
+
     def test_generated_graph_passes_validation(self, plant_dir, runner):
         result = runner.invoke(main, ["validate-kg", str(plant_dir["dir"] / "graph.json")])
         assert result.exit_code == 0

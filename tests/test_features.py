@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import logging
+import re
+import tracemalloc
 import zipfile
 from dataclasses import replace
 
@@ -12,6 +14,8 @@ from hypothesis import strategies as st
 
 from conftest import random_data, random_model, read_members, write_members
 from oracles import (
+    copying_contribution_rate,
+    copying_rbc_spe,
     dense_contribution_rate,
     dense_contributions,
     dense_projectors,
@@ -20,6 +24,7 @@ from oracles import (
     residual_projector,
 )
 from rootkgd.features import (
+    RESIDUAL_DIAG_FLOOR,
     ContributionVector,
     DataMatrix,
     PcaModel,
@@ -444,6 +449,118 @@ class TestDenseReference:
             rate = contribution_rate(model, window)
             worst = max(worst, np.abs(rate.scores - reference).max())
         assert worst <= 1e-12
+
+
+def floored_model(rng: np.random.Generator, n: int, n_pc: int) -> PcaModel:
+    """Model with random mean, std and orthonormal loadings whose span holds a
+    random coordinate axis but for a 1e-13 share, so that column's residual
+    diagonal is at or below the floor while its residuals are not zero."""
+    j = int(rng.integers(n))
+    basis = rng.normal(size=(n, n_pc))
+    basis[j] = 0.0
+    Q = np.linalg.qr(basis)[0]
+    tilt = np.arcsin(np.sqrt(1e-13))
+    P = np.column_stack([np.cos(tilt) * np.eye(n)[j] + np.sin(tilt) * Q[:, 0], Q[:, 1:]])
+    return PcaModel(tuple(f"v{i + 1}" for i in range(n)), rng.normal(size=n),
+                    rng.uniform(0.5, 2.0, size=n), P, 0.5, 0.5)
+
+
+class TestInPlaceContributions:
+    """``rbc_spe`` and ``contribution_rate`` give, bit for bit, what the
+    out-of-place reference gives, and ``rbc_spe`` returns a Fortran-ordered
+    array."""
+
+    @staticmethod
+    def assert_matches(model: PcaModel, window: DataMatrix) -> None:
+        raw = rbc_spe(model, window)
+        assert raw.flags.f_contiguous
+        assert raw.tobytes() == copying_rbc_spe(model, window).tobytes()
+        try:
+            reference = copying_contribution_rate(model, window)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                contribution_rate(model, window)
+        else:
+            assert contribution_rate(model, window).scores.tobytes() == reference.tobytes()
+
+    @staticmethod
+    def window(rng: np.random.Generator, model: PcaModel, rows: int) -> np.ndarray:
+        return model.mean + model.std * rng.normal(size=(rows, model.n_variables)) * 3
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_layouts_and_sizes(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        model = random_model(rng, n=int(rng.integers(3, 40)))
+        values = self.window(rng, model, int(rng.integers(2, 60)))
+        for rows in (values, np.asfortranarray(values), values[::2], values[:1]):
+            self.assert_matches(model, DataMatrix(rows, model.columns))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_floored_column_warns_once(self, seed, caplog):
+        rng = np.random.default_rng(200 + seed)
+        model = floored_model(rng, n=int(rng.integers(3, 30)), n_pc=2)
+        diag = 1.0 - (model.loadings_principal**2).sum(axis=1)
+        floored = np.flatnonzero(diag <= RESIDUAL_DIAG_FLOOR)
+        assert floored.size == 1
+        window = DataMatrix(self.window(rng, model, 20), model.columns)
+        Z, P = (window.values - model.mean) / model.std, model.loadings_principal
+        assert ((Z - Z @ P @ P.T)[:, floored] != 0.0).all()  # zeroed, not zero
+        with caplog.at_level(logging.WARNING, logger="rootkgd.features"):
+            raw = rbc_spe(model, window)
+        assert len(caplog.records) == 1
+        assert model.columns[floored[0]] in caplog.records[0].getMessage()
+        assert (raw[:, floored] == 0.0).all()
+        self.assert_matches(model, window)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mean_row_is_not_live(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        model = random_model(rng, n=int(rng.integers(3, 30)))
+        values = self.window(rng, model, 10)
+        values[int(rng.integers(10))] = model.mean
+        window = DataMatrix(values, model.columns)
+        assert (rbc_spe(model, window).sum(axis=1) == 0.0).sum() == 1
+        self.assert_matches(model, window)
+        self.assert_matches(model, DataMatrix(model.mean[None, :], model.columns))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_columns_reordered_through_select(self, seed):
+        rng = np.random.default_rng(400 + seed)
+        model = random_model(rng, n=int(rng.integers(3, 30)))
+        perm = rng.permutation(model.n_variables)
+        values = self.window(rng, model, 25)[:, perm]
+        shuffled = DataMatrix(values, tuple(model.columns[i] for i in perm))
+        self.assert_matches(model, shuffled.select(model.columns))
+
+    def test_overflowing_row_is_the_same_error(self):
+        rng = np.random.default_rng(500)
+        model = random_model(rng, n=8)
+        values = self.window(rng, model, 5)
+        values[3, 2] = 1e308
+        # Squaring overflows in rbc_spe as in the reference; contribution_rate
+        # ignores it and names the row.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.assert_matches(model, DataMatrix(values, model.columns))
+        with pytest.raises(ValueError, match="^contributions of window row 3 are not finite$"):
+            contribution_rate(model, DataMatrix(values, model.columns))
+
+    def test_peak_memory_and_window_unchanged(self):
+        # Besides the window, contributions hold one standardized/residual
+        # array and one product array at a time; the copying form held five.
+        rng = np.random.default_rng(600)
+        model = random_subspace_model(rng, n=200, n_res=150)
+        window = DataMatrix(self.window(rng, model, 400), model.columns)
+        before = window.values.copy()
+        contribution_rate(model, window)  # first-call allocations are not counted
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            contribution_rate(model, window)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * window.values.nbytes
+        assert window.values.tobytes() == before.tobytes()
 
 
 class TestContributionRate:
