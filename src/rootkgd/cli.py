@@ -18,7 +18,6 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import synth as synthmod
 from .config import ConfigError, DiagnosisConfig, load_config
 from .dataio import write_csv
 from .kgraph import GraphError, GraphParseError, GraphValidationError, load_graph, save_graph
@@ -124,8 +123,10 @@ def diagnose(config_path, graph_path, model_path, data_path, fault_start, window
     ranking = run_diagnose(config)
     click.echo(format_report(ranking, top_k=config.top_k), nl=False)
     if json_path:
-        report = json.dumps(report_dict(ranking), indent=2) + "\n"
-        Path(json_path).write_text(report, encoding="utf-8")
+        report = report_dict(ranking)
+        with open(json_path, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=2)  # streamed: no whole-report string
+            fh.write("\n")
         click.echo(f"report written to {json_path}")
 
 
@@ -173,6 +174,8 @@ def synth(out_dir, seed, devices):
     The episode is fixed: 2,000 normal rows, and 400 fault rows with a
     10-sigma step on a seeded random variable over rows 100-199.
     """
+    from . import synth as synthmod  # only this command simulates: others skip the import
+
     graph, model = synthmod.generate_plant(synthmod.PlantSpec(n_devices=devices, seed=seed))
     root_id = model.columns[int(np.random.default_rng(seed).integers(len(model.columns)))]
     injection = synthmod.FaultInjection(root=root_id, start=100)

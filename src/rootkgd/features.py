@@ -176,7 +176,7 @@ def fit_pca(normal_data: DataMatrix, r_pc: float) -> PcaModel:
     The data is z-scored by its own mean and (sample) standard deviation;
     constant columns are rejected. Loading signs are fixed so the
     largest-magnitude entry of each column is positive, making repeated fits
-    byte-identical.
+    byte-identical. ``normal_data`` is not written.
     """
     r_pc = check_share("r_pc", r_pc)
     X = normal_data.values
@@ -193,8 +193,12 @@ def fit_pca(normal_data: DataMatrix, r_pc: float) -> PcaModel:
         names = [normal_data.columns[i] for i in constant]
         raise ValueError(f"constant columns cannot be standardized: {names}")
 
-    Z = (X - mean) / std
-    cov = Z.T @ Z / (m - 1)
+    # One buffer the fit owns, in X's layout (the products' rounding depends on it).
+    Z = np.subtract(X, mean, out=np.empty_like(X))
+    Z /= std
+    cov = Z.T @ Z
+    del Z  # the eigensolver's work arrays need the room
+    cov /= m - 1
     evals, evecs = np.linalg.eigh(cov)
     evals = evals[::-1]
     evecs = evecs[:, ::-1]

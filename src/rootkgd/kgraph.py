@@ -52,7 +52,7 @@ class EntityKind(str, Enum):
 PHYSICAL_KINDS = (EntityKind.DEVICE, EntityKind.STREAM, EntityKind.SUBSTANCE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Entity:
     """A graph node: a device, stream, substance, or measured variable.
 
@@ -66,7 +66,7 @@ class Entity:
     column: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelationType:
     """An edge type with its attenuation distance and propagation-order offset."""
 
@@ -75,7 +75,7 @@ class RelationType:
     priority_offset: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triple:
     """A directed edge (head --relation--> tail) between declared entities."""
 
@@ -202,6 +202,11 @@ def graph_from_dict(payload: Any) -> KnowledgeGraph:
     Raises GraphParseError for structural problems and GraphValidationError,
     as a direct build does, for every other one: field types are ``_check``'s.
     """
+    return KnowledgeGraph(*_parse_parts(payload))
+
+
+def _parse_parts(payload: Any) -> tuple[list[Entity], list[RelationType], list[Triple]]:
+    """A graph document's entities, relations and triples, structure checked."""
     if not isinstance(payload, dict):
         raise GraphParseError("graph document must be a JSON object")
     for key in ("entities", "relations", "triples"):
@@ -213,17 +218,21 @@ def graph_from_dict(payload: Any) -> KnowledgeGraph:
     entities = [_parse_entity(raw, i) for i, raw in enumerate(payload["entities"])]
     relations = [_parse_relation(raw, i) for i, raw in enumerate(payload["relations"])]
     triples = [_parse_triple(raw, i) for i, raw in enumerate(payload["triples"])]
-
-    return KnowledgeGraph(entities, relations, triples)
+    return entities, relations, triples
 
 
 def load_graph(path: str | Path) -> KnowledgeGraph:
-    """Load, parse, and validate a graph file (see graph_from_dict)."""
+    """Load, parse, and validate a graph file (see graph_from_dict).
+
+    The parsed document is released before the graph builds its indexes.
+    """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # JSON and UTF-8 errors are ValueErrors
         raise GraphParseError(f"{path}: invalid JSON: {exc}") from exc
-    return graph_from_dict(payload)
+    parts = _parse_parts(payload)
+    del payload
+    return KnowledgeGraph(*parts)
 
 
 def serialize(graph: KnowledgeGraph) -> dict[str, Any]:

@@ -43,28 +43,25 @@ def run_fit(config: DiagnosisConfig) -> PcaModel:
 
 
 def run_diagnose(config: DiagnosisConfig) -> RootCauseRanking:
-    """The full pipeline: contributions on the fault window, then ranking."""
+    """The full pipeline: contributions on the fault window, then ranking.
+
+    The window stage runs first and its arrays are released before the graph
+    is loaded, so a cold run holds the larger of the two stages, not both.
+    A bad model or window is so reported before a bad graph or binding.
+    """
     if not config.graph_path:
         raise ConfigError("graph_path is required for diagnosis")
     if not config.model_path:
         raise ConfigError("model_path is required for diagnosis")
     if not config.fault_data_path:
         raise ConfigError("fault_data_path is required for diagnosis")
-    graph = load_graph(config.graph_path)
     if not Path(config.model_path).exists():
         raise ConfigError(f"model file not found: {config.model_path}")
     model = features.load_model(config.model_path)
+    rate = _window_rate(config, model)
+
+    graph = load_graph(config.graph_path)
     bound = bound_columns(model.columns, graph, "model")
-    fault = dataio.read_csv(config.fault_data_path, rows=config.window, skip=config.fault_start)
-    present = set(fault.columns)
-    missing = [c for c in model.columns if c not in present]
-    if missing:
-        raise ValueError(f"fault dataset is missing model columns: {missing}")
-    window = fault if fault.columns == model.columns else fault.select(model.columns)
-    try:
-        rate = features.contribution_rate(model, window)
-    except ValueError as exc:
-        raise ValueError(f"{config.fault_data_path}: {exc}") from None
     contributions = rate.restrict(bound).relabel(graph.variable_of)
 
     params = config.rfpa_params()
@@ -79,6 +76,21 @@ def run_diagnose(config: DiagnosisConfig) -> RootCauseRanking:
         },
     }
     return scoring.rank_all(graph, params, contributions, metadata=metadata)
+
+
+def _window_rate(config: DiagnosisConfig, model: PcaModel) -> features.ContributionVector:
+    """The contribution rate of the configured fault window; the window's
+    arrays are gone when this returns."""
+    fault = dataio.read_csv(config.fault_data_path, rows=config.window, skip=config.fault_start)
+    present = set(fault.columns)
+    missing = [c for c in model.columns if c not in present]
+    if missing:
+        raise ValueError(f"fault dataset is missing model columns: {missing}")
+    window = fault if fault.columns == model.columns else fault.select(model.columns)
+    try:
+        return features.contribution_rate(model, window)
+    except ValueError as exc:
+        raise ValueError(f"{config.fault_data_path}: {exc}") from None
 
 
 def run_trace(config: DiagnosisConfig, source: str) -> str:

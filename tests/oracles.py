@@ -3,8 +3,9 @@
 These deliberately avoid the code paths they check: the eigensolver is a
 hand-rolled cyclic Jacobi iteration (not numpy.linalg), and the reconstruction
 minimizer is a plain golden-section search. The ``copying_*`` functions keep
-the out-of-place form of the contribution path, one new array per step, as the
-bit-exact reference for its in-place form.
+the out-of-place form of the fit's standardization and of the contribution
+path, one new array per step, as the bit-exact reference for their in-place
+forms.
 """
 
 from __future__ import annotations
@@ -97,6 +98,17 @@ def dense_contribution_rate(model, rows: np.ndarray):
         return None
     mean = (raw[live] / row_sums[live, None]).mean(axis=0)
     return mean / mean.sum()
+
+
+def copying_fit_loadings(values: np.ndarray) -> np.ndarray:
+    """The sign-fixed eigenvectors, by descending eigenvalue, of the covariance
+    of ``values`` z-scored by their own mean and sample std, each step into a
+    new array: ``fit_pca``'s principal loadings are their first columns."""
+    Z = (values - values.mean(axis=0)) / values.std(axis=0, ddof=1)
+    _, evecs = np.linalg.eigh(Z.T @ Z / (len(values) - 1))
+    evecs = evecs[:, ::-1]
+    flip = evecs[np.argmax(np.abs(evecs), axis=0), np.arange(evecs.shape[1])] < 0
+    return np.where(flip, -evecs, evecs)
 
 
 def copying_standardize(model, data) -> np.ndarray:

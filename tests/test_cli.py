@@ -6,6 +6,7 @@ import logging
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from importlib.resources import files
 from pathlib import Path
@@ -15,12 +16,14 @@ import pytest
 from click.testing import CliRunner
 
 import rootkgd
+from rootkgd import pipeline
 from rootkgd.cli import main
 from rootkgd.config import DiagnosisConfig
 from rootkgd.dataio import read_csv, write_csv
 from rootkgd.features import DataMatrix, load_model
 from rootkgd.kgraph import load_graph
 from rootkgd.pipeline import bound_columns, run_diagnose, run_fit
+from rootkgd.scoring import report_dict
 
 from conftest import read_members, write_members
 
@@ -386,15 +389,20 @@ class TestDiagnoseCommand:
         )
         assert result.exit_code == 0, result.output
         args = diagnose_args(plant_dir, model)
-        # The check precedes the fault CSV read, so a missing file is not reached.
-        for fault in (tmp_path / "fault.csv", tmp_path / "absent.csv"):
-            args[args.index("--data") + 1] = str(fault)
-            result = runner.invoke(main, args)
-            assert result.exit_code == 2
-            assert result.stdout == ""
-            assert result.stderr.endswith(
-                "error: no model columns are bound to graph variables\n"
-            )
+        args[args.index("--data") + 1] = str(tmp_path / "fault.csv")
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.endswith("error: no model columns are bound to graph variables\n")
+        # The window is read before the graph is bound, so a missing fault
+        # file is the error reported.
+        absent = tmp_path / "absent.csv"
+        args[args.index("--data") + 1] = str(absent)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert str(absent) in result.stderr
+        assert "bound to graph variables" not in result.stderr
 
     def test_inconsistent_model_is_named_error(self, plant_dir, model_path, tmp_path, runner):
         members = read_members(model_path)
@@ -436,6 +444,37 @@ class TestDiagnoseCommand:
         assert result.stdout == ""
         assert f"error: {bad}: malformed model file" in result.stderr
         assert "r_pc must be a finite number in (0, 1], got nan" in result.stderr
+        assert not report.exists()
+
+    def test_json_report_is_the_dumped_report_dict(self, plant_dir, model_path, tmp_path,
+                                                   runner):
+        # The report is streamed to its file; the bytes are those of the
+        # whole-report string.
+        report = tmp_path / "report.json"
+        result = runner.invoke(main, diagnose_args(plant_dir, model_path, "--json", str(report)))
+        assert result.exit_code == 0, result.output
+        assert result.stdout.endswith(f"report written to {report}\n")
+        config = DiagnosisConfig(
+            graph_path=str(plant_dir["dir"] / "graph.json"),
+            model_path=str(model_path),
+            fault_data_path=str(plant_dir["dir"] / "fault.csv"),
+            fault_start=100,
+            window=100,
+        )
+        expected = json.dumps(report_dict(run_diagnose(config)), indent=2) + "\n"
+        assert report.read_bytes() == expected.encode("utf-8")
+
+    def test_failed_diagnose_writes_no_report(self, plant_dir, model_path, tmp_path, runner):
+        # The graph is the last input read: its failure still leaves no report.
+        report = tmp_path / "report.json"
+        absent = tmp_path / "absent.kg.json"
+        args = diagnose_args(plant_dir, model_path, "--json", str(report))
+        args[args.index("--graph") + 1] = str(absent)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # handled: no traceback
+        assert result.stdout == ""
+        assert str(absent) in result.stderr
         assert not report.exists()
 
     def test_model_path_is_required(self, plant_dir, tmp_path, runner):
@@ -797,6 +836,46 @@ class TestPipelineRoster:
             fault_start=100,
             window=100,
         )
+
+    def test_graph_loads_after_the_window_is_released(self, tmp_path, monkeypatch):
+        # The window stage runs first and its arrays are gone before the graph
+        # is loaded: when load_graph is entered the window has been read, and
+        # less than half a window's bytes are still allocated.
+        graph_path = str(files("rootkgd") / "fixtures" / "tep.kg.json")
+        columns = tuple(load_graph(graph_path).variable_of)
+        rng = np.random.default_rng(11)
+        fault = rng.normal(size=(400, len(columns)))
+        fault[100:, 3] += 10.0
+        write_csv(DataMatrix(rng.normal(size=(500, len(columns))), columns),
+                  tmp_path / "normal.csv")
+        write_csv(DataMatrix(fault, columns), tmp_path / "fault.csv")
+        config = DiagnosisConfig(
+            graph_path=graph_path,
+            model_path=str(tmp_path / "model.npz"),
+            normal_data_path=str(tmp_path / "normal.csv"),
+            fault_data_path=str(tmp_path / "fault.csv"),
+            fault_start=100,
+            window=300,
+        )
+        run_fit(config)
+        window_bytes = config.window * len(columns) * 8
+        load, entries = pipeline.load_graph, []
+
+        def measured_load(path):
+            entries.append(tracemalloc.get_traced_memory())
+            return load(path)
+
+        monkeypatch.setattr(pipeline, "load_graph", measured_load)
+        run_diagnose(config)  # first-call allocations are not counted
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_diagnose(config)
+        finally:
+            tracemalloc.stop()
+        current, peak = entries[-1]
+        assert peak - base >= window_bytes
+        assert current - base < window_bytes / 2
 
     def test_graph_variable_absent_from_dataset_is_excluded(self, plant_dir, tmp_path):
         # Drop one column from both datasets; the diagnosis roster shrinks

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import importlib.util
+import os
 import re
 import shlex
+import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -19,11 +21,27 @@ README = ROOT / "README.md"
 
 
 def test_package_exports_resolve():
-    """Every name the package exports exists on it, and the removed per-sample
-    SPE, out-edge accessor and graph report wrapper are not exported."""
+    """The package exports exactly the names README's "Library use" block
+    imports from it, each of which exists, and the removed per-sample SPE,
+    out-edge accessor and graph report wrapper are not among them."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    imported = re.search(r"^from rootkgd import (.*)$", section, flags=re.MULTILINE).group(1)
+    assert sorted(rootkgd.__all__) == sorted(name.strip() for name in imported.split(","))
     assert all(hasattr(rootkgd, name) for name in rootkgd.__all__)
-    assert {"spe", "out_edges", "validate", "ValidationReport"}.isdisjoint(rootkgd.__all__)
     assert not hasattr(rootkgd, "validate") and not hasattr(rootkgd, "ValidationReport")
+
+
+def test_cli_import_leaves_synth_unloaded():
+    """Importing the CLI, as every command does, does not load the plant
+    simulator; only the ``synth`` command imports it."""
+    code = "import rootkgd.cli, sys; sys.exit('rootkgd.synth' in sys.modules)"
+    src = str(Path(rootkgd.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=False, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_benchmark_traced_functions_resolve(monkeypatch):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import random_data, random_model, read_members, write_members
 from oracles import (
     copying_contribution_rate,
+    copying_fit_loadings,
     copying_rbc_spe,
     dense_contribution_rate,
     dense_contributions,
@@ -328,6 +329,34 @@ class TestFitPca:
         save_model(fit_pca(data, 0.6), p1)
         save_model(fit_pca(data, 0.6), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_one_buffer_fit_matches_copying_form(self, layout):
+        # The in-place standardization gives the copying form's loadings bit
+        # for bit, in either layout, and leaves the caller's data unchanged.
+        rng = np.random.default_rng(31)
+        values = rng.normal(size=(400, 12)) @ rng.normal(size=(12, 12)) + rng.uniform(-5, 5, 12)
+        data = DataMatrix(np.asarray(values, order=layout), tuple(f"c{i}" for i in range(12)))
+        before = data.values.copy()
+        model = fit_pca(data, 0.7)
+        reference = copying_fit_loadings(data.values)[:, : model.n_pc]
+        assert model.loadings_principal.tobytes() == np.ascontiguousarray(reference).tobytes()
+        assert data.values.tobytes() == before.tobytes()
+
+    def test_fit_peak_memory(self):
+        # The fit holds one standardized copy of the data at a time; the
+        # copying form held two (``X - mean`` and its division).
+        rng = np.random.default_rng(32)
+        data = DataMatrix(rng.normal(size=(4000, 40)), tuple(f"c{i}" for i in range(40)))
+        fit_pca(data, 0.5)  # first-call allocations are not counted
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fit_pca(data, 0.5)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * data.values.nbytes
 
 
 class TestStatistics:

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 from importlib.resources import files
 
 import pytest
 
 from conftest import minimal_payload, out_edges
+from rootkgd import kgraph
 from rootkgd.kgraph import (
     Entity,
     EntityKind,
@@ -403,6 +405,35 @@ class TestRoundTrip:
             assert list(a.quantities.items()) == list(b.quantities.items())
             assert a.pops == b.pops
 
+    def test_document_released_before_indexes_are_built(self, tmp_path, monkeypatch):
+        # No frame holds the parsed document while the graph builds its
+        # indexes: only the parts are alive then.
+        payload = minimal_payload()
+        marker = "dev-released-document"
+        payload["entities"][0]["id"] = marker
+        payload["triples"][0][0] = marker
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        del payload
+
+        def document_alive():
+            return any(
+                type(o) is dict and type(o.get("entities")) is list
+                and any(type(e) is dict and e.get("id") == marker for e in o["entities"])
+                for o in gc.get_objects()
+            )
+
+        build, seen = kgraph.KnowledgeGraph, []
+
+        def checked(*parts):
+            seen.append(document_alive())
+            return build(*parts)
+
+        monkeypatch.setattr(kgraph, "KnowledgeGraph", checked)
+        graph = load_graph(path)
+        assert graph.entities[0].id == marker
+        assert seen == [False]
+
 
 class TestImmutability:
     def test_frozen_dataclasses(self, minimal_graph):
@@ -410,6 +441,13 @@ class TestImmutability:
             minimal_graph.entities[0].label = "nope"
         with pytest.raises(dataclasses.FrozenInstanceError):
             minimal_graph.triples = ()
+
+    def test_parts_have_slots(self, minimal_graph):
+        # Slotted parts carry no per-instance dict, so a big graph stays small.
+        for part in (minimal_graph.entities[0], minimal_graph.relations[0],
+                     minimal_graph.triples[0]):
+            assert not hasattr(part, "__dict__")
+            assert dataclasses.replace(part) == part
 
     def test_variable_of(self, tep_graph):
         assert len(tep_graph.variable_of) == 51
