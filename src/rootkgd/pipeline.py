@@ -36,7 +36,8 @@ def run_fit(config: DiagnosisConfig) -> PcaModel:
     graph = load_graph(config.graph_path) if config.graph_path else None
     data = dataio.read_csv(config.normal_data_path)
     columns = data.columns if graph is None else bound_columns(data.columns, graph, "dataset")
-    model = features.fit_pca(data.select(columns), config.r_pc)
+    data = data.select(columns)  # the column-major copy fit_pca rounds in; the parse is freed
+    model = features.fit_pca(data, config.r_pc)
     if config.model_path:
         features.save_model(model, config.model_path)
     return model
@@ -55,8 +56,6 @@ def run_diagnose(config: DiagnosisConfig) -> RootCauseRanking:
         raise ConfigError("model_path is required for diagnosis")
     if not config.fault_data_path:
         raise ConfigError("fault_data_path is required for diagnosis")
-    if not Path(config.model_path).exists():
-        raise ConfigError(f"model file not found: {config.model_path}")
     model = features.load_model(config.model_path)
     rate = _window_rate(config, model)
 

@@ -5,17 +5,20 @@ hand-rolled cyclic Jacobi iteration (not numpy.linalg), and the reconstruction
 minimizer is a plain golden-section search. The ``copying_*`` functions keep
 the out-of-place form of the fit's standardization and of the contribution
 path, one new array per step, as the bit-exact reference for their in-place
-forms.
+forms. ``read_rows`` is the strict csv reader, record by record, that
+``read_csv`` must match on quote-free files.
 """
 
 from __future__ import annotations
 
+import csv
 import math
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from rootkgd.features import RESIDUAL_DIAG_FLOOR
+from rootkgd.features import RESIDUAL_DIAG_FLOOR, DataMatrix, check_unique
 
 
 def jacobi_eigh(matrix: np.ndarray, sweeps: int = 100, tol: float = 1e-14):
@@ -272,3 +275,72 @@ def dense_propagate(graph, params, source: str, s_0: float):
                 heapq.heappush(heap, (priority + rel.priority_offset, seq, tail))
                 seq += 1
     return quantity, order
+
+
+def read_rows(path: Path, rows: int | None = None) -> DataMatrix:
+    """A dataset read by the strict csv reader, one record at a time, with
+    ``float()`` converting each cell: the header and at most ``rows`` data
+    records. Each line is decoded as UTF-8 on its own and a blank record is
+    passed over; the first bad record raises ``ValueError`` naming its line."""
+    with path.open("rb") as fh:
+
+        def text():
+            offset = 0
+            raws = (raw for chunk in fh for raw in chunk.splitlines(keepends=True))
+            for number, raw in enumerate(raws, 1):
+                try:
+                    yield raw.decode("utf-8").removeprefix("\ufeff" if number == 1 else "")
+                except UnicodeDecodeError as exc:
+                    start, end = offset + exc.start, offset + exc.end - 1
+                    where = (f"byte 0x{raw[exc.start]:02x} in position {start}" if start == end
+                             else f"bytes in position {start}-{end}")
+                    raise ValueError(f"{path}:{number}: not UTF-8: 'utf-8' codec can't decode "
+                                     f"{where}: {exc.reason}") from None
+                offset += len(raw)
+
+        reader = csv.reader(text(), strict=True)
+        line = 0  # the last line of the last complete record
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: file is empty")
+            columns = tuple(name.strip() for name in header)
+            try:
+                check_unique(columns)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+            parsed: list[list[float]] = []
+            line = reader.line_num
+            for row in reader:
+                line = reader.line_num
+                if not row or (len(row) == 1 and row[0].isspace()):
+                    continue
+                if len(row) != len(columns):
+                    raise ValueError(f"{path}:{line}: expected {len(columns)} fields, "
+                                     f"got {len(row)}")
+                try:
+                    values = [float(cell) for cell in row]
+                except ValueError:
+                    bad = next(c for c in row if not _is_float(c))
+                    raise ValueError(f"{path}:{line}: not a number: {bad!r}") from None
+                bad = next((c for c, v in zip(row, values) if not math.isfinite(v)), None)
+                if bad is not None:
+                    raise ValueError(f"{path}:{line}: not a finite number: {bad!r}")
+                parsed.append(values)
+                if len(parsed) == rows:
+                    break
+        except csv.Error as exc:
+            if str(exc) == "unexpected end of data":
+                raise ValueError(f"{path}:{line + 1}: unclosed quote") from None
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    if not parsed:
+        raise ValueError(f"{path}: no data rows")
+    return DataMatrix(np.asarray(parsed, dtype=float), columns)
+
+
+def _is_float(cell: str) -> bool:
+    try:
+        float(cell)
+        return True
+    except ValueError:
+        return False

@@ -1,5 +1,5 @@
 """Fuzz tests for the input boundaries: config documents, graph documents,
-model files and propagation parameters.
+model files, CSV files and propagation parameters.
 
 Each loader either returns a value or raises its named error (``ConfigError``,
 ``GraphError`` or ``ValueError``); any other exception escapes the CLI's
@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rootkgd.config import ConfigError, DiagnosisConfig, config_from_dict
+from rootkgd.dataio import read_csv, write_csv
 from rootkgd.features import DataMatrix, fit_pca, load_model, save_model
 from rootkgd.kgraph import EntityKind, GraphError, graph_from_dict
 from rootkgd.rfpa import RfpaParams
@@ -110,6 +111,43 @@ def test_load_model_accepts_or_names_the_error(model_bytes, tmp_path, data):
         load_model(path)
     except ValueError as exc:
         assert str(exc).startswith(f"{path}: ")
+
+
+@pytest.fixture(scope="module")
+def csv_bytes(tmp_path_factory):
+    rng = np.random.default_rng(1)
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    write_csv(DataMatrix(rng.normal(size=(6, 3)) * 10.0 ** rng.integers(-5, 6, size=(6, 3)),
+                         ("a", "b", "c")), path)
+    return path.read_bytes()
+
+
+@FUZZ
+@given(data=st.data())
+def test_read_csv_returns_or_names_the_error(csv_bytes, tmp_path, data):
+    """Arbitrary bytes, and byte edits and truncations of a file ``write_csv``
+    wrote, read in full, as the first rows and as a window: each read returns
+    a ``DataMatrix`` or raises a ``ValueError`` whose message starts with the
+    file's path."""
+    if data.draw(st.booleans()):
+        raw = bytearray(data.draw(st.binary(max_size=200)))
+    else:
+        raw = bytearray(csv_bytes)
+        edits = st.tuples(st.integers(0, len(raw) - 1),
+                          st.sampled_from(b'\x00\t\n\r "+,-.0159_eEinx\x80\xa0\xc2\xef\xff'))
+        for position, value in data.draw(st.lists(edits, max_size=4)):
+            raw[position] = value
+        raw = raw[: data.draw(st.none() | st.integers(0, len(raw)))]  # None: whole
+    path = tmp_path / "data.csv"
+    path.write_bytes(raw)
+    rows = data.draw(st.none() | st.integers(1, 8))
+    skip = None if rows is None else data.draw(st.none() | st.integers(0, 8))
+    try:
+        result = read_csv(path, rows=rows, skip=skip)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}:")
+    else:
+        assert isinstance(result, DataMatrix)
 
 
 @FUZZ

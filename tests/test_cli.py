@@ -318,7 +318,7 @@ class TestDiagnoseCommand:
         result = runner.invoke(main, args)
         assert result.exit_code == 1
         assert result.stderr == (
-            "error: window exceeds dataset: rows [100, 200) requested but only 150 "
+            f"error: {short}: window exceeds dataset: rows [100, 200) requested but only 150 "
             "samples present\n"
         )
 
@@ -494,8 +494,9 @@ class TestDiagnoseCommand:
         result = runner.invoke(
             main, ["diagnose", "--config", str(config_path), "--model", str(missing)]
         )
-        assert result.exit_code == 2
-        assert result.stderr == f"error: model file not found: {missing}\n"
+        # A missing model file is a file error naming it, as a missing graph or CSV is.
+        assert result.exit_code == 1
+        assert result.stderr == f"error: [Errno 2] No such file or directory: '{missing}'\n"
         assert not missing.exists()
 
     def test_jobs_flag_is_rejected(self, plant_dir, model_path, runner):
@@ -876,6 +877,23 @@ class TestPipelineRoster:
         current, peak = entries[-1]
         assert peak - base >= window_bytes
         assert current - base < window_bytes / 2
+
+    def test_fit_holds_the_parsed_data_once(self, tmp_path):
+        # run_fit drops the parsed matrix once select's column-major copy
+        # exists, so fit_pca's buffers stack on one copy of the data, not two.
+        rng = np.random.default_rng(12)
+        data = DataMatrix(rng.normal(size=(1100, 60)), tuple(f"c{i}" for i in range(60)))
+        write_csv(data, tmp_path / "normal.csv")
+        config = DiagnosisConfig(normal_data_path=str(tmp_path / "normal.csv"))
+        run_fit(config)  # first-call allocations are not counted
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_fit(config)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * data.values.nbytes
 
     def test_graph_variable_absent_from_dataset_is_excluded(self, plant_dir, tmp_path):
         # Drop one column from both datasets; the diagnosis roster shrinks
