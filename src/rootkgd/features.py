@@ -63,7 +63,9 @@ class DataMatrix:
                 f"{values.shape[1]} data columns but {len(self.columns)} column names"
             )
         check_unique(self.columns)
-        if not np.isfinite(values).all():
+        # NaN carries through min and max, and an infinity is one of them: an
+        # exact test that, unlike isfinite(values), allocates nothing.
+        if not (np.isfinite(values.min()) and np.isfinite(values.max())):
             raise ValueError("matrix contains non-finite entries")
 
     @property

@@ -6,7 +6,10 @@ resulting quantities are read off at the measured variables, and the
 candidate is scored by cosine similarity between that profile and the
 observed contribution-rate vector. A propagation run scales linearly with its
 seed and cosine ignores scale, so any positive seed gives the same score;
-every candidate is seeded with one unit.
+every candidate is seeded with one unit. ``rank_all`` takes the candidates'
+runs from ``rfpa.propagate_each``, which runs the propagation once per
+distinct seed structure and relabels that run for the candidates that repeat
+it.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .features import ContributionVector
 from .kgraph import EntityKind, KnowledgeGraph
-from .rfpa import RfpaParams, propagate
+from .rfpa import PropagationResult, RfpaParams, propagate, propagate_each
 
 #: Entity kinds scored as root-cause candidates. Substances are never
 #: candidates: a fault is located on a measured variable or on the devices
@@ -86,15 +89,19 @@ def root_score(
     params: RfpaParams,
     contributions: ContributionVector,
     candidate: str,
+    result: PropagationResult | None = None,
 ) -> float:
     """Score one candidate as the root of the observed fault pattern.
 
     The candidate is seeded with one unit: the propagated profile scales
     linearly with the seed, so any positive seed gives the same cosine.
+    ``result`` is the candidate's propagation run; without it the candidate
+    is propagated here.
     """
     _check_roster(graph, contributions)
     roster, position = contributions.roster, contributions.positions
-    result = propagate(graph, params, candidate)
+    if result is None:
+        result = propagate(graph, params, candidate)
     profile = np.zeros(len(roster))
     for entity, quantity in result.quantities.items():
         if entity in position:
@@ -110,20 +117,24 @@ def rank_all(
 ) -> RootCauseRanking:
     """Score every variable, stream and device of the graph and rank them.
 
-    Candidates are scored one after another in this process, and the final
+    Candidates are scored in graph order in this process, each by one
+    ``root_score`` call on its run from ``propagate_each``, and the final
     sort makes the order deterministic.
     """
     candidates = graph.entities_of_kind(*CANDIDATE_KINDS)
     if not candidates:
         raise ValueError("no candidate entities to score")
 
+    # The runs come first in the zip, so the generator is run to its end and
+    # what it held is freed before the sort.
+    runs = propagate_each(graph, params, [e.id for e in candidates])
     entries = [
         RankEntry(
             id=e.id,
             kind=e.kind.value,
-            score=root_score(graph, params, contributions, e.id),
+            score=root_score(graph, params, contributions, e.id, result),
         )
-        for e in candidates
+        for result, e in zip(runs, candidates)
     ]
     entries.sort(key=lambda e: (-e.score, e.id))
     return RootCauseRanking(entries=tuple(entries), metadata=dict(metadata or {}))

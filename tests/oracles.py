@@ -230,6 +230,58 @@ def random_graph_payload(rng: np.random.Generator, max_nodes: int = 200, max_edg
     return {"entities": entities, "relations": relations, "triples": triples}
 
 
+def template_plant_payload(rng: np.random.Generator, copies: int):
+    """A graph document of ``copies`` chained copies of one random unit.
+
+    The unit has devices, streams and variables; each variable is tied to a
+    device in both directions (the reverse through a zero-offset relation),
+    each stream leads from a device to a device, one entity has a self-loop,
+    one head reaches one tail by two relations, and a few random edges are
+    added. The unit's last stream feeds the first device of the next copy
+    (relation ``link``).
+    Ids are a shuffled range, so the tail order of an entity's edges (by id)
+    differs between copies.
+    """
+    n_dev, n_str, n_var = (int(rng.integers(lo, hi)) for lo, hi in ((1, 4), (1, 3), (2, 5)))
+    kinds = ["device"] * n_dev + ["stream"] * n_str + ["variable"] * n_var
+    size = len(kinds)
+    devices, streams = range(n_dev), range(n_dev, n_dev + n_str)
+    relations = [{"name": "back", "d": float(rng.uniform(2.0, 8.0)), "o": 0}] + [
+        {"name": name, "d": float(rng.uniform(2.0, 8.0)), "o": int(rng.integers(1, 4))}
+        for name in ("r1", "r2", "r3", "link")
+    ]
+
+    def pick(pool) -> int:
+        return int(rng.choice(pool))
+
+    unit = set()
+    for v in range(n_dev + n_str, size):
+        d = pick(devices)
+        unit |= {(d, "r1", v), (v, "back", d)}
+    for s in streams:
+        unit |= {(pick(devices), "r2", s), (s, "r2", pick(devices))}
+    loop = pick(range(size))
+    unit.add((loop, "r3", loop))
+    head, tail = rng.choice(size, size=2, replace=False)
+    unit |= {(int(head), "r1", int(tail)), (int(head), "r3", int(tail))}
+    for _ in range(int(rng.integers(0, 3))):
+        unit.add((pick(range(size)), f"r{int(rng.integers(1, 4))}", pick(range(size))))
+
+    ids = [f"e{i}" for i in rng.permutation(copies * size)]
+    entities, triples = [], []
+    for c in range(copies):
+        at = c * size
+        for i, kind in enumerate(kinds):
+            raw = {"id": ids[at + i], "kind": kind, "label": f"{kind} {i} of copy {c}"}
+            if kind == "variable":
+                raw["column"] = ids[at + i]
+            entities.append(raw)
+        triples += [[ids[at + h], r, ids[at + t]] for h, r, t in sorted(unit)]
+        if c + 1 < copies:
+            triples.append([ids[at + n_dev + n_str - 1], "link", ids[at + size]])
+    return {"entities": entities, "relations": relations, "triples": triples}
+
+
 def dense_propagate(graph, params, source: str, s_0: float):
     """Plain transcription of the propagation walk seeded with ``s_0`` at
     ``source``, every state table dense over all entities, queued through a

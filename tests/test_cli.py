@@ -249,6 +249,33 @@ class TestDiagnoseCommand:
         for path, digest in digests.items():
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    def test_plant30_reports_are_pinned(self, tmp_path, runner):
+        """The text and JSON reports of `synth --seed 1 --devices 30`, fitted
+        with `--graph`: its interior devices, streams and variables share
+        propagation runs, so a relabeled run that moved a bit would be seen."""
+        plant, model, report = tmp_path / "plant", tmp_path / "model.npz", tmp_path / "r.json"
+        for args in (
+            ["synth", "--out", str(plant), "--seed", "1", "--devices", "30"],
+            ["fit", "--graph", str(plant / "graph.json"), "--data", str(plant / "normal.csv"),
+             "--model", str(model)],
+        ):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+        result = runner.invoke(main, [
+            "diagnose", "--graph", str(plant / "graph.json"), "--model", str(model),
+            "--data", str(plant / "fault.csv"), "--fault-start", "100", "--window", "100",
+            "--json", str(report),
+        ])
+        assert result.exit_code == 0, result.output
+        text, trailer = result.output.rsplit("report written to ", 1)
+        assert trailer == f"{report}\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "8e72ced45628e260d662c46592b029c244919c42737114a7fb31f1e43e72509c"
+        )
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+            "41b6efc7a8c70f1e33b88504d70fb012b3ccc96a10f5ce24308c28e677292aca"
+        )
+
     def test_report_independent_of_hash_seed(self, tmp_path, runner):
         # Two interpreters with different string hashing write the same bytes:
         # no result depends on the iteration order of a set or dict of ids.

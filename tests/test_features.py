@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import re
@@ -290,10 +291,19 @@ class TestFitPca:
             fit_pca(DataMatrix(np.ones((1, 3)), ("a", "b", "c")), 0.5)
 
     def test_non_finite_rejected(self):
-        values = np.ones((4, 2))
-        values[2, 1] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            DataMatrix(values, ("a", "b"))
+        # The check reads only the matrix's min and max: NaN carries through
+        # both, and an infinity is one of them, wherever the cell sits, in
+        # either memory order, and among cells of either sign.
+        for bad, i, j, sign in itertools.product(
+            (np.nan, np.inf, -np.inf), range(4), range(3), (1.0, -1.0)
+        ):
+            values = sign * np.arange(1.0, 13.0).reshape(4, 3)
+            values[i, j] = bad
+            for order in (values, np.asfortranarray(values)):
+                with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+                    DataMatrix(order, ("a", "b", "c"))
+        DataMatrix(np.full((1, 1), np.finfo(float).max), ("a",))
+        DataMatrix(np.full((1, 1), -np.finfo(float).max), ("a",))
 
     def test_bad_r_pc(self):
         data = DataMatrix(np.random.default_rng(0).normal(size=(10, 3)), ("a", "b", "c"))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import math
 from pathlib import Path
@@ -7,14 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import dense_propagate, random_graph_payload
-from rootkgd import rfpa
+from oracles import dense_propagate, random_graph_payload, template_plant_payload
+from rootkgd import rfpa, synth
 from rootkgd.kgraph import GraphError, KnowledgeGraph, graph_from_dict
 from rootkgd.rfpa import (
     RfpaParams,
     attenuation,
     format_trace_tsv,
     propagate,
+    propagate_each,
     trace,
 )
 
@@ -371,3 +373,171 @@ class TestFreeList:
         assert graph._free_tables == []
         assert propagate(graph, DEFAULTS, "A") == expected
         assert len(graph._free_tables) == 1 and all_zero(graph)
+
+
+#: The params every shared-run check covers: the defaults, the initiation cap
+#: at 1 and 5, and a threshold at 1e-6 and 0.05.
+PARAM_SETS = (
+    RfpaParams(),
+    RfpaParams(p_max=1),
+    RfpaParams(p_max=5),
+    RfpaParams(delta_s_min_ratio=1e-6),
+    RfpaParams(delta_s_min_ratio=0.05),
+)
+
+
+def runs_of(results) -> list:
+    """Each result as its ``(id, quantity bits)`` items in key order, and its pops."""
+    return [([(k, q.hex()) for k, q in r.quantities.items()], r.pops) for r in results]
+
+
+@pytest.fixture
+def made(monkeypatch) -> list[str]:
+    """The sources of the runs made through ``rfpa.propagate``, the module
+    attribute that ``propagate_each`` calls (and a tracer wraps)."""
+    sources: list[str] = []
+    plain = rfpa.propagate
+
+    def counted(graph, params, source):
+        sources.append(source)
+        return plain(graph, params, source)
+
+    monkeypatch.setattr(rfpa, "propagate", counted)
+    return sources
+
+
+def shared_runs(graph, params, sources, made) -> int:
+    """Check that ``propagate_each`` yields, entry for entry, what
+    ``propagate`` returns for each source; return how many runs it made."""
+    made.clear()
+    each = runs_of(propagate_each(graph, params, sources))
+    runs = len(made)
+    assert each == runs_of(propagate(graph, params, s) for s in sources)  # not counted
+    return runs
+
+
+def two_onto_one_graph():
+    """``s`` reaches ``u1`` and ``u2`` by relations ``p`` and ``q``; ``t``
+    reaches ``w`` by both: a walk from ``s`` to ``t`` maps two entities onto ``w``."""
+    return graph_of(
+        ("s", "p", "u1"), ("s", "q", "u2"), ("t", "p", "w"), ("t", "q", "w"),
+        relations=[{"name": "p", "d": 1, "o": 1}, {"name": "q", "d": 2, "o": 0}],
+    )
+
+
+def far_edge_graph():
+    """Two chains of three that differ only in the self-loop on ``b3``, the
+    last entity the run from ``b1`` reaches."""
+    return graph_of(("a1", "flow", "a2"), ("a2", "flow", "a3"),
+                    ("b1", "flow", "b2"), ("b2", "flow", "b3"), ("b3", "flow", "b3"))
+
+
+def one_device_graph():
+    """One device and its two variables, each tied back to it: the device's
+    edge back to ``v1`` is its first, to ``v2`` its second."""
+    return graph_from_dict({
+        "entities": [
+            {"id": "dev", "kind": "device", "label": "dev"},
+            {"id": "v1", "kind": "variable", "label": "v1", "column": "v1"},
+            {"id": "v2", "kind": "variable", "label": "v2", "column": "v2"},
+        ],
+        "relations": [{"name": "State", "d": 1, "o": 1}, {"name": "State of", "d": 1, "o": 1}],
+        "triples": [["dev", "State", "v1"], ["dev", "State", "v2"],
+                    ["v1", "State of", "dev"], ["v2", "State of", "dev"]],
+    })
+
+
+def kept_runs() -> int:
+    """How many runs ``propagate_each`` generators hold for later sources."""
+    gc.collect()
+    return sum(isinstance(o, rfpa._KeptRun) for o in gc.get_objects())
+
+
+class TestPropagateEach:
+    """``propagate_each`` yields exactly what ``propagate`` returns, with
+    fewer runs where the graph repeats a structure."""
+
+    def test_template_plants_share_runs_exactly(self, made):
+        sources = runs = 0
+        for seed in range(8):
+            graph = graph_from_dict(template_plant_payload(np.random.default_rng(seed), 30))
+            ids = [e.id for e in graph.entities]
+            for params in PARAM_SETS:
+                made_here = shared_runs(graph, params, ids, made)
+                if params == RfpaParams():
+                    sources, runs = sources + len(ids), runs + made_here
+        assert runs < sources
+
+    def test_random_graphs(self, made):
+        rng = np.random.default_rng(28)
+        for _ in range(10):
+            graph = graph_from_dict(random_graph_payload(rng, max_nodes=60, max_edges=240))
+            for params in PARAM_SETS:
+                shared_runs(graph, params, [e.id for e in graph.entities], made)
+
+    @pytest.mark.parametrize("fixture", ["tep_graph", "mff_graph", "diamond_graph", "chain_graph"])
+    def test_fixture_graphs(self, fixture, request, made):
+        graph = request.getfixturevalue(fixture)
+        for params in PARAM_SETS:
+            shared_runs(graph, params, [e.id for e in graph.entities], made)
+
+    @pytest.mark.parametrize("devices", [4, 30])
+    def test_synth_plants(self, devices, made):
+        graph, _ = synth.generate_plant(synth.PlantSpec(n_devices=devices, seed=1))
+        ids = [e.id for e in graph.entities]
+        runs = [shared_runs(graph, params, ids, made) for params in PARAM_SETS]
+        if devices == 30:
+            assert runs[0] <= 63 < len(ids) == 119  # interior devices, streams and variables repeat
+
+    def test_repeated_and_reordered_sources(self, diamond_graph, made):
+        ids = [e.id for e in diamond_graph.entities]
+        shared_runs(diamond_graph, DEFAULTS, ids[::-1] + ids + ids[:1], made)
+        assert list(propagate_each(diamond_graph, DEFAULTS, [])) == []
+
+    def test_unknown_source_raises_in_its_turn(self, chain_graph):
+        results = propagate_each(chain_graph, DEFAULTS, ["A", "nope", "nope"])
+        assert runs_of([next(results)]) == runs_of([propagate(chain_graph, DEFAULTS, "A")])
+        with pytest.raises(GraphError, match="unknown entity"):
+            next(results)
+
+    @pytest.mark.parametrize(
+        "build, seed, target",
+        [
+            (one_device_graph, "v1", "v2"),  # the device's edge back sits elsewhere
+            (far_edge_graph, "a1", "b1"),  # the copies differ at the end of the reach
+            (two_onto_one_graph, "s", "t"),  # two reached entities onto one
+        ],
+    )
+    def test_walk_refuses(self, build, seed, target, made):
+        graph = build()
+        adjacency = graph.adjacency
+        kept = rfpa._KeptRun(propagate(graph, DEFAULTS, seed), graph.position)
+        assert kept.relabeling(adjacency, rfpa._shapes(adjacency), graph.position[target]) is None
+        assert shared_runs(graph, DEFAULTS, [seed, target], made) == 2
+
+    def test_walk_accepts_a_copy(self, made):
+        # Two chains of three whose ids sort in different orders: the second
+        # run is the first relabeled.
+        graph = graph_of(("a1", "flow", "a2"), ("a2", "flow", "a3"),
+                         ("z1", "flow", "m2"), ("m2", "flow", "b3"))
+        assert shared_runs(graph, DEFAULTS, ["a1", "z1"], made) == 1
+
+    def test_a_run_is_kept_only_while_a_later_source_shares_its_key(self):
+        # a1 and z1 head copies of one chain; a2 and a3 share their keys with
+        # no other source.
+        graph = graph_of(("a1", "flow", "a2"), ("a2", "flow", "a3"),
+                         ("z1", "flow", "m2"), ("m2", "flow", "b3"))
+        kept = [kept_runs() for _ in propagate_each(graph, DEFAULTS, ["a2", "a1", "z1", "a3"])]
+        assert kept == [0, 1, 0, 0]
+
+    def test_nothing_is_kept_after_the_last_result(self):
+        graph, _ = synth.generate_plant(synth.PlantSpec(n_devices=30, seed=1))
+        attributes = dict(vars(graph))
+        results = propagate_each(graph, RfpaParams(), [e.id for e in graph.entities])
+        next(results)
+        assert kept_runs() > 0
+        for _ in results:
+            pass
+        assert kept_runs() == 0
+        assert vars(graph).keys() == attributes.keys()
+        assert all(vars(graph)[k] is v for k, v in attributes.items())

@@ -8,10 +8,18 @@ import numpy as np
 import pytest
 
 from oracles import cosine_ref, dense_propagate, paper_seed_score, random_graph_payload
+from rootkgd import scoring, synth
 from rootkgd.features import ContributionVector
 from rootkgd.kgraph import GraphError, graph_from_dict
 from rootkgd.rfpa import RfpaParams, propagate
-from rootkgd.scoring import cosine, format_report, rank_all, report_dict, root_score
+from rootkgd.scoring import (
+    CANDIDATE_KINDS,
+    cosine,
+    format_report,
+    rank_all,
+    report_dict,
+    root_score,
+)
 
 PARAMS = RfpaParams(sigma_r=0.1, p_max=3, delta_s_min_ratio=1e-6)
 
@@ -40,6 +48,22 @@ def tep_contributions(tep_graph):
     scores = rng.exponential(scale=1.0, size=len(roster))
     scores[roster.index("x4")] = 25.0
     return ContributionVector(scores / scores.sum(), roster)
+
+
+@pytest.fixture(scope="module")
+def tep_problem(tep_graph, tep_contributions):
+    return tep_graph, tep_contributions
+
+
+@pytest.fixture(scope="module")
+def plant30_problem():
+    """The graph of ``synth --seed 1 --devices 30``, whose interior devices,
+    streams and variables repeat one structure, and a seeded contribution
+    vector over its variables."""
+    graph, _ = synth.generate_plant(synth.PlantSpec(n_devices=30, seed=1))
+    roster = tuple(graph.variable_of.values())
+    scores = np.random.default_rng(30).exponential(size=len(roster))
+    return graph, ContributionVector(scores / scores.sum(), roster)
 
 
 class TestCosine:
@@ -279,28 +303,65 @@ class TestRankAll:
         for entry in ranking.entries:
             assert -1e-12 <= entry.score <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("problem", ["tep", "plant30"])
+    def test_one_root_score_per_candidate(self, problem, request, monkeypatch):
+        # rank_all hands each candidate's shared run to root_score, and a
+        # four-argument root_score, which propagates by itself, gives the
+        # same score bit for bit.
+        graph, contributions = request.getfixturevalue(f"{problem}_problem")
+        scored = []
+        plain = scoring.root_score
+
+        def counted(*args):
+            scored.append(args[3])
+            return plain(*args)
+
+        monkeypatch.setattr(scoring, "root_score", counted)
+        ranking = rank_all(graph, PARAMS, contributions)
+        assert sorted(scored) == sorted(e.id for e in ranking.entries)
+        assert len(scored) == len(ranking.entries) == len(graph.entities_of_kind(*CANDIDATE_KINDS))
+        for entry in ranking.entries:
+            alone = plain(graph, PARAMS, contributions, entry.id)
+            assert entry.score.hex() == alone.hex()
+
+    def test_runs_are_freed_before_the_sort(self, plant30_problem, monkeypatch):
+        # rank_all exhausts propagate_each, so the generator's frame and the
+        # runs it kept are gone before the entries are sorted.
+        graph, contributions = plant30_problem
+        plain, finished = scoring.propagate_each, []
+
+        def watched(*args):
+            yield from plain(*args)
+            finished.append(True)
+
+        monkeypatch.setattr(scoring, "propagate_each", watched)
+        rank_all(graph, PARAMS, contributions)
+        assert finished == [True]
+
     def test_deterministic_repeat(self, tep_graph, tep_contributions):
         first = rank_all(tep_graph, PARAMS, tep_contributions)
         second = rank_all(tep_graph, PARAMS, tep_contributions)
         assert first.entries == second.entries
 
-    def test_one_graph_serves_two_threads(self, tep_graph, tep_contributions):
+    def test_one_graph_serves_two_threads(self, tep_problem, plant30_problem):
         # A run holds its state tables alone until it hands them back
-        # zeroed, so concurrent rankings on one graph object cannot see each
+        # zeroed, and the runs a ranking shares between candidates are its
+        # own, so concurrent rankings on one graph object cannot see each
         # other's quantities.
-        expected = rank_all(tep_graph, PARAMS, tep_contributions).entries
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # switch threads often, inside single runs
-        try:
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                calls = [
-                    pool.submit(rank_all, tep_graph, PARAMS, tep_contributions)
-                    for _ in range(6)
-                ]
-                results = [call.result(timeout=60).entries for call in calls]
-        finally:
-            sys.setswitchinterval(interval)
-        assert all(entries == expected for entries in results)
+        for graph, contributions in (tep_problem, plant30_problem):
+            expected = rank_all(graph, PARAMS, contributions).entries
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # switch threads often, inside single runs
+            try:
+                with ThreadPoolExecutor(max_workers=2) as pool:
+                    calls = [
+                        pool.submit(rank_all, graph, PARAMS, contributions)
+                        for _ in range(6)
+                    ]
+                    results = [call.result(timeout=60).entries for call in calls]
+            finally:
+                sys.setswitchinterval(interval)
+            assert all(entries == expected for entries in results)
 
 
 @pytest.fixture(scope="module")

@@ -1,0 +1,59 @@
+"""The repository's tools, run as a user runs them."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+OUTPUTS = ROOT / "tools" / "outputs.py"
+#: Directories that git or the test run itself writes.
+SKIPPED = {".git", ".pytest_cache", ".hypothesis"}
+
+
+def checkout_files() -> set[Path]:
+    files = set()
+    for directory, subdirectories, names in os.walk(ROOT):
+        subdirectories[:] = [d for d in subdirectories if d not in SKIPPED]
+        files.update(Path(directory, name) for name in names)
+    return files
+
+
+def outputs(*args, tmp: Path) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(OUTPUTS), *map(str, args)],
+                          env={**os.environ, "TMPDIR": str(tmp)}, capture_output=True,
+                          text=True, check=False, timeout=600)
+
+
+def test_outputs_manifest_leaves_no_files(tmp_path):
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    before = checkout_files()
+    manifest = tmp_path / "manifest.json"
+    done = outputs(manifest, "--small", tmp=tmp)
+    assert done.returncode == 0, done.stderr
+    entries = json.loads(manifest.read_text(encoding="utf-8"))
+    commands = [name.split()[0] for name in entries]
+    assert {c: commands.count(c) for c in set(commands)} == {
+        "fit": 2, "diagnose": 4, "trace": 6, "input": 7,
+    }
+    for name, entry in entries.items():
+        assert entry.get("exit", 0) == 0, name
+        assert entry.get("file", "") is not None, name
+    assert not any(tmp.iterdir())
+    assert checkout_files() == before
+
+    same = outputs("--diff", manifest, manifest, tmp=tmp)
+    assert (same.returncode, same.stdout) == (0, "no differences\n")
+    changed = tmp_path / "changed.json"
+    trace = next(name for name in entries if name.startswith("trace "))
+    entries[trace]["stdout"] = "0" * 64
+    dropped = next(name for name in entries if name.startswith("input "))
+    del entries[dropped]
+    changed.write_text(json.dumps(entries), encoding="utf-8")
+    done = outputs("--diff", manifest, changed, tmp=tmp)
+    assert done.returncode == 1
+    assert done.stdout.splitlines() == [f"only in {manifest}: {dropped}", f"{trace}: stdout differ"]
