@@ -26,7 +26,6 @@ from .scoring import format_report, report_dict
 
 logger = logging.getLogger(__name__)
 
-EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 

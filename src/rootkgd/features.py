@@ -68,10 +68,6 @@ class DataMatrix:
         if not (np.isfinite(values.min()) and np.isfinite(values.max())):
             raise ValueError("matrix contains non-finite entries")
 
-    @property
-    def n_samples(self) -> int:
-        return self.values.shape[0]
-
     def select(self, columns: Sequence[str]) -> "DataMatrix":
         """Column subset in the requested order."""
         index = {c: i for i, c in enumerate(self.columns)}

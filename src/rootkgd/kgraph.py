@@ -3,10 +3,8 @@
 A graph is checked when it is built, whether loaded from a JSON file or
 constructed directly, and is then treated as immutable: every graph object
 holds the invariants ``_check`` lists, and keeps the warnings and column
-bindings the check found. Downstream modules only ever read it (adjacency
-queries), so a single instance can be shared freely across threads.
-The one mutable part is a free list of zeroed propagation tables, which
-``rfpa`` takes and returns whole with atomic list operations.
+bindings the check found. No part of a graph changes after construction, so
+a single instance can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -101,8 +99,7 @@ class KnowledgeGraph:
     position, index in relations, priority offset)`` tuples, in a
     deterministic order (ascending relation distance, then tail id, then
     relation name) so that propagation results never depend on file order.
-    ``_free_tables`` holds propagation state tables over entity positions,
-    each all zeros, for ``rfpa`` to reuse across runs.
+    The graph is immutable once built and can be shared across threads.
     """
 
     entities: tuple[Entity, ...]
@@ -114,9 +111,6 @@ class KnowledgeGraph:
     )
     warnings: tuple[str, ...] = field(init=False, compare=False, repr=False)
     variable_of: dict[str, str] = field(init=False, compare=False, repr=False)
-    _free_tables: list[tuple[list[float], list[int], list[int]]] = field(
-        init=False, compare=False, repr=False
-    )
 
     def __post_init__(self):
         for name in ("entities", "relations", "triples"):
@@ -136,7 +130,6 @@ class KnowledgeGraph:
         object.__setattr__(self, "adjacency", adjacency)
         object.__setattr__(self, "warnings", tuple(warnings))
         object.__setattr__(self, "variable_of", variable_of)
-        object.__setattr__(self, "_free_tables", [])
 
     def entity(self, entity_id: str) -> Entity:
         try:

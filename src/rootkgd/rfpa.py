@@ -100,18 +100,11 @@ def _run(
     factor = [attenuation(params, r.distance) for r in relations]
     threshold = params.delta_s_min_ratio
 
-    # The state tables are lists over entity positions. A run takes a zeroed
-    # set from the graph's free list (allocating one, about 30 us at 3,199
-    # entities, only when the list is empty) and hands it back zeroed, so a
-    # run costs time in proportion to its reach, not to the graph's size.
-    # ``reached`` holds positions in first-receipt order, the key order of
-    # the result; every position a run writes is in it. pop and append are
-    # atomic, so no two threads share a set; a run that raises keeps its set.
-    try:
-        tables = graph._free_tables.pop()
-    except IndexError:
-        tables = ([0.0] * len(entities), [0] * len(entities), [0] * len(entities))
-    quantity, received, initiated = tables
+    # The state tables are lists over entity positions, made for this run
+    # alone, so runs on one graph share no state. ``reached`` holds
+    # positions in first-receipt order, the key order of the result.
+    n = len(entities)
+    quantity, received, initiated = [0.0] * n, [0] * n, [0] * n
     quantity[start] = 1.0
     received[start] = 1  # the seed assignment counts as one receipt
     reached = [start]
@@ -176,11 +169,6 @@ def _run(
                     event += 1
 
     quantities = {entities[i].id: quantity[i] for i in reached}
-    for i in reached:
-        quantity[i] = 0.0
-        received[i] = 0
-        initiated[i] = 0
-    graph._free_tables.append(tables)
     return PropagationResult(quantities=quantities, pops=pops)
 
 

@@ -942,7 +942,7 @@ class TestPipelineRoster:
         rng = np.random.default_rng(0)
         for name in ("normal", "fault"):
             data = read_csv(plant_dir["dir"] / f"{name}.csv")
-            spare = rng.standard_normal((data.n_samples, 1))
+            spare = rng.standard_normal((len(data.values), 1))
             write_csv(
                 DataMatrix(np.hstack([data.values, spare]), data.columns + ("spare",)),
                 tmp_path / f"{name}.csv",
@@ -963,7 +963,7 @@ class TestPipelineRoster:
         rng = np.random.default_rng(1)
         for name in ("normal", "fault"):
             data = read_csv(plant_dir["dir"] / f"{name}.csv")
-            spare = rng.standard_normal((data.n_samples, 1))
+            spare = rng.standard_normal((len(data.values), 1))
             write_csv(
                 DataMatrix(np.hstack([data.values, spare]), data.columns + ("spare",)),
                 tmp_path / f"{name}.csv",

@@ -344,10 +344,9 @@ class TestRankAll:
         assert first.entries == second.entries
 
     def test_one_graph_serves_two_threads(self, tep_problem, plant30_problem):
-        # A run holds its state tables alone until it hands them back
-        # zeroed, and the runs a ranking shares between candidates are its
-        # own, so concurrent rankings on one graph object cannot see each
-        # other's quantities.
+        # Each run allocates its own state tables, and the runs a ranking
+        # shares between candidates belong to that ranking, so concurrent
+        # rankings on one graph object cannot see each other's quantities.
         for graph, contributions in (tep_problem, plant30_problem):
             expected = rank_all(graph, PARAMS, contributions).entries
             interval = sys.getswitchinterval()

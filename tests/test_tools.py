@@ -38,7 +38,7 @@ def test_outputs_manifest_leaves_no_files(tmp_path):
     entries = json.loads(manifest.read_text(encoding="utf-8"))
     commands = [name.split()[0] for name in entries]
     assert {c: commands.count(c) for c in set(commands)} == {
-        "fit": 2, "diagnose": 4, "trace": 6, "input": 7,
+        "fit": 3, "diagnose": 6, "trace": 6, "input": 7,
     }
     for name, entry in entries.items():
         assert entry.get("exit", 0) == 0, name

@@ -11,9 +11,9 @@ commands are:
 
 - ``fit --graph`` on the TEP fixture, then ``diagnose --json`` on the 51
   fault episodes of ``perfbench/inputs.tep_inputs`` at seed 2;
-- ``fit`` without a graph on the 800-device plant of
-  ``perfbench/inputs.plant_inputs`` at seed 1, then ``diagnose --json`` on
-  its 3 fault episodes;
+- ``fit`` on the 800-device plant of ``perfbench/inputs.plant_inputs`` at
+  seed 1, once without a graph and once with ``--graph``, then
+  ``diagnose --json`` on its 3 fault episodes with each of the two models;
 - ``trace`` from every entity of the four fixture graphs (the two bundled
   with the package and the two under ``tests/fixtures``).
 
@@ -85,6 +85,8 @@ class Runner:
         }
 
     def run(self, args: list[str], writes: str | None = None) -> None:
+        if writes is not None:  # two diagnoses of one episode write one report path
+            (self.work / writes).unlink(missing_ok=True)
         done = subprocess.run([sys.executable, "-m", "rootkgd.cli", *args], cwd=self.work,
                               env=self.env, capture_output=True, check=False)
         entry = {"exit": done.returncode, "stdout": digest(done.stdout),
@@ -116,8 +118,11 @@ def plant_outputs(runner: Runner, sizes) -> None:
     runner.input(work / "plant" / "normal.csv")
     runner.run(["fit", "--data", "plant/normal.csv", "--model", "plant/model.npz"],
                writes="plant/model.npz")
-    for episode in plant.episodes:
-        diagnose(runner, "plant/graph.json", "plant/model.npz", episode.path)
+    runner.run(["fit", "--graph", "plant/graph.json", "--data", "plant/normal.csv",
+                "--model", "plant/graph-model.npz"], writes="plant/graph-model.npz")
+    for model in ("plant/model.npz", "plant/graph-model.npz"):
+        for episode in plant.episodes:
+            diagnose(runner, "plant/graph.json", model, episode.path)
 
 
 def diagnose(runner: Runner, graph: str, model: str, fault: Path) -> None:
