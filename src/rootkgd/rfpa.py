@@ -10,9 +10,9 @@ threshold stop the ripple.
 
 The whole walk is deterministic: nodes leave the queue in (priority,
 insertion) order and edges are iterated in the graph's canonical order. So a
-run is fixed by the edges it walks, and ``propagate_each`` gives a source
-whose run would repeat an earlier run's operations, on other entities, the
-earlier run's result relabeled.
+run is fixed by the edges it walks, and ``propagate_groups`` serves every
+source whose run would repeat another's operations on other entities with
+that run relabeled, checking a group of sources in one numpy pass.
 """
 
 from __future__ import annotations
@@ -22,9 +22,11 @@ import math
 import operator
 import sys
 from collections import Counter
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
 from typing import Any
+
+import numpy as np
 
 from .kgraph import KnowledgeGraph
 
@@ -77,10 +79,12 @@ class TraceEvent:
 @dataclass(frozen=True)
 class PropagationResult:
     """Final fault quantities of one propagation run: only the entities the
-    ripple reached, each positive; any other entity holds 0.0."""
+    ripple reached, each positive, at the graph ``positions`` listed in key
+    order; any other entity holds 0.0."""
 
     quantities: dict[str, float]
     pops: int
+    positions: tuple[int, ...] = field(compare=False, repr=False)
 
 
 def attenuation(params: RfpaParams, distance: float) -> float:
@@ -169,7 +173,7 @@ def _run(
                     event += 1
 
     quantities = {entities[i].id: quantity[i] for i in reached}
-    return PropagationResult(quantities=quantities, pops=pops)
+    return PropagationResult(quantities=quantities, pops=pops, positions=tuple(reached))
 
 
 def propagate(graph: KnowledgeGraph, params: RfpaParams, source: str) -> PropagationResult:
@@ -177,49 +181,65 @@ def propagate(graph: KnowledgeGraph, params: RfpaParams, source: str) -> Propaga
     return _run(graph, params, source, None)
 
 
-def propagate_each(
+#: The fewest other sources of a group a walk is made for: a walk costs about
+#: two to five runs of its reach, however many sources it walks.
+MIN_WALKED = 3
+
+
+def propagate_groups(
     graph: KnowledgeGraph, params: RfpaParams, sources: Iterable[str]
-) -> Iterator[PropagationResult]:
-    """Yield ``propagate(graph, params, s)`` for each of ``sources``, in order.
+) -> Iterator[tuple[list[int], np.ndarray, np.ndarray]]:
+    """Yield ``(served, images, quantities)`` for each propagation run made
+    for ``sources``: the indices of the sources the run serves, an int32
+    array with one row of entity positions per served source (row 0 is the
+    run's own source and reach), and the run's quantities as one float64
+    array, in first-receipt order. Each source is served by one run, and
+    ``dict(zip(ids of images[r], quantities))`` is what
+    ``propagate(graph, params, sources[served[r]])`` returns, bit for bit.
 
-    Each result equals the one ``propagate`` returns: the same quantities, in
-    the same key order, bit for bit, and the same ``pops``. ``propagate`` runs
-    only for a source whose run is not a relabeling of an earlier source's
-    run. Source t reuses the run of an earlier source s when a walk over s's
-    reached entities, in first-receipt order from s -> t, maps them
-    one-to-one onto entities of the same relation sequence, and the edge at
-    each position of a reached entity, where it leads to a reached tail,
-    leads at the image to that tail's image. t's run then does s's
-    operations, in s's order, on the images: an edge into a tail s's run
-    never reached carried only emissions below the threshold, which t's run
-    skips too. t's result is then s's quantities, relabeled, and s's pops.
-
-    A source tries one earlier run: the last one made for its key
-    (``_seed_keys``). A run is kept while a later source shares its key, and
-    no longer.
+    Sources of one key (``_seed_keys``) form a group. Its first source is
+    propagated and, when at least ``MIN_WALKED`` others remain, ``_walk``
+    walks the run onto them in one numpy pass. The run serves each source
+    whose walk maps its reached entities one-to-one onto entities of the same
+    relation sequence, each edge into a reached entity, at its position in
+    the edge list, leading at the image to that entity's image: that
+    source's run would do the same operations in the same order, as an edge
+    into an entity the run never reached carried only emissions below the
+    threshold. The refused sources form new groups, one per step at which
+    their walks failed (on a chain of copies, each source whose run reaches
+    the chain's end fails at its own step), and the groups run in turn. A
+    smaller group runs each source and builds no walk and no table.
     """
     sources = list(sources)
-    entities, position, adjacency = graph.entities, graph.position, graph.adjacency
+    position, adjacency = graph.position, graph.adjacency
     shape = _shapes(adjacency)
-    keys = _seed_keys(adjacency, shape, [position.get(s) for s in sources])
-    last = {key: i for i, key in enumerate(keys)}
-    kept: dict[int, _KeptRun] = {}
-    for i, (source, key) in enumerate(zip(sources, keys)):
-        later = last[key] > i
-        run = kept.get(key) if later else kept.pop(key, None)
-        image = run and run.relabeling(adjacency, shape, position[source])
-        if image:
-            result = PropagationResult(
-                dict(zip([entities[at].id for at in image], run.quantities)), run.pops
-            )
+    groups: dict[int, list[int]] = {}
+    for i, key in enumerate(_seed_keys(adjacency, shape, [position.get(s) for s in sources])):
+        groups.setdefault(key, []).append(i)
+    parts = list(groups.values())
+    tables = None
+    for members in parts:  # a walk appends the groups it refuses
+        # Looked up in the module at each call, so a wrapper set on
+        # ``rfpa.propagate`` sees every run that is made.
+        result = propagate(graph, params, sources[members[0]])
+        count = len(result.positions)
+        quantities = np.fromiter(result.quantities.values(), np.float64, count)
+        if len(members) <= MIN_WALKED:
+            parts += [[i] for i in members[1:]]
+            served, images = members[:1], np.fromiter(result.positions, np.int32, count)[None]
         else:
-            # Looked up in the module at each call, so a wrapper set on
-            # ``rfpa.propagate`` sees every run that is made.
-            result = propagate(graph, params, source)
-            if later:
-                kept[key] = _KeptRun(result, position)
-        del run  # a run no later source shares is freed now, not at the next result
-        yield result
+            if tables is None:
+                tables = _tables(adjacency, shape)
+            # The first source is walked too: its image is the run's reach.
+            targets = np.array([position[sources[i]] for i in members], np.int32)
+            failed, images = _walk(adjacency, *tables, result.positions, targets)
+            refused: dict[int, list[int]] = {}
+            for i, step in zip(members, failed.tolist()):
+                refused.setdefault(step, []).append(i)
+            served = refused.pop(-1)
+            parts += refused.values()
+        yield served, images, quantities
+        del images  # freed before the next walk, as the caller frees its own
 
 
 _relation = operator.itemgetter(1)  # of an adjacency edge
@@ -241,10 +261,9 @@ def _seed_keys(adjacency, shape: list[int], seeds: list[int | None]) -> list[int
     gets 0, and ``propagate`` raises for it in its turn.
 
     The positions cost a scan of each tail's edges, so they are read only for
-    seeds that share the rest of their key; the seeds of a graph without
-    repeated structure (a device with many variables) mostly do not. A key
-    reads only the seed's and its tails' edges: no index over the whole graph
-    is held.
+    seeds that share the rest of their key with more than ``MIN_WALKED``
+    others (a smaller group is never walked). A key reads only the seed's
+    and its tails' edges: no index over the whole graph is held.
     """
     numbers: dict[Any, int] = {None: 0}
     near = [
@@ -253,7 +272,7 @@ def _seed_keys(adjacency, shape: list[int], seeds: list[int | None]) -> list[int
         )
         for seed in seeds
     ]
-    shared = {key for key, count in Counter(near).items() if count > 1 and key != 0}
+    shared = {key for key, count in Counter(near).items() if count > MIN_WALKED and key != 0}
     return [
         numbers.setdefault((key, tuple([
             tuple([j for j, edge in enumerate(adjacency[t]) if edge[0] == seed])
@@ -263,64 +282,63 @@ def _seed_keys(adjacency, shape: list[int], seeds: list[int | None]) -> list[int
     ]
 
 
-class _KeptRun:
-    """A run kept for relabeling: its quantities and pops, and the walk over
-    its reached entities in first-receipt order, built as far as a walk has
-    come, so a walk that fails early costs little.
+def _tables(adjacency, shape: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The tail position of each entity's k-th edge as row k of a
+    (max degree x entities) int32 array, -1 where an entity has fewer edges,
+    and ``shape`` as an array."""
+    degree = np.fromiter(map(len, adjacency), np.intp, len(adjacency))
+    tails = np.full((int(degree.max(initial=0)), len(adjacency)), -1, np.int32)
+    heads = np.repeat(np.arange(len(adjacency)), degree)
+    slots = np.arange(len(heads)) - np.repeat(np.cumsum(degree) - degree, degree)
+    tails[slots, heads] = [tail for edges in adjacency for tail, _, _ in edges]
+    return tails, np.array(shape, np.int32)
 
-    ``plan[i]`` is ``(relation sequence, maps, checks)`` for ``reached[i]``.
-    ``maps`` holds the ``(edge position, slot)`` pairs of its edges that first
-    lead to a reached entity (the seed, slot 0, is mapped from the start), and
-    ``checks`` those of its other edges into reached entities. An entity is
-    first reached along an edge of an entity reached before it, so the walk
-    maps each slot before its turn.
+
+def _walk(adjacency, tails: np.ndarray, shapes: np.ndarray, reached: Sequence[int],
+          targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Walk the run that reached ``reached`` onto every one of ``targets``:
+    return the step at which each target failed (-1 if it did not) and each
+    accepted target's image of ``reached``, one row each.
+
+    At each reached entity, in first-receipt order, the image must have the
+    entity's relation sequence (the shape test); the entity's edges that
+    first lead to a reached entity map it (an entity is first reached along
+    an edge of one reached before it), and its other edges into reached
+    entities must lead to their images (the back-edge checks). A target is
+    dropped where it fails, and the walk stops when none is left. Last, each
+    image must be one-to-one, or the target fails at step ``len(reached)``.
     """
-
-    __slots__ = ("quantities", "pops", "reached", "slot", "seen", "plan")
-
-    def __init__(self, result: PropagationResult, position: dict[str, int]):
-        self.quantities = list(result.quantities.values())
-        self.pops = result.pops
-        self.reached = [position[e] for e in result.quantities]
-        self.slot = {entity: i for i, entity in enumerate(self.reached)}
-        self.seen = [True] + [False] * (len(self.reached) - 1)
-        self.plan: list[tuple[int, list[tuple[int, int]], list[tuple[int, int]]]] = []
-
-    def relabeling(self, adjacency, shape: list[int], target: int) -> list[int] | None:
-        """The image of each reached entity for a run seeded at ``target``;
-        None unless the map is one-to-one, keeps each entity's relation
-        sequence, and takes every edge into a reached entity to the edge, at
-        the same position, into that entity's image."""
-        plan = self.plan
-        image = [target] * len(self.reached)
-        for i, mapped in enumerate(image):
-            if i == len(plan):
-                self._extend(adjacency, shape)
-            sequence, maps, checks = plan[i]
-            if shape[mapped] != sequence:
-                return None
-            edges = adjacency[mapped]
-            for k, j in maps:
-                image[j] = edges[k][0]
-            for k, j in checks:
-                if edges[k][0] != image[j]:
-                    return None
-        return image if len(set(image)) == len(image) else None
-
-    def _extend(self, adjacency, shape: list[int]) -> None:
-        entity = self.reached[len(self.plan)]
-        slot, seen = self.slot, self.seen
-        maps, checks = [], []
+    slot = {entity: j for j, entity in enumerate(reached)}
+    seen = [True] + [False] * (len(reached) - 1)
+    image = np.empty((len(reached), len(targets)), np.int32)  # one row per reached entity
+    image[0] = targets
+    failed = np.full(len(targets), -1)
+    live, alive = np.ones(len(targets), bool), len(targets)
+    for i, entity in enumerate(reached):
+        mapped = image[i]  # a dropped target's entries are any positions, or -1
+        keep = shapes.take(mapped) == shapes[entity]
         for k, (tail, _, _) in enumerate(adjacency[entity]):
             j = slot.get(tail)
             if j is None:
                 continue
             if seen[j]:
-                checks.append((k, j))
+                keep &= tails[k].take(mapped) == image[j]
             else:
                 seen[j] = True
-                maps.append((k, j))
-        self.plan.append((shape[entity], maps, checks))
+                tails[k].take(mapped, out=image[j])
+        keep &= live
+        if np.count_nonzero(keep) < alive:
+            failed[live & ~keep] = i
+            live, alive = keep, np.count_nonzero(keep)
+            if not alive:
+                return failed, image[:, live].T
+    live = np.flatnonzero(live)
+    ordered = image[:, live]
+    ordered.sort(axis=0)
+    keep = (ordered[1:] != ordered[:-1]).all(axis=0)
+    del ordered
+    failed[live[~keep]] = len(reached)
+    return failed, image[:, live[keep]].T
 
 
 def trace(

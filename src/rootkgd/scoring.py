@@ -7,9 +7,9 @@ candidate is scored by cosine similarity between that profile and the
 observed contribution-rate vector. A propagation run scales linearly with its
 seed and cosine ignores scale, so any positive seed gives the same score;
 every candidate is seeded with one unit. ``rank_all`` takes the candidates'
-runs from ``rfpa.propagate_each``, which runs the propagation once per
+runs from ``rfpa.propagate_groups``, which runs the propagation once per
 distinct seed structure and relabels that run for the candidates that repeat
-it.
+it, and reads each candidate's profile off the run's arrays.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .features import ContributionVector
 from .kgraph import EntityKind, KnowledgeGraph
-from .rfpa import PropagationResult, RfpaParams, propagate, propagate_each
+from .rfpa import RfpaParams, propagate, propagate_groups
 
 #: Entity kinds scored as root-cause candidates. Substances are never
 #: candidates: a fault is located on a measured variable or on the devices
@@ -61,27 +61,21 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b) / (norm_a * norm_b)
 
 
-#: The last (graph, roster) pair that passed ``_check_roster``. Both objects
-#: are immutable, so the same pair, compared by identity, passes again: a
-#: ranking checks its roster once, not once per candidate. The memo is
-#: replaced whole, so callers in other threads can at worst repeat a check.
-_roster_checked: tuple[KnowledgeGraph | None, tuple[str, ...] | None] = (None, None)
+#: Profile rows ``rank_all`` scatters at a time: the profiles of a ranking
+#: are never all held at once.
+BLOCK_ROWS = 8
 
 
 def _check_roster(graph: KnowledgeGraph, contributions: ContributionVector) -> None:
     """Raise ValueError unless the roster is non-empty, without repeats and
     every id in the graph."""
-    global _roster_checked
     roster = contributions.roster
-    if _roster_checked[0] is graph and _roster_checked[1] is roster:
-        return
     if not roster:
         raise ValueError("contribution roster is empty")
     position = contributions.positions
     if len(position) < len(roster) or not position.keys() <= graph.position.keys():
         bad = [r for i, r in enumerate(roster) if r not in graph.position or position[r] != i]
         raise ValueError(f"roster ids repeated or not in the graph: {bad}")
-    _roster_checked = (graph, roster)
 
 
 def root_score(
@@ -89,23 +83,22 @@ def root_score(
     params: RfpaParams,
     contributions: ContributionVector,
     candidate: str,
-    result: PropagationResult | None = None,
+    profile: np.ndarray | None = None,
 ) -> float:
     """Score one candidate as the root of the observed fault pattern.
 
     The candidate is seeded with one unit: the propagated profile scales
     linearly with the seed, so any positive seed gives the same cosine.
-    ``result`` is the candidate's propagation run; without it the candidate
-    is propagated here.
+    ``profile`` is the candidate's run read off at the roster; without it the
+    roster is checked and the candidate propagated here.
     """
-    _check_roster(graph, contributions)
-    roster, position = contributions.roster, contributions.positions
-    if result is None:
-        result = propagate(graph, params, candidate)
-    profile = np.zeros(len(roster))
-    for entity, quantity in result.quantities.items():
-        if entity in position:
-            profile[position[entity]] = quantity
+    if profile is None:
+        _check_roster(graph, contributions)
+        position = contributions.positions
+        profile = np.zeros(len(contributions.roster))
+        for entity, quantity in propagate(graph, params, candidate).quantities.items():
+            if entity in position:
+                profile[position[entity]] = quantity
     return cosine(profile, contributions.scores)
 
 
@@ -117,25 +110,34 @@ def rank_all(
 ) -> RootCauseRanking:
     """Score every variable, stream and device of the graph and rank them.
 
-    Candidates are scored in graph order in this process, each by one
-    ``root_score`` call on its run from ``propagate_each``, and the final
+    The runs come from ``propagate_groups``. The profiles of a run's served
+    candidates are scattered, ``BLOCK_ROWS`` at a time, into a zeroed block
+    over the roster, each scored by one ``root_score`` call, and the final
     sort makes the order deterministic.
     """
     candidates = graph.entities_of_kind(*CANDIDATE_KINDS)
     if not candidates:
         raise ValueError("no candidate entities to score")
-
-    # The runs come first in the zip, so the generator is run to its end and
-    # what it held is freed before the sort.
-    runs = propagate_each(graph, params, [e.id for e in candidates])
-    entries = [
-        RankEntry(
-            id=e.id,
-            kind=e.kind.value,
-            score=root_score(graph, params, contributions, e.id, result),
-        )
-        for result, e in zip(runs, candidates)
-    ]
+    _check_roster(graph, contributions)
+    width = len(contributions.roster)
+    # Each entity position's roster column; an entity off the roster writes
+    # to one spare column past the profile.
+    column = np.full(len(graph.entities), width, np.intp)
+    column[[graph.position[r] for r in contributions.roster]] = np.arange(width)
+    block = np.zeros((BLOCK_ROWS, width + 1))
+    rows, profiles = np.arange(BLOCK_ROWS)[:, None], [row[:width] for row in block]
+    scores = [0.0] * len(candidates)
+    for served, images, quantities in propagate_groups(
+        graph, params, [e.id for e in candidates]
+    ):
+        for start in range(0, len(served), BLOCK_ROWS):
+            columns = column[images[start:start + BLOCK_ROWS]]
+            block[rows[:len(columns)], columns] = quantities
+            for profile, i in zip(profiles, served[start:start + BLOCK_ROWS]):
+                scores[i] = root_score(graph, params, contributions, candidates[i].id, profile)
+            block[:len(columns)] = 0.0
+        del images  # freed before the next run's walk
+    entries = [RankEntry(e.id, e.kind.value, score) for e, score in zip(candidates, scores)]
     entries.sort(key=lambda e: (-e.score, e.id))
     return RootCauseRanking(entries=tuple(entries), metadata=dict(metadata or {}))
 

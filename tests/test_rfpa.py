@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from rootkgd.rfpa import (
     attenuation,
     format_trace_tsv,
     propagate,
-    propagate_each,
+    propagate_groups,
     trace,
 )
 
@@ -305,15 +306,10 @@ PARAM_SETS = (
 )
 
 
-def runs_of(results) -> list:
-    """Each result as its ``(id, quantity bits)`` items in key order, and its pops."""
-    return [([(k, q.hex()) for k, q in r.quantities.items()], r.pops) for r in results]
-
-
 @pytest.fixture
 def made(monkeypatch) -> list[str]:
     """The sources of the runs made through ``rfpa.propagate``, the module
-    attribute that ``propagate_each`` calls (and a tracer wraps)."""
+    attribute that ``propagate_groups`` calls (and a tracer wraps)."""
     sources: list[str] = []
     plain = rfpa.propagate
 
@@ -326,13 +322,37 @@ def made(monkeypatch) -> list[str]:
 
 
 def shared_runs(graph, params, sources, made) -> int:
-    """Check that ``propagate_each`` yields, entry for entry, what
-    ``propagate`` returns for each source; return how many runs it made."""
+    """Check that ``propagate_groups`` serves every source exactly once, in
+    one row of one run, with what ``propagate`` returns for it (ids and
+    quantity bits in key order), row 0 being the run's own source; return
+    how many runs it made."""
     made.clear()
-    each = runs_of(propagate_each(graph, params, sources))
-    runs = len(made)
-    assert each == runs_of(propagate(graph, params, s) for s in sources)  # not counted
+    ids = [e.id for e in graph.entities]
+    served: dict[int, list] = {}
+    runs = 0
+    for indices, images, quantities in propagate_groups(graph, params, sources):
+        assert made[runs] == sources[indices[0]]
+        runs += 1
+        assert images.dtype == np.int32 and quantities.dtype == np.float64
+        assert images.shape == (len(indices), len(quantities))
+        for i, row in zip(indices, images.tolist()):
+            assert i not in served
+            served[i] = [(ids[at], q.hex()) for at, q in zip(row, quantities.tolist())]
+    assert runs == len(made)
+    assert sorted(served) == list(range(len(sources)))
+    for i, source in enumerate(sources):  # not counted
+        expected = propagate(graph, params, source).quantities
+        assert served[i] == [(k, q.hex()) for k, q in expected.items()]
     return runs
+
+
+def walk(graph, seed: str, targets: list[str], adjacency=None):
+    """``rfpa._walk`` of the run from ``seed`` onto ``targets``, reading the
+    edges of the reached entities from ``adjacency`` (the graph's by default)."""
+    tables = rfpa._tables(graph.adjacency, rfpa._shapes(graph.adjacency))
+    reached = propagate(graph, DEFAULTS, seed).positions
+    at = np.array([graph.position[t] for t in targets], np.int32)
+    return rfpa._walk(graph.adjacency if adjacency is None else adjacency, *tables, reached, at)
 
 
 def two_onto_one_graph():
@@ -344,11 +364,27 @@ def two_onto_one_graph():
     )
 
 
+def one_onto_two_graph():
+    """``s`` reaches ``u`` by relations ``p`` and ``q``; ``t1``, ``t2`` and
+    ``t3`` each reach two entities by them: a walk from ``s`` fails at the
+    seed's own second edge."""
+    return graph_of(
+        ("s", "p", "u"), ("s", "q", "u"),
+        *[(f"t{i}", rel, f"w{i}{rel}") for i in (1, 2, 3) for rel in ("p", "q")],
+        relations=[{"name": "p", "d": 1, "o": 1}, {"name": "q", "d": 2, "o": 0}],
+    )
+
+
 def far_edge_graph():
     """Two chains of three that differ only in the self-loop on ``b3``, the
     last entity the run from ``b1`` reaches."""
     return graph_of(("a1", "flow", "a2"), ("a2", "flow", "a3"),
                     ("b1", "flow", "b2"), ("b2", "flow", "b3"), ("b3", "flow", "b3"))
+
+
+def chain_graph_of(length: int):
+    """One chain ``c1 -> c2 -> ... -> c<length>``."""
+    return graph_of(*[(f"c{i}", "flow", f"c{i + 1}") for i in range(1, length)])
 
 
 def one_device_graph():
@@ -366,15 +402,10 @@ def one_device_graph():
     })
 
 
-def kept_runs() -> int:
-    """How many runs ``propagate_each`` generators hold for later sources."""
-    gc.collect()
-    return sum(isinstance(o, rfpa._KeptRun) for o in gc.get_objects())
-
-
 class TestPropagateEach:
-    """``propagate_each`` yields exactly what ``propagate`` returns, with
-    fewer runs where the graph repeats a structure."""
+    """``propagate_groups`` serves each source with exactly what
+    ``propagate`` returns for it, with fewer runs where the graph repeats a
+    structure."""
 
     def test_template_plants_share_runs_exactly(self, made):
         sources = runs = 0
@@ -411,52 +442,98 @@ class TestPropagateEach:
     def test_repeated_and_reordered_sources(self, diamond_graph, made):
         ids = [e.id for e in diamond_graph.entities]
         shared_runs(diamond_graph, DEFAULTS, ids[::-1] + ids + ids[:1], made)
-        assert list(propagate_each(diamond_graph, DEFAULTS, [])) == []
+        shared_runs(diamond_graph, DEFAULTS, ids[:1] * 5, made)
+        assert list(propagate_groups(diamond_graph, DEFAULTS, [])) == []
 
     def test_unknown_source_raises_in_its_turn(self, chain_graph):
-        results = propagate_each(chain_graph, DEFAULTS, ["A", "nope", "nope"])
-        assert runs_of([next(results)]) == runs_of([propagate(chain_graph, DEFAULTS, "A")])
+        runs = propagate_groups(chain_graph, DEFAULTS, ["A", "nope", "nope"])
+        served, images, quantities = next(runs)
+        assert served == [0]
+        expected = propagate(chain_graph, DEFAULTS, "A").quantities
+        assert quantities.tolist() == list(expected.values())
         with pytest.raises(GraphError, match="unknown entity"):
-            next(results)
+            next(runs)
 
     @pytest.mark.parametrize(
-        "build, seed, target",
+        "build, seed, target, step",
         [
-            (one_device_graph, "v1", "v2"),  # the device's edge back sits elsewhere
-            (far_edge_graph, "a1", "b1"),  # the copies differ at the end of the reach
-            (two_onto_one_graph, "s", "t"),  # two reached entities onto one
+            # the device's edge back sits elsewhere: the check at the device
+            pytest.param(one_device_graph, "v1", "v2", 1, id="one_device_graph-v1-v2"),
+            # the copies differ at the end of the reach: the shape test at b3
+            pytest.param(far_edge_graph, "a1", "b1", 2, id="far_edge_graph-a1-b1"),
+            # two reached entities onto one: the image is not one-to-one
+            pytest.param(two_onto_one_graph, "s", "t", 3, id="two_onto_one_graph-s-t"),
         ],
     )
-    def test_walk_refuses(self, build, seed, target, made):
+    def test_walk_refuses(self, build, seed, target, step, made):
         graph = build()
-        adjacency = graph.adjacency
-        kept = rfpa._KeptRun(propagate(graph, DEFAULTS, seed), graph.position)
-        assert kept.relabeling(adjacency, rfpa._shapes(adjacency), graph.position[target]) is None
-        assert shared_runs(graph, DEFAULTS, [seed, target], made) == 2
+        failed, images = walk(graph, seed, [target] * 4)
+        assert failed.tolist() == [step] * 4 and images.shape == (0, 3)
+        # The target's first copy runs, and its walk serves the other three.
+        assert shared_runs(graph, DEFAULTS, [seed] + [target] * 4, made) == 2
+
+    def test_walk_refuses_a_group_at_different_steps(self, made, monkeypatch):
+        # On one chain, the run from c1 reaches c7; from c2 to c4 the walk
+        # runs off the chain's end one step sooner each, at the shape test.
+        graph = chain_graph_of(7)
+        failed, images = walk(graph, "c1", ["c2", "c3", "c4"])
+        assert failed.tolist() == [5, 4, 3] and images.shape == (0, 7)
+        # So each of them runs by itself, and no second walk is made (the
+        # one walk takes the run's own source too).
+        walked = []
+        plain = rfpa._walk
+
+        def counted(*args):
+            walked.append(len(args[-1]))
+            return plain(*args)
+
+        monkeypatch.setattr(rfpa, "_walk", counted)
+        assert shared_runs(graph, DEFAULTS, ["c1", "c2", "c3", "c4"], made) == 4
+        assert walked == [4]
+
+    def test_walk_stops_when_no_source_is_left(self):
+        # Every target fails at the seed's own second edge, so the walk reads
+        # the edges of the seed and of no other reached entity.
+        graph = one_onto_two_graph()
+
+        class Reads(tuple):
+            def __getitem__(self, at):
+                read.append(at)
+                return super().__getitem__(at)
+
+        read: list[int] = []
+        failed, images = walk(graph, "s", ["t1", "t2", "t3"], Reads(graph.adjacency))
+        assert failed.tolist() == [0, 0, 0] and images.shape == (0, 2)
+        assert read == [graph.position["s"]]
 
     def test_walk_accepts_a_copy(self, made):
-        # Two chains of three whose ids sort in different orders: the second
+        # Copies of a chain of three whose ids sort in different orders: each
         # run is the first relabeled.
-        graph = graph_of(("a1", "flow", "a2"), ("a2", "flow", "a3"),
-                         ("z1", "flow", "m2"), ("m2", "flow", "b3"))
-        assert shared_runs(graph, DEFAULTS, ["a1", "z1"], made) == 1
+        graph = graph_of(*[(f"{p}1", "flow", f"{q}2") for p, q in ("aa", "zm", "yk", "xj")],
+                         *[(f"{q}2", "flow", f"{r}3") for q, r in ("ab", "mb", "kc", "jd")])
+        failed, images = walk(graph, "a1", ["z1"])
+        assert failed.tolist() == [-1]
+        assert [graph.entities[at].id for at in images[0]] == ["z1", "m2", "b3"]
+        assert shared_runs(graph, DEFAULTS, ["a1", "z1", "y1", "x1"], made) == 1
 
-    def test_a_run_is_kept_only_while_a_later_source_shares_its_key(self):
-        # a1 and z1 head copies of one chain; a2 and a3 share their keys with
-        # no other source.
-        graph = graph_of(("a1", "flow", "a2"), ("a2", "flow", "a3"),
-                         ("z1", "flow", "m2"), ("m2", "flow", "b3"))
-        kept = [kept_runs() for _ in propagate_each(graph, DEFAULTS, ["a2", "a1", "z1", "a3"])]
-        assert kept == [0, 1, 0, 0]
+    def test_a_run_is_freed_once_the_next_is_asked_for(self):
+        graph, _ = synth.generate_plant(synth.PlantSpec(n_devices=30, seed=1))
+        runs = propagate_groups(graph, RfpaParams(), [e.id for e in graph.entities])
+        served, images, quantities = next(runs)
+        assert len(served) > 1  # a walked run
+        held = [weakref.ref(images), weakref.ref(quantities)]
+        del served, images, quantities
+        next(runs)
+        gc.collect()
+        assert [ref() for ref in held] == [None, None]
 
     def test_nothing_is_kept_after_the_last_result(self):
         graph, _ = synth.generate_plant(synth.PlantSpec(n_devices=30, seed=1))
         attributes = dict(vars(graph))
-        results = propagate_each(graph, RfpaParams(), [e.id for e in graph.entities])
-        next(results)
-        assert kept_runs() > 0
-        for _ in results:
-            pass
-        assert kept_runs() == 0
+        *_, (_, images, _) = propagate_groups(graph, RfpaParams(), [e.id for e in graph.entities])
+        held = weakref.ref(images)
+        del images
+        gc.collect()
+        assert held() is None
         assert vars(graph).keys() == attributes.keys()
         assert all(vars(graph)[k] is v for k, v in attributes.items())

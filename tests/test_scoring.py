@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -325,18 +326,35 @@ class TestRankAll:
             assert entry.score.hex() == alone.hex()
 
     def test_runs_are_freed_before_the_sort(self, plant30_problem, monkeypatch):
-        # rank_all exhausts propagate_each, so the generator's frame and the
-        # runs it kept are gone before the entries are sorted.
+        # rank_all exhausts propagate_groups, so the generator's frame and
+        # the last run are gone before the entries are sorted.
         graph, contributions = plant30_problem
-        plain, finished = scoring.propagate_each, []
+        plain, finished = scoring.propagate_groups, []
 
         def watched(*args):
             yield from plain(*args)
             finished.append(True)
 
-        monkeypatch.setattr(scoring, "propagate_each", watched)
+        monkeypatch.setattr(scoring, "propagate_groups", watched)
         rank_all(graph, PARAMS, contributions)
         assert finished == [True]
+
+    def test_holds_no_candidates_by_roster_array(self):
+        # The profiles are scattered a few rows at a time: on a 200-device
+        # plant, all of them at once would be 799 x 400 float64 (2.6 MB).
+        graph, _ = synth.generate_plant(synth.PlantSpec(n_devices=200, seed=1))
+        roster = tuple(graph.variable_of.values())
+        scores = np.random.default_rng(200).exponential(size=len(roster))
+        contributions = ContributionVector(scores, roster)
+        candidates = len(graph.entities_of_kind(*CANDIDATE_KINDS))
+        rank_all(graph, PARAMS, contributions)  # warm: what is traced is the ranking's own
+        tracemalloc.start()
+        try:
+            rank_all(graph, PARAMS, contributions)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < candidates * len(roster) * 8 / 2
 
     def test_deterministic_repeat(self, tep_graph, tep_contributions):
         first = rank_all(tep_graph, PARAMS, tep_contributions)

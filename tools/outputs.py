@@ -15,7 +15,11 @@ commands are:
   seed 1, once without a graph and once with ``--graph``, then
   ``diagnose --json`` on its 3 fault episodes with each of the two models;
 - ``trace`` from every entity of the four fixture graphs (the two bundled
-  with the package and the two under ``tests/fixtures``).
+  with the package and the two under ``tests/fixtures``);
+- ``synth`` at seeds 1-3 with 30 devices and at seed 5 with 4 devices (its
+  stdout and every file it writes), then ``fit --graph`` and
+  ``diagnose --json`` on each plant: chains of copies of one unit, whose
+  repeated structure a ranking shares and whose ends it does not.
 
 A diagnosis's stdout is its text report and its file the JSON report; a
 trace's stdout is its TSV. The inputs come from ``perfbench/inputs.py``,
@@ -23,12 +27,14 @@ which this tool imports and does not change; their digests are listed too,
 so a changed input explains a changed output. Everything runs in a temporary
 directory that is removed at the end, with paths relative to it, so the
 manifest does not depend on where the checkout lies. ``--small`` uses a
-6-device plant, shorter files, two TEP episodes and the two test fixtures,
-for a quick self-test.
+6-device plant, shorter files, two TEP episodes, the two test fixtures and
+only the 4-device ``synth`` plant, for a quick self-test.
 
-The second form lists every command whose exit code or digests differ
-between two manifests, or that only one of them holds, and exits 1 if there
-is any.
+The manifest also records the settings that can change a fitted model's
+bytes: ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and the CPU count. The
+second form refuses (exit 2) two manifests whose settings differ, naming
+them; otherwise it lists every command whose exit code or digests differ
+between them, or that only one of them holds, and exits 1 if there is any.
 
 Run both trees, then diff (the second tree's copy of this file writes its
 own manifest):
@@ -65,6 +71,16 @@ FIXTURES = {
 }
 TEP_SEED = 2
 PLANT_SEED = 1
+#: ``synth`` plants as ``(seed, devices)``; ``--small`` runs the last alone.
+SYNTH_PLANTS = ((1, 30), (2, 30), (3, 30), (5, 4))
+#: The manifest key of the settings, which no command's key can equal.
+SETTINGS = "settings"
+
+
+def settings() -> dict:
+    """The settings under which a manifest is made."""
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    return {**{name: os.environ.get(name) for name in names}, "cpu_count": os.cpu_count()}
 
 
 def digest(data: bytes) -> str:
@@ -91,9 +107,12 @@ class Runner:
                               env=self.env, capture_output=True, check=False)
         entry = {"exit": done.returncode, "stdout": digest(done.stdout),
                  "stderr": digest(done.stderr)}
-        if writes is not None:
+        if writes is not None:  # a file, or a directory of files
             written = self.work / writes
-            entry["file"] = digest(written.read_bytes()) if written.exists() else None
+            if written.is_dir():
+                entry["file"] = {f.name: digest(f.read_bytes()) for f in sorted(written.iterdir())}
+            else:
+                entry["file"] = digest(written.read_bytes()) if written.exists() else None
         self.manifest[" ".join(args)] = entry
 
 
@@ -134,6 +153,16 @@ def diagnose(runner: Runner, graph: str, model: str, fault: Path) -> None:
                 "--json", report], writes=report)
 
 
+def synth_outputs(runner: Runner, plants) -> None:
+    for seed, devices in plants:
+        out = f"synth/seed{seed}-devices{devices}"
+        runner.run(["synth", "--out", out, "--seed", str(seed), "--devices", str(devices)],
+                   writes=out)
+        runner.run(["fit", "--graph", f"{out}/graph.json", "--data", f"{out}/normal.csv",
+                    "--model", f"{out}/model.npz"], writes=f"{out}/model.npz")
+        diagnose(runner, f"{out}/graph.json", f"{out}/model.npz", runner.work / out / "fault.csv")
+
+
 def trace_outputs(runner: Runner, names: list[str]) -> None:
     (runner.work / "graphs").mkdir()
     for name in names:
@@ -146,24 +175,38 @@ def write_manifest(path: Path, small: bool) -> None:
     if small:
         sizes = inputs.Sizes(plant_devices=6, plant_normal_rows=300, fault_rows=200,
                              tep_normal_rows=300, plant_episodes=2)
-        episodes, graphs = 2, ["diamond.kg.json", "chain.kg.json"]
+        episodes, graphs, plants = 2, ["diamond.kg.json", "chain.kg.json"], SYNTH_PLANTS[-1:]
     else:
-        sizes, episodes, graphs = inputs.Sizes(), None, list(FIXTURES)
+        sizes, episodes, graphs, plants = inputs.Sizes(), None, list(FIXTURES), SYNTH_PLANTS
     with tempfile.TemporaryDirectory(prefix="rootkgd-outputs-") as work:
         runner = Runner(Path(work))
         tep_outputs(runner, sizes, episodes)
         plant_outputs(runner, sizes)
         trace_outputs(runner, graphs)
+        synth_outputs(runner, plants)
+    failed = sum(entry.get("exit", 0) != 0 for entry in runner.manifest.values())
+    count = len(runner.manifest)
+    runner.manifest[SETTINGS] = settings()
     path.write_text(json.dumps(runner.manifest, indent=1, sort_keys=True) + "\n",
                     encoding="utf-8")
-    failed = sum(entry.get("exit", 0) != 0 for entry in runner.manifest.values())
-    print(f"{len(runner.manifest)} entries written to {path} ({failed} non-zero exits)")
+    print(f"{count} entries written to {path} ({failed} non-zero exits)")
+
+
+class SettingsDiffer(Exception):
+    """Two manifests were made under different settings."""
 
 
 def diff(a_path: Path, b_path: Path) -> list[str]:
-    """One line per command whose entry differs between the two manifests."""
+    """One line per command whose entry differs between the two manifests;
+    ``SettingsDiffer`` if they were made under different settings."""
     a = json.loads(a_path.read_text(encoding="utf-8"))
     b = json.loads(b_path.read_text(encoding="utf-8"))
+    a_settings, b_settings = a.pop(SETTINGS, {}), b.pop(SETTINGS, {})
+    differ = [f"{name} ({a_settings.get(name)!r} in {a_path}, {b_settings.get(name)!r} in {b_path})"
+              for name in sorted(a_settings.keys() | b_settings.keys())
+              if a_settings.get(name) != b_settings.get(name)]
+    if differ:
+        raise SettingsDiffer(f"manifests made under different settings: {'; '.join(differ)}")
     lines = []
     for name in sorted(a.keys() | b.keys()):
         if name not in b:
@@ -188,7 +231,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.diff:
         if args.manifest or args.small:
             parser.error("--diff takes no other argument")
-        lines = diff(*args.diff)
+        try:
+            lines = diff(*args.diff)
+        except SettingsDiffer as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print("\n".join(lines) if lines else "no differences")
         return 1 if lines else 0
     if args.manifest is None:
