@@ -19,9 +19,7 @@ from __future__ import annotations
 
 import heapq
 import math
-import operator
 import sys
-from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Any
@@ -181,8 +179,8 @@ def propagate(graph: KnowledgeGraph, params: RfpaParams, source: str) -> Propaga
     return _run(graph, params, source, None)
 
 
-#: The fewest other sources of a group a walk is made for: a walk costs about
-#: two to five runs of its reach, however many sources it walks.
+#: The fewest sources besides its first that a group needs to be walked: a
+#: walk costs about two to five runs of its reach, however many it walks.
 MIN_WALKED = 3
 
 
@@ -208,16 +206,16 @@ def propagate_groups(
     threshold. The refused sources form new groups, one per step at which
     their walks failed (on a chain of copies, each source whose run reaches
     the chain's end fails at its own step), and the groups run in turn. A
-    smaller group runs each source and builds no walk and no table.
+    smaller group runs each source and is not walked.
     """
     sources = list(sources)
     position, adjacency = graph.position, graph.adjacency
     shape = _shapes(adjacency)
+    tables = _tables(adjacency, shape)
     groups: dict[int, list[int]] = {}
     for i, key in enumerate(_seed_keys(adjacency, shape, [position.get(s) for s in sources])):
         groups.setdefault(key, []).append(i)
     parts = list(groups.values())
-    tables = None
     for members in parts:  # a walk appends the groups it refuses
         # Looked up in the module at each call, so a wrapper set on
         # ``rfpa.propagate`` sees every run that is made.
@@ -228,8 +226,6 @@ def propagate_groups(
             parts += [[i] for i in members[1:]]
             served, images = members[:1], np.fromiter(result.positions, np.int32, count)[None]
         else:
-            if tables is None:
-                tables = _tables(adjacency, shape)
             # The first source is walked too: its image is the run's reach.
             targets = np.array([position[sources[i]] for i in members], np.int32)
             failed, images = _walk(adjacency, *tables, result.positions, targets)
@@ -242,14 +238,11 @@ def propagate_groups(
         del images  # freed before the next walk, as the caller frees its own
 
 
-_relation = operator.itemgetter(1)  # of an adjacency edge
-
-
 def _shapes(adjacency) -> list[int]:
     """A number per entity, equal for entities of equal relation sequence
     (the relations of their edges, in adjacency order)."""
     sequences: dict[tuple[int, ...], int] = {}
-    return [sequences.setdefault(tuple(map(_relation, edges)), len(sequences))
+    return [sequences.setdefault(tuple([rel for _, rel, _ in edges]), len(sequences))
             for edges in adjacency]
 
 
@@ -258,27 +251,16 @@ def _seed_keys(adjacency, shape: list[int], seeds: list[int | None]) -> list[int
     out-edges lead, in order, to tails of equal relation sequence through
     which the same positions lead back to the seed: a source whose run
     relabels another's has that source's number. An unknown seed (None)
-    gets 0, and ``propagate`` raises for it in its turn.
-
-    The positions cost a scan of each tail's edges, so they are read only for
-    seeds that share the rest of their key with more than ``MIN_WALKED``
-    others (a smaller group is never walked). A key reads only the seed's
-    and its tails' edges: no index over the whole graph is held.
+    gets 0, and ``propagate`` raises for it in its turn. A key reads only the
+    seed's and its tails' edges: no index over the whole graph is held.
     """
     numbers: dict[Any, int] = {None: 0}
-    near = [
-        0 if seed is None else numbers.setdefault(
-            (shape[seed], tuple([shape[t] for t, _, _ in adjacency[seed]])), len(numbers)
-        )
-        for seed in seeds
-    ]
-    shared = {key for key, count in Counter(near).items() if count > MIN_WALKED and key != 0}
     return [
-        numbers.setdefault((key, tuple([
-            tuple([j for j, edge in enumerate(adjacency[t]) if edge[0] == seed])
+        0 if seed is None else numbers.setdefault((shape[seed], tuple([
+            (shape[t], tuple([j for j, edge in enumerate(adjacency[t]) if edge[0] == seed]))
             for t, _, _ in adjacency[seed]
-        ])), len(numbers)) if key in shared else key
-        for seed, key in zip(seeds, near)
+        ])), len(numbers))
+        for seed in seeds
     ]
 
 

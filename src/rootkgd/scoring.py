@@ -61,11 +61,6 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b) / (norm_a * norm_b)
 
 
-#: Profile rows ``rank_all`` scatters at a time: the profiles of a ranking
-#: are never all held at once.
-BLOCK_ROWS = 8
-
-
 def _check_roster(graph: KnowledgeGraph, contributions: ContributionVector) -> None:
     """Raise ValueError unless the roster is non-empty, without repeats and
     every id in the graph."""
@@ -110,10 +105,10 @@ def rank_all(
 ) -> RootCauseRanking:
     """Score every variable, stream and device of the graph and rank them.
 
-    The runs come from ``propagate_groups``. The profiles of a run's served
-    candidates are scattered, ``BLOCK_ROWS`` at a time, into a zeroed block
-    over the roster, each scored by one ``root_score`` call, and the final
-    sort makes the order deterministic.
+    The runs come from ``propagate_groups``. Each served candidate's
+    profile is scattered into one zeroed row over the roster, scored by one
+    ``root_score`` call and zeroed again, so no two profiles are held at
+    once; the final sort makes the order deterministic.
     """
     candidates = graph.entities_of_kind(*CANDIDATE_KINDS)
     if not candidates:
@@ -124,18 +119,16 @@ def rank_all(
     # to one spare column past the profile.
     column = np.full(len(graph.entities), width, np.intp)
     column[[graph.position[r] for r in contributions.roster]] = np.arange(width)
-    block = np.zeros((BLOCK_ROWS, width + 1))
-    rows, profiles = np.arange(BLOCK_ROWS)[:, None], [row[:width] for row in block]
+    profile = np.zeros(width + 1)
     scores = [0.0] * len(candidates)
     for served, images, quantities in propagate_groups(
         graph, params, [e.id for e in candidates]
     ):
-        for start in range(0, len(served), BLOCK_ROWS):
-            columns = column[images[start:start + BLOCK_ROWS]]
-            block[rows[:len(columns)], columns] = quantities
-            for profile, i in zip(profiles, served[start:start + BLOCK_ROWS]):
-                scores[i] = root_score(graph, params, contributions, candidates[i].id, profile)
-            block[:len(columns)] = 0.0
+        for i, positions in zip(served, images):
+            columns = column[positions]
+            profile[columns] = quantities
+            scores[i] = root_score(graph, params, contributions, candidates[i].id, profile[:width])
+            profile[columns] = 0.0
         del images  # freed before the next run's walk
     entries = [RankEntry(e.id, e.kind.value, score) for e, score in zip(candidates, scores)]
     entries.sort(key=lambda e: (-e.score, e.id))

@@ -20,6 +20,7 @@ from rootkgd.rfpa import (
     propagate_groups,
     trace,
 )
+from rootkgd.scoring import CANDIDATE_KINDS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -321,6 +322,28 @@ def made(monkeypatch) -> list[str]:
     return sources
 
 
+@pytest.fixture
+def walked(monkeypatch) -> list[int]:
+    """The number of targets of each walk made through ``rfpa._walk``."""
+    counts: list[int] = []
+    plain = rfpa._walk
+
+    def counted(*args):
+        counts.append(len(args[-1]))
+        return plain(*args)
+
+    monkeypatch.setattr(rfpa, "_walk", counted)
+    return counts
+
+
+def named_graph(name: str, request):
+    """The fixture graph ``name``, or for ``plantN`` the ``synth`` plant of N
+    devices at seed 1."""
+    if name.startswith("plant"):
+        return synth.generate_plant(synth.PlantSpec(n_devices=int(name[5:]), seed=1))[0]
+    return request.getfixturevalue(name)
+
+
 def shared_runs(graph, params, sources, made) -> int:
     """Check that ``propagate_groups`` serves every source exactly once, in
     one row of one run, with what ``propagate`` returns for it (ids and
@@ -472,7 +495,7 @@ class TestPropagateEach:
         # The target's first copy runs, and its walk serves the other three.
         assert shared_runs(graph, DEFAULTS, [seed] + [target] * 4, made) == 2
 
-    def test_walk_refuses_a_group_at_different_steps(self, made, monkeypatch):
+    def test_walk_refuses_a_group_at_different_steps(self, made, walked):
         # On one chain, the run from c1 reaches c7; from c2 to c4 the walk
         # runs off the chain's end one step sooner each, at the shape test.
         graph = chain_graph_of(7)
@@ -480,16 +503,49 @@ class TestPropagateEach:
         assert failed.tolist() == [5, 4, 3] and images.shape == (0, 7)
         # So each of them runs by itself, and no second walk is made (the
         # one walk takes the run's own source too).
-        walked = []
-        plain = rfpa._walk
-
-        def counted(*args):
-            walked.append(len(args[-1]))
-            return plain(*args)
-
-        monkeypatch.setattr(rfpa, "_walk", counted)
+        walked.clear()
         assert shared_runs(graph, DEFAULTS, ["c1", "c2", "c3", "c4"], made) == 4
         assert walked == [4]
+
+    @pytest.mark.parametrize(
+        "fixture", ["tep_graph", "mff_graph", "diamond_graph", "chain_graph", "plant30"]
+    )
+    def test_seed_keys_depend_on_each_seed_alone(self, fixture, request):
+        # A seed's number is fixed by its own structure, so the partition of
+        # the seeds does not change when the list is repeated and reversed.
+        graph = named_graph(fixture, request)
+        adjacency = graph.adjacency
+        shape = rfpa._shapes(adjacency)
+
+        def partition(seeds):
+            groups: dict[int, set[int]] = {}
+            for seed, key in zip(seeds, rfpa._seed_keys(adjacency, shape, seeds)):
+                groups.setdefault(key, set()).add(seed)
+            return {frozenset(group) for group in groups.values()}
+
+        seeds = list(range(len(graph.entities)))
+        assert partition(seeds) == partition((seeds * 3)[::-1])
+
+    def test_seed_key_reads_the_edges_back(self):
+        # The device's first edge leads back to v1, its second to v2, so v1's
+        # run is no relabeling of v2's, however few seeds share their shape.
+        graph = one_device_graph()
+        adjacency = graph.adjacency
+        seeds = [graph.position["v1"], graph.position["v2"]]
+        first, second = rfpa._seed_keys(adjacency, rfpa._shapes(adjacency), seeds)
+        assert first != second
+
+    @pytest.mark.parametrize("fixture, runs, walks", [
+        ("tep_graph", 70, 0), ("mff_graph", 54, 0), ("plant30", 63, 4), ("plant800", 63, 4),
+    ])
+    def test_runs_and_walks_of_a_ranking(self, fixture, runs, walks, request, made, walked):
+        # The work of ranking the graphs the benchmark diagnoses (and of a
+        # smaller plant): a change to the keys or the walk moves these counts.
+        graph = named_graph(fixture, request)
+        candidates = [e.id for e in graph.entities_of_kind(*CANDIDATE_KINDS)]
+        for _ in propagate_groups(graph, RfpaParams(), candidates):
+            pass
+        assert (len(made), len(walked)) == (runs, walks)
 
     def test_walk_stops_when_no_source_is_left(self):
         # Every target fails at the seed's own second edge, so the walk reads

@@ -340,7 +340,7 @@ class TestRankAll:
         assert finished == [True]
 
     def test_holds_no_candidates_by_roster_array(self):
-        # The profiles are scattered a few rows at a time: on a 200-device
+        # The profiles are scored one row at a time: on a 200-device
         # plant, all of them at once would be 799 x 400 float64 (2.6 MB).
         graph, _ = synth.generate_plant(synth.PlantSpec(n_devices=200, seed=1))
         roster = tuple(graph.variable_of.values())

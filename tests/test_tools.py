@@ -41,7 +41,7 @@ def test_outputs_manifest_leaves_no_files(tmp_path):
     assert settings["cpu_count"] == os.cpu_count()
     commands = [name.split()[0] for name in entries]
     assert {c: commands.count(c) for c in set(commands)} == {
-        "fit": 4, "diagnose": 7, "trace": 6, "input": 8, "synth": 1,
+        "fit": 4, "diagnose": 7, "trace": 6, "validate-kg": 2, "input": 8, "synth": 1,
     }
     plant = "synth --out synth/seed5-devices4 --seed 5 --devices 4"
     assert sorted(entries[plant]["file"]) == ["fault.csv", "graph.json", "manifest.json", "normal.csv"]

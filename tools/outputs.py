@@ -14,8 +14,9 @@ commands are:
 - ``fit`` on the 800-device plant of ``perfbench/inputs.plant_inputs`` at
   seed 1, once without a graph and once with ``--graph``, then
   ``diagnose --json`` on its 3 fault episodes with each of the two models;
-- ``trace`` from every entity of the four fixture graphs (the two bundled
-  with the package and the two under ``tests/fixtures``);
+- ``validate-kg`` on, and ``trace`` from every entity of, the four fixture
+  graphs (the two bundled with the package and the two under
+  ``tests/fixtures``);
 - ``synth`` at seeds 1-3 with 30 devices and at seed 5 with 4 devices (its
   stdout and every file it writes), then ``fit --graph`` and
   ``diagnose --json`` on each plant: chains of copies of one unit, whose
@@ -163,10 +164,11 @@ def synth_outputs(runner: Runner, plants) -> None:
         diagnose(runner, f"{out}/graph.json", f"{out}/model.npz", runner.work / out / "fault.csv")
 
 
-def trace_outputs(runner: Runner, names: list[str]) -> None:
+def graph_outputs(runner: Runner, names: list[str]) -> None:
     (runner.work / "graphs").mkdir()
     for name in names:
         shutil.copy(FIXTURES[name], runner.work / "graphs" / name)
+        runner.run(["validate-kg", f"graphs/{name}"])
         for entity in json.loads(FIXTURES[name].read_text(encoding="utf-8"))["entities"]:
             runner.run(["trace", entity["id"], "--graph", f"graphs/{name}"])
 
@@ -182,7 +184,7 @@ def write_manifest(path: Path, small: bool) -> None:
         runner = Runner(Path(work))
         tep_outputs(runner, sizes, episodes)
         plant_outputs(runner, sizes)
-        trace_outputs(runner, graphs)
+        graph_outputs(runner, graphs)
         synth_outputs(runner, plants)
     failed = sum(entry.get("exit", 0) != 0 for entry in runner.manifest.values())
     count = len(runner.manifest)
