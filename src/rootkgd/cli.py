@@ -8,6 +8,7 @@ validation or diagnosis failure, 2 usage or parse errors.
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import logging
 import os
@@ -22,7 +23,7 @@ from .config import ConfigError, DiagnosisConfig, load_config
 from .dataio import write_csv
 from .kgraph import GraphError, GraphParseError, GraphValidationError, load_graph, save_graph
 from .pipeline import run_diagnose, run_fit, run_trace
-from .scoring import format_report, report_dict
+from .scoring import format_report, report_lines
 
 logger = logging.getLogger(__name__)
 
@@ -58,7 +59,15 @@ def handle_errors(fn):
 @click.group()
 @click.pass_context
 def main(ctx):
-    """Root-cause diagnosis from a plant knowledge graph and process data."""
+    """Root-cause diagnosis from a plant knowledge graph and process data.
+
+    It ends by freezing the collector's view of what the process holds so
+    far (numpy, click, these modules): those objects live until exit, so
+    later collections and the interpreter's teardown skip them. The
+    collector stays on for the command's own objects. An in-process caller,
+    such as a test's ``CliRunner``, keeps every object alive at that point
+    frozen.
+    """
     level_name = os.environ.get("ROOTKGD_LOG", "WARNING").upper()
     level = getattr(logging, level_name, None)
     if not isinstance(level, int):
@@ -70,6 +79,7 @@ def main(ctx):
     package.addHandler(handler)
     package.setLevel(level)
     ctx.call_on_close(lambda: package.removeHandler(handler))
+    gc.freeze()
 
 
 @main.command()
@@ -122,10 +132,8 @@ def diagnose(config_path, graph_path, model_path, data_path, fault_start, window
     ranking = run_diagnose(config)
     click.echo(format_report(ranking, top_k=config.top_k), nl=False)
     if json_path:
-        report = report_dict(ranking)
         with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)  # streamed: no whole-report string
-            fh.write("\n")
+            fh.writelines(report_lines(ranking))
         click.echo(f"report written to {json_path}")
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import zipfile
 from dataclasses import dataclass
 from functools import cached_property
@@ -147,6 +148,11 @@ class ContributionVector:
     @cached_property
     def positions(self) -> dict[str, int]:
         return {r: i for i, r in enumerate(self.roster)}
+
+    @cached_property
+    def norm(self) -> float:
+        """The Euclidean norm of ``scores``, by the expression ``cosine`` uses."""
+        return math.sqrt(float(self.scores @ self.scores))
 
     def normalized(self) -> "ContributionVector":
         total = self.scores.sum()

@@ -251,14 +251,23 @@ def _seed_keys(adjacency, shape: list[int], seeds: list[int | None]) -> list[int
     out-edges lead, in order, to tails of equal relation sequence through
     which the same positions lead back to the seed: a source whose run
     relabels another's has that source's number. An unknown seed (None)
-    gets 0, and ``propagate`` raises for it in its turn. A key reads only the
-    seed's and its tails' edges: no index over the whole graph is held.
+    gets 0, and ``propagate`` raises for it in its turn. The positions come
+    from one index over the whole graph, built in one pass over its edges:
+    it maps ``entity * len(adjacency) + tail`` to the position of the
+    entity's edge to that tail, or to nested pairs ``((j1, j2), j3)`` of the
+    positions when it has several. Its entries are ints, not tuples, to keep
+    it small: it is built while the graph stage of a diagnosis peaks.
     """
+    n = len(adjacency)
+    back: dict[int, Any] = {}
+    for head, edges in enumerate(adjacency):
+        for j, (tail, _, _) in enumerate(edges):
+            pair = head * n + tail
+            back[pair] = (back[pair], j) if pair in back else j
     numbers: dict[Any, int] = {None: 0}
     return [
         0 if seed is None else numbers.setdefault((shape[seed], tuple([
-            (shape[t], tuple([j for j, edge in enumerate(adjacency[t]) if edge[0] == seed]))
-            for t, _, _ in adjacency[seed]
+            (shape[t], back.get(t * n + seed, -1)) for t, _, _ in adjacency[seed]
         ])), len(numbers))
         for seed in seeds
     ]

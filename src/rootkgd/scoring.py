@@ -14,8 +14,11 @@ it, and reads each candidate's profile off the run's arrays.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -52,10 +55,12 @@ class RootCauseRanking:
         return tuple(e for e in self.entries if e.kind != EntityKind.VARIABLE.value)
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity; 0.0 when either vector has zero norm."""
+def cosine(a: np.ndarray, b: np.ndarray, norm_b: float | None = None) -> float:
+    """Cosine similarity; 0.0 when either vector has zero norm. ``norm_b``,
+    when given, is ``b``'s norm as computed here."""
     norm_a = math.sqrt(float(a @ a))
-    norm_b = math.sqrt(float(b @ b))
+    if norm_b is None:
+        norm_b = math.sqrt(float(b @ b))
     if norm_a == 0.0 or norm_b == 0.0:
         return 0.0
     return float(a @ b) / (norm_a * norm_b)
@@ -94,7 +99,7 @@ def root_score(
         for entity, quantity in propagate(graph, params, candidate).quantities.items():
             if entity in position:
                 profile[position[entity]] = quantity
-    return cosine(profile, contributions.scores)
+    return cosine(profile, contributions.scores, contributions.norm)
 
 
 def rank_all(
@@ -144,6 +149,28 @@ def report_dict(ranking: RootCauseRanking) -> dict[str, Any]:
         "window": meta.get("window", {}),
         "ranking": [{"id": e.id, "kind": e.kind, "score": e.score} for e in ranking.entries],
     }
+
+
+def report_lines(ranking: RootCauseRanking) -> Iterator[str]:
+    """Yield ``json.dumps(report_dict(ranking), indent=2) + "\n"`` in pieces,
+    one per entry, so no whole-report string is held.
+
+    The head is dumped by ``json``; each entry is filled into one template
+    with json's C string encoder and ``float.__repr__``, which is what
+    ``json`` writes for a finite float (every score is a finite cosine).
+    """
+    head = json.dumps(report_dict(replace(ranking, entries=())), indent=2)
+    if not ranking.entries:
+        yield head + "\n"
+        return
+    yield head[:-len("]\n}")]
+    separator = ""
+    for e in ranking.entries:
+        yield (f'{separator}\n    {{\n      "id": {encode_basestring_ascii(e.id)},'
+               f'\n      "kind": {encode_basestring_ascii(e.kind)},'
+               f'\n      "score": {float.__repr__(e.score)}\n    }}')
+        separator = ","
+    yield "\n  ]\n}\n"
 
 
 def format_report(ranking: RootCauseRanking, top_k: int = 10) -> str:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import logging
@@ -490,6 +491,27 @@ class TestDiagnoseCommand:
         )
         expected = json.dumps(report_dict(run_diagnose(config)), indent=2) + "\n"
         assert report.read_bytes() == expected.encode("utf-8")
+
+    def test_fresh_process_exit_loses_no_output(self, plant_dir, model_path, tmp_path, runner):
+        # The group callback freezes the collector's view of the process; a
+        # fresh interpreter that then exits must still flush all its output,
+        # and an in-process caller keeps the collector on.
+        report = tmp_path / "report.json"
+        args = diagnose_args(plant_dir, model_path, "--json", str(report))
+        in_process = runner.invoke(main, args)
+        assert in_process.exit_code == 0, in_process.output
+        assert gc.isenabled()
+        expected = report.read_bytes()
+        report.unlink()
+        src = str(Path(rootkgd.__file__).parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-m", "rootkgd.cli", *args],
+                              env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                              check=False, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == b""
+        assert done.stdout == in_process.stdout_bytes
+        assert report.read_bytes() == expected
 
     def test_failed_diagnose_writes_no_report(self, plant_dir, model_path, tmp_path, runner):
         # The graph is the last input read: its failure still leaves no report.

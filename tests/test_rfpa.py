@@ -425,6 +425,23 @@ def one_device_graph():
     })
 
 
+def parallel_edges_graph():
+    """Three devices of one relation sequence, each with two of its three
+    edges back to its own variable: at positions 0 and 2 to ``a``, 1 and 2
+    to ``b``, and 0 and 1 to ``c``."""
+    backs = {"a": (0, 2), "b": (1, 2), "c": (0, 1)}
+    variables = [*backs, "xa", "xb", "xc"]
+    return graph_from_dict({
+        "entities": [{"id": f"d{v}", "kind": "device", "label": v} for v in backs]
+                    + [{"id": v, "kind": "variable", "label": v, "column": v} for v in variables],
+        "relations": [{"name": f"R{k}", "d": k + 1, "o": 1} for k in range(3)]
+                     + [{"name": "M", "d": 1, "o": 1}],
+        "triples": [[f"d{v}", f"R{k}", v if k in back else f"x{v}"]
+                    for v, back in backs.items() for k in range(3)]
+                   + [[v, "M", f"d{v}"] for v in backs],
+    })
+
+
 class TestPropagateEach:
     """``propagate_groups`` serves each source with exactly what
     ``propagate`` returns for it, with fewer runs where the graph repeats a
@@ -534,6 +551,14 @@ class TestPropagateEach:
         seeds = [graph.position["v1"], graph.position["v2"]]
         first, second = rfpa._seed_keys(adjacency, rfpa._shapes(adjacency), seeds)
         assert first != second
+
+    def test_seed_key_reads_every_edge_back(self):
+        # Each device has two edges back to its variable: a and b share the
+        # last of those positions, a and c the first, so every one counts.
+        graph = parallel_edges_graph()
+        adjacency = graph.adjacency
+        seeds = [graph.position[i] for i in ("a", "b", "c")]
+        assert len(set(rfpa._seed_keys(adjacency, rfpa._shapes(adjacency), seeds))) == 3
 
     @pytest.mark.parametrize("fixture, runs, walks", [
         ("tep_graph", 70, 0), ("mff_graph", 54, 0), ("plant30", 63, 4), ("plant800", 63, 4),

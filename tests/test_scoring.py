@@ -15,10 +15,13 @@ from rootkgd.kgraph import GraphError, graph_from_dict
 from rootkgd.rfpa import RfpaParams, propagate
 from rootkgd.scoring import (
     CANDIDATE_KINDS,
+    RankEntry,
+    RootCauseRanking,
     cosine,
     format_report,
     rank_all,
     report_dict,
+    report_lines,
     root_score,
 )
 
@@ -422,6 +425,28 @@ class TestFormatReport:
         payload = report_dict(ranking)
         assert isinstance(payload["ranking"], list)
         assert payload["ranking"][0].keys() == {"id", "kind", "score"}
+
+    @pytest.mark.parametrize("case", ["tep", "escapes", "scores", "no_metadata", "empty"])
+    def test_report_lines_are_the_dumped_report_dict(self, ranking, case):
+        escapes = (
+            RankEntry("caf\u00e9 \u2603 \U0001f600", "variable", 0.5),
+            RankEntry('quo"te', "stream", 0.25),
+            RankEntry("back\\slash/", "device", 0.125),
+            RankEntry("ctl\x00\x1f\t\n\r\x7f", "variable", 0.0625),
+        )
+        scores = tuple(RankEntry(f"v{i}", "variable", score)
+                       for i, score in enumerate([1.0, 0.1 + 0.2, 5e-324, 0.0]))
+        meta = {"graph": "pl\u00e4nt \"g\".json", "params": {"sigma_r": 0.1},
+                "window": {"fault_start": 0, "length": 1}}
+        ranking = {
+            "tep": ranking,
+            "escapes": RootCauseRanking(escapes, meta),
+            "scores": RootCauseRanking(scores, meta),
+            "no_metadata": RootCauseRanking(scores, {}),
+            "empty": RootCauseRanking((), meta),
+        }[case]
+        text = "".join(report_lines(ranking))
+        assert text == json.dumps(report_dict(ranking), indent=2) + "\n"
 
     def test_bad_args(self, ranking):
         with pytest.raises(ValueError, match="top_k"):
