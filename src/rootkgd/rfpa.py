@@ -203,10 +203,8 @@ def propagate_groups(
     the edge list, leading at the image to that entity's image: that
     source's run would do the same operations in the same order, as an edge
     into an entity the run never reached carried only emissions below the
-    threshold. The refused sources form new groups, one per step at which
-    their walks failed (on a chain of copies, each source whose run reaches
-    the chain's end fails at its own step), and the groups run in turn. A
-    smaller group runs each source and is not walked.
+    threshold. A smaller group is not walked: its run serves its first
+    source alone. Each source a run does not serve runs alone in its turn.
     """
     sources = list(sources)
     position, adjacency = graph.position, graph.adjacency
@@ -216,25 +214,22 @@ def propagate_groups(
     for i, key in enumerate(_seed_keys(adjacency, shape, [position.get(s) for s in sources])):
         groups.setdefault(key, []).append(i)
     parts = list(groups.values())
-    for members in parts:  # a walk appends the groups it refuses
+    for members in parts:  # each source a run does not serve is appended alone
         # Looked up in the module at each call, so a wrapper set on
         # ``rfpa.propagate`` sees every run that is made.
         result = propagate(graph, params, sources[members[0]])
         count = len(result.positions)
         quantities = np.fromiter(result.quantities.values(), np.float64, count)
         if len(members) <= MIN_WALKED:
-            parts += [[i] for i in members[1:]]
-            served, images = members[:1], np.fromiter(result.positions, np.int32, count)[None]
+            accepted = [True] + [False] * (len(members) - 1)
+            images = np.fromiter(result.positions, np.int32, count)[None]
         else:
             # The first source is walked too: its image is the run's reach.
             targets = np.array([position[sources[i]] for i in members], np.int32)
-            failed, images = _walk(adjacency, *tables, result.positions, targets)
-            refused: dict[int, list[int]] = {}
-            for i, step in zip(members, failed.tolist()):
-                refused.setdefault(step, []).append(i)
-            served = refused.pop(-1)
-            parts += refused.values()
-        yield served, images, quantities
+            accepted, images = _walk(adjacency, *tables, result.positions, targets)
+            accepted = accepted.tolist()
+        parts += [[i] for i, ok in zip(members, accepted) if not ok]
+        yield [i for i, ok in zip(members, accepted) if ok], images, quantities
         del images  # freed before the next walk, as the caller frees its own
 
 
@@ -288,48 +283,39 @@ def _tables(adjacency, shape: list[int]) -> tuple[np.ndarray, np.ndarray]:
 def _walk(adjacency, tails: np.ndarray, shapes: np.ndarray, reached: Sequence[int],
           targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Walk the run that reached ``reached`` onto every one of ``targets``:
-    return the step at which each target failed (-1 if it did not) and each
-    accepted target's image of ``reached``, one row each.
+    return whether each target is accepted and each accepted target's image
+    of ``reached``, one row each.
 
     At each reached entity, in first-receipt order, the image must have the
     entity's relation sequence (the shape test); the entity's edges that
     first lead to a reached entity map it (an entity is first reached along
     an edge of one reached before it), and its other edges into reached
-    entities must lead to their images (the back-edge checks). A target is
-    dropped where it fails, and the walk stops when none is left. Last, each
-    image must be one-to-one, or the target fails at step ``len(reached)``.
+    entities must lead to their images (the back-edge checks). Last, each
+    image must be one-to-one. A refused target's image is still mapped, to
+    any positions or -1, and its checks change nothing.
     """
     slot = {entity: j for j, entity in enumerate(reached)}
     seen = [True] + [False] * (len(reached) - 1)
     image = np.empty((len(reached), len(targets)), np.int32)  # one row per reached entity
     image[0] = targets
-    failed = np.full(len(targets), -1)
-    live, alive = np.ones(len(targets), bool), len(targets)
+    accepted = np.ones(len(targets), bool)
     for i, entity in enumerate(reached):
-        mapped = image[i]  # a dropped target's entries are any positions, or -1
-        keep = shapes.take(mapped) == shapes[entity]
+        mapped = image[i]
+        accepted &= shapes.take(mapped) == shapes[entity]
         for k, (tail, _, _) in enumerate(adjacency[entity]):
             j = slot.get(tail)
             if j is None:
                 continue
             if seen[j]:
-                keep &= tails[k].take(mapped) == image[j]
+                accepted &= tails[k].take(mapped) == image[j]
             else:
                 seen[j] = True
                 tails[k].take(mapped, out=image[j])
-        keep &= live
-        if np.count_nonzero(keep) < alive:
-            failed[live & ~keep] = i
-            live, alive = keep, np.count_nonzero(keep)
-            if not alive:
-                return failed, image[:, live].T
-    live = np.flatnonzero(live)
-    ordered = image[:, live]
+    ordered = image[:, accepted]
     ordered.sort(axis=0)
-    keep = (ordered[1:] != ordered[:-1]).all(axis=0)
+    accepted[accepted] = (ordered[1:] != ordered[:-1]).all(axis=0)
     del ordered
-    failed[live[~keep]] = len(reached)
-    return failed, image[:, live[keep]].T
+    return accepted, image[:, accepted].T
 
 
 def trace(

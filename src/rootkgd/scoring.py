@@ -125,6 +125,7 @@ def rank_all(
     column = np.full(len(graph.entities), width, np.intp)
     column[[graph.position[r] for r in contributions.roster]] = np.arange(width)
     profile = np.zeros(width + 1)
+    roster = profile[:width]  # a view: what the scatter writes, each score reads
     scores = [0.0] * len(candidates)
     for served, images, quantities in propagate_groups(
         graph, params, [e.id for e in candidates]
@@ -132,7 +133,7 @@ def rank_all(
         for i, positions in zip(served, images):
             columns = column[positions]
             profile[columns] = quantities
-            scores[i] = root_score(graph, params, contributions, candidates[i].id, profile[:width])
+            scores[i] = root_score(graph, params, contributions, candidates[i].id, roster)
             profile[columns] = 0.0
         del images  # freed before the next run's walk
     entries = [RankEntry(e.id, e.kind.value, score) for e, score in zip(candidates, scores)]

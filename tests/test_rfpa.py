@@ -369,13 +369,12 @@ def shared_runs(graph, params, sources, made) -> int:
     return runs
 
 
-def walk(graph, seed: str, targets: list[str], adjacency=None):
-    """``rfpa._walk`` of the run from ``seed`` onto ``targets``, reading the
-    edges of the reached entities from ``adjacency`` (the graph's by default)."""
+def walk(graph, seed: str, targets: list[str]):
+    """``rfpa._walk`` of the run from ``seed`` onto ``targets``."""
     tables = rfpa._tables(graph.adjacency, rfpa._shapes(graph.adjacency))
     reached = propagate(graph, DEFAULTS, seed).positions
     at = np.array([graph.position[t] for t in targets], np.int32)
-    return rfpa._walk(graph.adjacency if adjacency is None else adjacency, *tables, reached, at)
+    return rfpa._walk(graph.adjacency, *tables, reached, at)
 
 
 def two_onto_one_graph():
@@ -495,29 +494,35 @@ class TestPropagateEach:
             next(runs)
 
     @pytest.mark.parametrize(
-        "build, seed, target, step",
+        "build, seed, targets, runs",
         [
             # the device's edge back sits elsewhere: the check at the device
-            pytest.param(one_device_graph, "v1", "v2", 1, id="one_device_graph-v1-v2"),
+            # (v2's key is not v1's, so its first copy's walk serves the rest)
+            pytest.param(one_device_graph, "v1", ["v2"] * 4, 2, id="one_device_graph-v1-v2"),
             # the copies differ at the end of the reach: the shape test at b3
-            pytest.param(far_edge_graph, "a1", "b1", 2, id="far_edge_graph-a1-b1"),
+            pytest.param(far_edge_graph, "a1", ["b1"] * 4, 5, id="far_edge_graph-a1-b1"),
             # two reached entities onto one: the image is not one-to-one
-            pytest.param(two_onto_one_graph, "s", "t", 3, id="two_onto_one_graph-s-t"),
+            pytest.param(two_onto_one_graph, "s", ["t"] * 4, 5, id="two_onto_one_graph-s-t"),
+            # one reached entity onto two: the check at the seed's own second edge
+            pytest.param(one_onto_two_graph, "s", ["t1", "t2", "t3"], 4,
+                         id="one_onto_two_graph-s-t"),
         ],
     )
-    def test_walk_refuses(self, build, seed, target, step, made):
+    def test_walk_refuses(self, build, seed, targets, runs, made):
         graph = build()
-        failed, images = walk(graph, seed, [target] * 4)
-        assert failed.tolist() == [step] * 4 and images.shape == (0, 3)
-        # The target's first copy runs, and its walk serves the other three.
-        assert shared_runs(graph, DEFAULTS, [seed] + [target] * 4, made) == 2
+        accepted, images = walk(graph, seed, targets)
+        reached = propagate(graph, DEFAULTS, seed).positions
+        assert accepted.tolist() == [False] * len(targets)
+        assert images.shape == (0, len(reached))
+        # A target of the seed's key that the seed's walk refuses runs alone.
+        assert shared_runs(graph, DEFAULTS, [seed] + targets, made) == runs
 
     def test_walk_refuses_a_group_at_different_steps(self, made, walked):
         # On one chain, the run from c1 reaches c7; from c2 to c4 the walk
         # runs off the chain's end one step sooner each, at the shape test.
         graph = chain_graph_of(7)
-        failed, images = walk(graph, "c1", ["c2", "c3", "c4"])
-        assert failed.tolist() == [5, 4, 3] and images.shape == (0, 7)
+        accepted, images = walk(graph, "c1", ["c2", "c3", "c4"])
+        assert accepted.tolist() == [False] * 3 and images.shape == (0, 7)
         # So each of them runs by itself, and no second walk is made (the
         # one walk takes the run's own source too).
         walked.clear()
@@ -561,7 +566,8 @@ class TestPropagateEach:
         assert len(set(rfpa._seed_keys(adjacency, rfpa._shapes(adjacency), seeds))) == 3
 
     @pytest.mark.parametrize("fixture, runs, walks", [
-        ("tep_graph", 70, 0), ("mff_graph", 54, 0), ("plant30", 63, 4), ("plant800", 63, 4),
+        ("tep_graph", 70, 0), ("mff_graph", 54, 0), ("plant30", 63, 4), ("plant200", 63, 4),
+        ("plant800", 63, 4),
     ])
     def test_runs_and_walks_of_a_ranking(self, fixture, runs, walks, request, made, walked):
         # The work of ranking the graphs the benchmark diagnoses (and of a
@@ -572,28 +578,13 @@ class TestPropagateEach:
             pass
         assert (len(made), len(walked)) == (runs, walks)
 
-    def test_walk_stops_when_no_source_is_left(self):
-        # Every target fails at the seed's own second edge, so the walk reads
-        # the edges of the seed and of no other reached entity.
-        graph = one_onto_two_graph()
-
-        class Reads(tuple):
-            def __getitem__(self, at):
-                read.append(at)
-                return super().__getitem__(at)
-
-        read: list[int] = []
-        failed, images = walk(graph, "s", ["t1", "t2", "t3"], Reads(graph.adjacency))
-        assert failed.tolist() == [0, 0, 0] and images.shape == (0, 2)
-        assert read == [graph.position["s"]]
-
     def test_walk_accepts_a_copy(self, made):
         # Copies of a chain of three whose ids sort in different orders: each
         # run is the first relabeled.
         graph = graph_of(*[(f"{p}1", "flow", f"{q}2") for p, q in ("aa", "zm", "yk", "xj")],
                          *[(f"{q}2", "flow", f"{r}3") for q, r in ("ab", "mb", "kc", "jd")])
-        failed, images = walk(graph, "a1", ["z1"])
-        assert failed.tolist() == [-1]
+        accepted, images = walk(graph, "a1", ["z1"])
+        assert accepted.tolist() == [True]
         assert [graph.entities[at].id for at in images[0]] == ["z1", "m2", "b3"]
         assert shared_runs(graph, DEFAULTS, ["a1", "z1", "y1", "x1"], made) == 1
 

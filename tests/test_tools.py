@@ -41,12 +41,15 @@ def test_outputs_manifest_leaves_no_files(tmp_path):
     assert settings["cpu_count"] == os.cpu_count()
     commands = [name.split()[0] for name in entries]
     assert {c: commands.count(c) for c in set(commands)} == {
-        "fit": 4, "diagnose": 7, "trace": 6, "validate-kg": 2, "input": 8, "synth": 1,
+        "fit": 4, "diagnose": 7, "trace": 6, "validate-kg": 8, "input": 8, "synth": 1,
     }
+    refused = {"unparsable": 2, "not-an-object": 2, "duplicate-entity": 1,
+               "dangling-triple": 1, "string-distance": 1}
     plant = "synth --out synth/seed5-devices4 --seed 5 --devices 4"
     assert sorted(entries[plant]["file"]) == ["fault.csv", "graph.json", "manifest.json", "normal.csv"]
     for name, entry in entries.items():
-        assert entry.get("exit", 0) == 0, name
+        stem = name.removeprefix("validate-kg invalid/").removesuffix(".kg.json")
+        assert entry.get("exit", 0) == refused.get(stem, 0), name
         assert entry.get("file", "") is not None, name
     assert not any(tmp.iterdir())
     assert checkout_files() == before

@@ -17,6 +17,10 @@ commands are:
 - ``validate-kg`` on, and ``trace`` from every entity of, the four fixture
   graphs (the two bundled with the package and the two under
   ``tests/fixtures``);
+- ``validate-kg`` on each graph file under ``tests/fixtures/invalid``: one
+  with warnings only, and one each for unparsable JSON, a document that is
+  not an object, a duplicate entity id, a dangling triple and a string
+  relation distance, whose exit codes and messages the manifest records;
 - ``synth`` at seeds 1-3 with 30 devices and at seed 5 with 4 devices (its
   stdout and every file it writes), then ``fit --graph`` and
   ``diagnose --json`` on each plant: chains of copies of one unit, whose
@@ -28,8 +32,9 @@ which this tool imports and does not change; their digests are listed too,
 so a changed input explains a changed output. Everything runs in a temporary
 directory that is removed at the end, with paths relative to it, so the
 manifest does not depend on where the checkout lies. ``--small`` uses a
-6-device plant, shorter files, two TEP episodes, the two test fixtures and
-only the 4-device ``synth`` plant, for a quick self-test.
+6-device plant, shorter files, two TEP episodes, the two test fixtures, the
+invalid graph files and only the 4-device ``synth`` plant, for a quick
+self-test.
 
 The manifest also records the settings that can change a fitted model's
 bytes: ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and the CPU count. The
@@ -70,6 +75,8 @@ FIXTURES = {
     "diamond.kg.json": ROOT / "tests" / "fixtures" / "diamond.kg.json",
     "chain.kg.json": ROOT / "tests" / "fixtures" / "chain.kg.json",
 }
+#: Graph files ``validate-kg`` refuses, or accepts with warnings.
+INVALID = ROOT / "tests" / "fixtures" / "invalid"
 TEP_SEED = 2
 PLANT_SEED = 1
 #: ``synth`` plants as ``(seed, devices)``; ``--small`` runs the last alone.
@@ -173,6 +180,12 @@ def graph_outputs(runner: Runner, names: list[str]) -> None:
             runner.run(["trace", entity["id"], "--graph", f"graphs/{name}"])
 
 
+def invalid_outputs(runner: Runner) -> None:
+    shutil.copytree(INVALID, runner.work / "invalid")
+    for path in sorted(INVALID.iterdir()):
+        runner.run(["validate-kg", f"invalid/{path.name}"])
+
+
 def write_manifest(path: Path, small: bool) -> None:
     if small:
         sizes = inputs.Sizes(plant_devices=6, plant_normal_rows=300, fault_rows=200,
@@ -185,6 +198,7 @@ def write_manifest(path: Path, small: bool) -> None:
         tep_outputs(runner, sizes, episodes)
         plant_outputs(runner, sizes)
         graph_outputs(runner, graphs)
+        invalid_outputs(runner)
         synth_outputs(runner, plants)
     failed = sum(entry.get("exit", 0) != 0 for entry in runner.manifest.values())
     count = len(runner.manifest)
