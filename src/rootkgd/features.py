@@ -27,6 +27,9 @@ logger = logging.getLogger(__name__)
 #: information": the variable's contribution is defined as 0.
 RESIDUAL_DIAG_FLOOR = 1e-12
 
+#: Rows of the window ``rbc_spe`` standardizes again per step of its residual loop.
+ROW_BLOCK = 16
+
 
 def check_unique(columns: Sequence[str]) -> None:
     """Raise ``ValueError`` naming the first repeated column name."""
@@ -241,6 +244,7 @@ def rbc_spe(model: PcaModel, data: DataMatrix) -> np.ndarray:
     corrected along coordinate axis i. Variables whose reconstruction
     denominator is near zero score 0, with a warning. Data whose columns
     differ from the model's raise ``ValueError``; ``data`` is not written.
+    The result, C-ordered, is the one window-sized array held at a time.
     """
     if data.columns != model.columns:
         raise ValueError("data columns do not match the model's training columns")
@@ -250,15 +254,26 @@ def rbc_spe(model: PcaModel, data: DataMatrix) -> np.ndarray:
     if not usable.all():
         logger.warning("variables with near-zero reconstruction denominator scored as 0: %s",
                        [model.columns[i] for i in np.flatnonzero(~usable)])
-    # One Fortran-ordered array (the row sums' rounding depends on the layout) holds the
-    # standardized window, its residuals and the contributions, each step in place.
+    # The standardized window Z is Fortran-ordered (ZP's rounding depends on the layout)
+    # and is gone before the product (ZP)Pᵀ, whose C-ordered array then holds the
+    # residuals Z (I - P Pᵀ) and the contributions in place: each block of rows of Z is
+    # formed again, which is elementwise and so gives the same bits.
     Z = np.subtract(data.values, model.mean, out=np.empty(data.values.shape, order="F"))
     Z /= model.std
-    Z -= (Z @ P) @ P.T  # Z (I - P Pᵀ), with no n x n matrix formed
-    Z[:, ~usable], diag[~usable] = 0.0, 1.0  # zeroed before squaring: no overflow
-    Z **= 2
-    Z /= diag
-    return Z
+    ZP = Z @ P
+    del Z
+    R = ZP @ P.T  # no n x n matrix formed
+    del ZP
+    block = np.empty((min(ROW_BLOCK, len(R)), R.shape[1]))
+    for start in range(0, len(R), ROW_BLOCK):
+        rows = R[start:start + ROW_BLOCK]
+        z = np.subtract(data.values[start:start + ROW_BLOCK], model.mean, out=block[:len(rows)])
+        z /= model.std
+        np.subtract(z, rows, out=rows)
+    R[:, ~usable], diag[~usable] = 0.0, 1.0  # zeroed before squaring: no overflow
+    R **= 2
+    R /= diag
+    return R
 
 
 def contribution_rate(model: PcaModel, fault_window: DataMatrix) -> ContributionVector:
@@ -266,22 +281,27 @@ def contribution_rate(model: PcaModel, fault_window: DataMatrix) -> Contribution
 
     Each sample's raw contributions are normalized before averaging, so no single
     large-error sample dominates. Rows whose contributions are identically zero are
-    skipped; the first row that overflows is a ``ValueError``. The window is not written.
+    skipped; the first row that overflows is a ``ValueError``. The window is not written,
+    and besides it only ``rbc_spe``'s array is window-sized.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         raw = rbc_spe(model, fault_window)
-        row_sums = raw.sum(axis=1)
-    # Contributions are never negative: a finite row sum means a finite row.
-    overflow = np.flatnonzero(~np.isfinite(row_sums))
-    if overflow.size:
-        raise ValueError(f"contributions of window row {overflow[0]} are not finite")
-    live = row_sums > 0
-    if not live.any():
+    # Each row is summed in column order (pairwise if it is the only one), and each live
+    # row, divided by its sum, is added into one total in row order: the orders of a
+    # Fortran-ordered array's row sums and of the mean of a C-ordered array's rows, so
+    # the bits are theirs and no copy of the rows is made.
+    total, live, single = np.zeros(raw.shape[1]), 0, len(raw) == 1
+    for i, row in enumerate(raw):
+        row_sum = row.sum() if single else np.add.accumulate(row)[-1]
+        # Contributions are never negative: a finite row sum means a finite row.
+        if not np.isfinite(row_sum):
+            raise ValueError(f"contributions of window row {i} are not finite")
+        if row_sum > 0:
+            total += row / row_sum
+            live += 1
+    if not live:
         raise ValueError("every sample in the window has zero contribution")
-
-    rates = raw[live]  # a C-ordered copy: the mean's rounding depends on the layout
-    rates /= row_sums[live, None]
-    mean = rates.mean(axis=0)
+    mean = total / live
     return ContributionVector(mean / mean.sum(), model.columns)
 
 

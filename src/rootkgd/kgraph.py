@@ -190,16 +190,17 @@ def _parse_triple(raw: Any, pos: int) -> Triple:
 
 
 def graph_from_dict(payload: Any) -> KnowledgeGraph:
-    """Build and validate a graph from a parsed JSON document.
+    """Build and validate a graph from a parsed JSON document, which is left
+    as it was.
 
     Raises GraphParseError for structural problems and GraphValidationError,
     as a direct build does, for every other one: field types are ``_check``'s.
     """
-    return KnowledgeGraph(*_parse_parts(payload))
+    return KnowledgeGraph(*_parse_parts([list(raws) for raws in _sections(payload)]))
 
 
-def _parse_parts(payload: Any) -> tuple[list[Entity], list[RelationType], list[Triple]]:
-    """A graph document's entities, relations and triples, structure checked."""
+def _sections(payload: Any) -> list[list]:
+    """A graph document's entity, relation and triple arrays, structure checked."""
     if not isinstance(payload, dict):
         raise GraphParseError("graph document must be a JSON object")
     for key in ("entities", "relations", "triples"):
@@ -207,25 +208,33 @@ def _parse_parts(payload: Any) -> tuple[list[Entity], list[RelationType], list[T
             raise GraphParseError(f"graph document missing top-level key {key!r}")
         if not isinstance(payload[key], list):
             raise GraphParseError(f"top-level {key!r} must be an array")
+    return [payload["entities"], payload["relations"], payload["triples"]]
 
-    entities = [_parse_entity(raw, i) for i, raw in enumerate(payload["entities"])]
-    relations = [_parse_relation(raw, i) for i, raw in enumerate(payload["relations"])]
-    triples = [_parse_triple(raw, i) for i, raw in enumerate(payload["triples"])]
-    return entities, relations, triples
+
+def _parse_parts(sections: list[list]) -> tuple[list[Entity], list[RelationType], list[Triple]]:
+    """The entities, relations and triples parsed from the three arrays, which
+    are emptied: each raw item is dropped as soon as its part is built."""
+    parts = []
+    for raws, parse in zip(sections, (_parse_entity, _parse_relation, _parse_triple)):
+        raws.reverse()
+        parts.append([parse(raws.pop(), pos) for pos in range(len(raws))])
+    return tuple(parts)
 
 
 def load_graph(path: str | Path) -> KnowledgeGraph:
     """Load, parse, and validate a graph file (see graph_from_dict).
 
-    The parsed document is released before the graph builds its indexes.
+    Only the document's three arrays outlive the parse, and each raw entity,
+    relation and triple is dropped from them as soon as its part is built,
+    so the document is gone before the graph builds its indexes.
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:  # JSON and UTF-8 errors are ValueErrors
         raise GraphParseError(f"{path}: invalid JSON: {exc}") from exc
-    parts = _parse_parts(payload)
+    sections = _sections(payload)
     del payload
-    return KnowledgeGraph(*parts)
+    return KnowledgeGraph(*_parse_parts(sections))
 
 
 def serialize(graph: KnowledgeGraph) -> dict[str, Any]:

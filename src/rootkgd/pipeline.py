@@ -46,9 +46,10 @@ def run_fit(config: DiagnosisConfig) -> PcaModel:
 def run_diagnose(config: DiagnosisConfig) -> RootCauseRanking:
     """The full pipeline: contributions on the fault window, then ranking.
 
-    The window stage runs first and its arrays are released before the graph
-    is loaded, so a cold run holds the larger of the two stages, not both.
-    A bad model or window is so reported before a bad graph or binding.
+    The window stage runs first, and its arrays and the model are released
+    before the graph is loaded, so a cold run holds the larger of the two
+    stages, not both. A bad model or window is so reported before a bad
+    graph or binding.
     """
     if not config.graph_path:
         raise ConfigError("graph_path is required for diagnosis")
@@ -56,18 +57,17 @@ def run_diagnose(config: DiagnosisConfig) -> RootCauseRanking:
         raise ConfigError("model_path is required for diagnosis")
     if not config.fault_data_path:
         raise ConfigError("fault_data_path is required for diagnosis")
-    model = features.load_model(config.model_path)
-    rate = _window_rate(config, model)
+    rate, r_pc = _window_rate(config)
 
     graph = load_graph(config.graph_path)
-    bound = bound_columns(model.columns, graph, "model")
+    bound = bound_columns(rate.roster, graph, "model")  # the roster is the model's columns
     contributions = rate.restrict(bound).relabel(graph.variable_of)
 
     params = config.rfpa_params()
     metadata: dict[str, Any] = {
         "graph": Path(config.graph_path).name,
         # r_pc is the model file's, which may differ from the config's.
-        "params": {"r_pc": model.r_pc, **asdict(params)},
+        "params": {"r_pc": r_pc, **asdict(params)},
         "window": {
             "fault_start": config.fault_start,
             "length": config.window,
@@ -77,9 +77,11 @@ def run_diagnose(config: DiagnosisConfig) -> RootCauseRanking:
     return scoring.rank_all(graph, params, contributions, metadata=metadata)
 
 
-def _window_rate(config: DiagnosisConfig, model: PcaModel) -> features.ContributionVector:
-    """The contribution rate of the configured fault window; the window's
+def _window_rate(config: DiagnosisConfig) -> tuple[features.ContributionVector, float]:
+    """The contribution rate of the configured fault window under the
+    configured model, and the model's ``r_pc``; the model and the window's
     arrays are gone when this returns."""
+    model = features.load_model(config.model_path)
     fault = dataio.read_csv(config.fault_data_path, rows=config.window, skip=config.fault_start)
     present = set(fault.columns)
     missing = [c for c in model.columns if c not in present]
@@ -87,7 +89,7 @@ def _window_rate(config: DiagnosisConfig, model: PcaModel) -> features.Contribut
         raise ValueError(f"fault dataset is missing model columns: {missing}")
     window = fault if fault.columns == model.columns else fault.select(model.columns)
     try:
-        return features.contribution_rate(model, window)
+        return features.contribution_rate(model, window), model.r_pc
     except ValueError as exc:
         raise ValueError(f"{config.fault_data_path}: {exc}") from None
 

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 from importlib.resources import files
 from pathlib import Path
@@ -17,7 +18,7 @@ import pytest
 from click.testing import CliRunner
 
 import rootkgd
-from rootkgd import pipeline
+from rootkgd import features, pipeline
 from rootkgd.cli import main
 from rootkgd.config import DiagnosisConfig
 from rootkgd.dataio import read_csv, write_csv
@@ -888,9 +889,10 @@ class TestPipelineRoster:
         )
 
     def test_graph_loads_after_the_window_is_released(self, tmp_path, monkeypatch):
-        # The window stage runs first and its arrays are gone before the graph
-        # is loaded: when load_graph is entered the window has been read, and
-        # less than half a window's bytes are still allocated.
+        # The window stage runs first and its arrays and the model are gone
+        # before the graph is loaded: when load_graph is entered the window has
+        # been read, less than half a window's bytes are still allocated and
+        # no model loaded by the run is alive.
         graph_path = str(files("rootkgd") / "fixtures" / "tep.kg.json")
         columns = tuple(load_graph(graph_path).variable_of)
         rng = np.random.default_rng(11)
@@ -910,11 +912,19 @@ class TestPipelineRoster:
         run_fit(config)
         window_bytes = config.window * len(columns) * 8
         load, entries = pipeline.load_graph, []
+        read_model, models = features.load_model, []
+
+        def tracked_load_model(path):
+            model = read_model(path)
+            models.append(weakref.ref(model))
+            return model
 
         def measured_load(path):
             entries.append(tracemalloc.get_traced_memory())
+            assert models and all(model() is None for model in models)
             return load(path)
 
+        monkeypatch.setattr(features, "load_model", tracked_load_model)
         monkeypatch.setattr(pipeline, "load_graph", measured_load)
         run_diagnose(config)  # first-call allocations are not counted
         tracemalloc.start()

@@ -27,6 +27,7 @@ from oracles import (
 )
 from rootkgd.features import (
     RESIDUAL_DIAG_FLOOR,
+    ROW_BLOCK,
     ContributionVector,
     DataMatrix,
     PcaModel,
@@ -506,13 +507,12 @@ def floored_model(rng: np.random.Generator, n: int, n_pc: int) -> PcaModel:
 
 class TestInPlaceContributions:
     """``rbc_spe`` and ``contribution_rate`` give, bit for bit, what the
-    out-of-place reference gives, and ``rbc_spe`` returns a Fortran-ordered
-    array."""
+    out-of-place reference gives, and ``rbc_spe`` returns a C-ordered array."""
 
     @staticmethod
     def assert_matches(model: PcaModel, window: DataMatrix) -> None:
         raw = rbc_spe(model, window)
-        assert raw.flags.f_contiguous
+        assert raw.flags.c_contiguous
         assert raw.tobytes() == copying_rbc_spe(model, window).tobytes()
         try:
             reference = copying_contribution_rate(model, window)
@@ -571,6 +571,20 @@ class TestInPlaceContributions:
         shuffled = DataMatrix(values, tuple(model.columns[i] for i in perm))
         self.assert_matches(model, shuffled.select(model.columns))
 
+    @pytest.mark.parametrize("rows", [ROW_BLOCK * 5 // 2, ROW_BLOCK * 10, ROW_BLOCK + 1])
+    def test_windows_of_many_row_blocks(self, rows, caplog):
+        # The residuals are formed ROW_BLOCK rows at a time and each row is
+        # summed and added alone: a window of several blocks, a last block of
+        # one row, a dead row and a floored column keep the copying form's bits.
+        rng = np.random.default_rng(700 + rows)
+        model = floored_model(rng, n=int(rng.integers(60, 120)), n_pc=4)
+        values = self.window(rng, model, rows)
+        values[rows - ROW_BLOCK // 2] = model.mean
+        window = DataMatrix(values, model.columns)
+        with caplog.at_level(logging.ERROR, logger="rootkgd.features"):
+            assert (rbc_spe(model, window).sum(axis=1) == 0.0).sum() == 1
+            self.assert_matches(model, window)
+
     def test_overflowing_row_is_the_same_error(self):
         rng = np.random.default_rng(500)
         model = random_model(rng, n=8)
@@ -584,8 +598,9 @@ class TestInPlaceContributions:
             contribution_rate(model, DataMatrix(values, model.columns))
 
     def test_peak_memory_and_window_unchanged(self):
-        # Besides the window, contributions hold one standardized/residual
-        # array and one product array at a time; the copying form held five.
+        # Besides the window, contributions hold one window-sized array at a
+        # time (the standardized window, then the product that becomes the
+        # residuals and the contributions) and ZP; the copying form held five.
         rng = np.random.default_rng(600)
         model = random_subspace_model(rng, n=200, n_res=150)
         window = DataMatrix(self.window(rng, model, 400), model.columns)
@@ -598,7 +613,7 @@ class TestInPlaceContributions:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * window.values.nbytes
+        assert peak <= 1.5 * window.values.nbytes
         assert window.values.tobytes() == before.tobytes()
 
 

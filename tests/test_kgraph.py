@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import gc
 import json
@@ -275,6 +276,25 @@ class TestLoadGraph:
     def test_missing_top_level_key(self):
         with pytest.raises(GraphParseError, match="missing top-level key"):
             graph_from_dict({"entities": [], "relations": []})
+
+    def test_graph_from_dict_leaves_the_payload_as_it_was(self):
+        # The loader empties its own document's arrays part by part; a caller's
+        # document is not touched, whether the build succeeds or fails midway.
+        payload = json.loads((files("rootkgd") / "fixtures" / "tep.kg.json").read_text())
+        original = copy.deepcopy(payload)
+        graph_from_dict(payload)
+        assert payload == original
+        payload["entities"][len(payload["entities"]) // 2]["kind"] = "pump"
+        payload["triples"][3] = ["a", "b"]
+        before = copy.deepcopy(payload)
+        with pytest.raises(GraphParseError, match="unknown kind 'pump'"):
+            graph_from_dict(payload)
+        assert payload == before
+        payload["entities"] = copy.deepcopy(original["entities"])
+        before = copy.deepcopy(payload)
+        with pytest.raises(GraphParseError, match=r"^triples\[3\]: expected"):
+            graph_from_dict(payload)
+        assert payload == before
 
     def test_declaration_order_preserved(self, tep_graph):
         device_ids = [e.id for e in tep_graph.entities[:5]]

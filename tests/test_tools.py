@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 OUTPUTS = ROOT / "tools" / "outputs.py"
 #: Directories that git or the test run itself writes.
@@ -71,3 +73,28 @@ def test_outputs_manifest_leaves_no_files(tmp_path):
     done = outputs("--diff", manifest, changed, tmp=tmp)
     assert done.returncode == 1
     assert done.stdout.splitlines() == [f"only in {manifest}: {dropped}", f"{trace}: stdout differ"]
+
+
+def git(*args) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True,
+                          check=False)
+
+
+def test_outputs_against_head_leaves_no_worktree(tmp_path):
+    if git("rev-parse", "--verify", "HEAD").returncode:
+        pytest.skip("the checkout is not a git repository with a commit")
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    before, worktrees = checkout_files(), git("worktree", "list", "--porcelain").stdout
+    done = outputs("--small", "--against", "HEAD", tmp=tmp)
+    assert (done.returncode, done.stdout) == (0, "no differences\n"), done.stderr
+    assert done.stderr.count(" entries written to ") == 2
+    assert git("worktree", "list", "--porcelain").stdout == worktrees
+    assert not any(tmp.iterdir())
+    assert checkout_files() == before
+
+    done = outputs("--against", "no-such-revision", tmp=tmp)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert "error: cannot check out 'no-such-revision' into a worktree" in done.stderr
+    assert git("worktree", "list", "--porcelain").stdout == worktrees
+    assert not any(tmp.iterdir())

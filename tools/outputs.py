@@ -3,6 +3,7 @@
 
     python3 tools/outputs.py MANIFEST.json [--small]
     python3 tools/outputs.py --diff A.json B.json
+    python3 tools/outputs.py --against REV [--small]
 
 The first form runs ``rootkgd`` from this checkout's ``src/``, one
 subprocess per command, and writes a manifest: for each command, its exit
@@ -42,12 +43,14 @@ second form refuses (exit 2) two manifests whose settings differ, naming
 them; otherwise it lists every command whose exit code or digests differ
 between them, or that only one of them holds, and exits 1 if there is any.
 
-Run both trees, then diff (the second tree's copy of this file writes its
-own manifest):
+The third form compares this tree with the git revision REV in one
+command. It checks REV out with ``git worktree add`` into a temporary
+directory, copies this tree's ``tools/outputs.py`` and
+``tests/fixtures/invalid`` over REV's, writes a manifest of each tree, prints
+their diff as the second form does (with its exit code), and removes the
+worktree again. Uncommitted changes count as this tree's:
 
-    python3 tools/outputs.py /tmp/parent.json   # in the parent checkout
-    python3 tools/outputs.py /tmp/change.json   # in the changed checkout
-    python3 tools/outputs.py --diff /tmp/parent.json /tmp/change.json
+    python3 tools/outputs.py --against HEAD~1
 """
 
 from __future__ import annotations
@@ -186,7 +189,7 @@ def invalid_outputs(runner: Runner) -> None:
         runner.run(["validate-kg", f"invalid/{path.name}"])
 
 
-def write_manifest(path: Path, small: bool) -> None:
+def write_manifest(path: Path, small: bool) -> str:
     if small:
         sizes = inputs.Sizes(plant_devices=6, plant_normal_rows=300, fault_rows=200,
                              tep_normal_rows=300, plant_episodes=2)
@@ -205,7 +208,7 @@ def write_manifest(path: Path, small: bool) -> None:
     runner.manifest[SETTINGS] = settings()
     path.write_text(json.dumps(runner.manifest, indent=1, sort_keys=True) + "\n",
                     encoding="utf-8")
-    print(f"{count} entries written to {path} ({failed} non-zero exits)")
+    return f"{count} entries written to {path} ({failed} non-zero exits)"
 
 
 class SettingsDiffer(Exception):
@@ -237,26 +240,63 @@ def diff(a_path: Path, b_path: Path) -> list[str]:
     return lines
 
 
+def against(rev: str, small: bool, scratch: Path) -> tuple[Path, Path]:
+    """Manifests of REV's tree, run with this tree's tool and invalid graph
+    files, and of this tree, written under ``scratch``; the worktree made
+    for REV is removed before this returns."""
+    tree, flags = scratch / "tree", ["--small"] if small else []
+    git = ["git", "-C", str(ROOT), "worktree"]
+    if subprocess.run([*git, "add", "--quiet", "--detach", str(tree), rev]).returncode:
+        raise SystemExit(f"error: cannot check out {rev!r} into a worktree")
+    try:
+        (tree / "tools").mkdir(exist_ok=True)
+        shutil.copy(ROOT / "tools" / "outputs.py", tree / "tools" / "outputs.py")
+        shutil.rmtree(tree / INVALID.relative_to(ROOT), ignore_errors=True)
+        shutil.copytree(INVALID, tree / INVALID.relative_to(ROOT))
+        theirs, ours = scratch / f"{rev}.json".replace("/", "_"), scratch / "this.json"
+        done = subprocess.run([sys.executable, str(tree / "tools" / "outputs.py"), str(theirs),
+                               *flags], capture_output=True, text=True, check=False)
+        print(done.stdout + done.stderr, end="", file=sys.stderr)
+        if done.returncode:
+            raise SystemExit(f"error: the manifest of {rev!r} failed (exit {done.returncode})")
+    finally:
+        subprocess.run([*git, "remove", "--force", str(tree)], check=True)
+    print(write_manifest(ours, small), file=sys.stderr)
+    return theirs, ours
+
+
+def print_diff(a: Path, b: Path) -> int:
+    """Print what differs between two manifests; the exit code of ``--diff``."""
+    try:
+        lines = diff(a, b)
+    except SettingsDiffer as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print("\n".join(lines) if lines else "no differences")
+    return 1 if lines else 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("manifest", nargs="?", type=Path, help="Where to write the manifest.")
     parser.add_argument("--small", action="store_true", help="Small inputs, for a self-test.")
     parser.add_argument("--diff", nargs=2, type=Path, metavar=("A", "B"),
                         help="List what differs between two manifests.")
+    parser.add_argument("--against", metavar="REV",
+                        help="List what differs between git revision REV's tree and this one.")
     args = parser.parse_args(argv)
     if args.diff:
-        if args.manifest or args.small:
+        if args.manifest or args.small or args.against:
             parser.error("--diff takes no other argument")
-        try:
-            lines = diff(*args.diff)
-        except SettingsDiffer as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print("\n".join(lines) if lines else "no differences")
-        return 1 if lines else 0
+        return print_diff(*args.diff)
+    if args.against:
+        if args.manifest:
+            parser.error("--against takes no manifest path")
+        with tempfile.TemporaryDirectory(prefix="rootkgd-against-") as scratch:
+            return print_diff(*against(args.against, args.small, Path(scratch)))
     if args.manifest is None:
-        parser.error("give a manifest path or --diff A B")
-    write_manifest(args.manifest, args.small)
+        parser.error("give a manifest path, --diff A B or --against REV")
+    print(write_manifest(args.manifest, args.small))
     return 0
 
 
